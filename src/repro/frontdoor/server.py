@@ -316,7 +316,9 @@ class FrontDoorServer:
 
     ``port=0`` (the default) binds an ephemeral port; read it back from
     :attr:`address` after :meth:`start`.  Connections are keep-alive
-    HTTP/1.1; :meth:`stop` drains the front door before closing.
+    HTTP/1.1; :meth:`stop` drains the front door, hangs up on idle
+    connections and waits for every connection handler to finish, so no
+    handler is left for the event loop's shutdown to cancel.
     """
 
     def __init__(
@@ -329,10 +331,16 @@ class FrontDoorServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection-handler tasks, and the writers of those that
+        #: are waiting for a request and can be hung up on at any time.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns ``(host, port)``."""
+        self._stopping = False
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port
         )
@@ -352,11 +360,29 @@ class FrontDoorServer:
         await self._server.serve_forever()
 
     async def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: drain admitted work, then close the socket."""
+        """Graceful shutdown: drain admitted work, close the socket, then
+        end every connection.
+
+        Idle keep-alive connections are closed from this side; one that
+        is mid-request answers it and closes instead of waiting for the
+        next.  Every handler is awaited before this returns — including
+        one whose client has just hung up and which is still inside
+        ``writer.wait_closed()`` — because a handler that outlives
+        ``stop()`` is cancelled by the loop's shutdown and surfaces as a
+        leaked ``CancelledError`` callback.
+        """
         if drain:
             await self.frontdoor.drain()
         if self._server is not None:
-            self._server.close()
+            self._server.close()  # stop accepting; open connections stay
+        self._stopping = True  # a handler not yet started closes at once
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(list(self._handlers))
+        if self._server is not None:
+            # Last: from Python 3.12 on this waits for every accepted
+            # connection, so it must follow the hang-ups above.
             await self._server.wait_closed()
             self._server = None
         self.frontdoor.close()
@@ -365,9 +391,15 @@ class FrontDoorServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            while True:
-                parsed = await self._read_request(reader)
+            while not self._stopping:
+                self._idle.add(writer)
+                try:
+                    parsed = await self._read_request(reader)
+                finally:
+                    self._idle.discard(writer)
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -375,6 +407,7 @@ class FrontDoorServer:
                 status, payload, content_type, extra = await self._dispatch(
                     method, path, body
                 )
+                keep_alive = keep_alive and not self._stopping
                 self._write_response(
                     writer, status, payload, content_type, extra, keep_alive
                 )
@@ -393,6 +426,8 @@ class FrontDoorServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            finally:
+                self._handlers.discard(handler)
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):

@@ -16,12 +16,17 @@ Every concrete index implements :class:`PathIndex`:
   full rebuild (the default ``_update``),
 * ``remove(db, document)`` — forget one just-removed document; the same
   four indexes delete exactly the rows the document contributed
-  (B+-tree ``delete`` per row, IdList shrink, exact catalog-statistic
-  decrements), the rest fall back to a full rebuild over the
-  post-removal database (the default ``_remove``),
+  (IdList shrink, exact catalog-statistic decrements), the rest fall
+  back to a full rebuild over the post-removal database (the default
+  ``_remove``),
 * ``estimated_size_bytes()`` — the space number reported in Figure 9,
 * index-specific lookup methods used by the evaluation strategies in
   :mod:`repro.planner.strategies`.
+
+ROOTPATHS, DATAPATHS and DataGuide map a set of documents to one *entry
+batch* — the ``(key, payload, stat_key)`` list of their rows, keys ending
+in a :class:`KeySuffixMemo` suffix — and hand it to
+``BPlusTree.insert_many`` (build, update) or ``delete_many`` (remove).
 
 See ``docs/ARCHITECTURE.md`` ("Indexes") for how the maintenance family
 fits the serving stack.
@@ -30,10 +35,14 @@ fits the serving stack.
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..errors import IndexNotBuiltError
+from ..paths.compression import SchemaPathDictionary
+from ..paths.schema_paths import LabelPath
+from ..storage.keys import EncodedKey, encode_key
 from ..storage.stats import GLOBAL_STATS, PAGE_READ_WEIGHT, StatsCollector
 from ..xmltree.document import Document, XmlDatabase
 
@@ -156,10 +165,9 @@ class PathIndex(abc.ABC):
         tree and node ids (exactly what
         :meth:`~repro.xmltree.document.XmlDatabase.remove_document`
         returns).  Indexes with ``incremental_removal = True`` delete
-        exactly the rows the document once contributed — one B+-tree
-        ``delete`` per path/edge key, with catalog statistics
-        decremented to what a from-scratch build over the remaining
-        documents would count; the rest fall back to the default
+        exactly the rows the document once contributed, with catalog
+        statistics decremented to what a from-scratch build over the
+        remaining documents would count; the rest fall back to the default
         ``_remove``, a full rebuild over the post-removal database.
         Either way the index answers queries over the post-removal
         snapshot when this returns.
@@ -210,6 +218,60 @@ class PathIndex(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "built" if self._built else "empty"
         return f"{type(self).__name__}({status})"
+
+
+class KeySuffixMemo(dict):
+    """``schema_path -> encoded key suffix`` for the life of one tree.
+
+    Every B+-tree-backed index ends its keys with the schema path as
+    tag ids (reversed for ROOTPATHS and DATAPATHS, Section 3.2) or, under
+    Section 4.2 compression, with the whole path's dictionary id.  A
+    document repeats a few hundred distinct (sub)paths thousands of
+    times, so the encoded suffix is assembled once per path and shared
+    by every key that ends in it.
+
+    Tag ids and path ids are positional and never reassigned (a fully
+    released tag keeps its id), so an entry stays valid as long as the
+    tree it was made for: an index makes a new memo in ``_build`` and
+    never evicts from it.  Its size is bounded by the number of
+    distinct (sub)paths of the schema, not by traffic.
+    """
+
+    def __init__(
+        self,
+        tags,
+        reverse: bool = True,
+        path_dictionary: Optional[SchemaPathDictionary] = None,
+    ) -> None:
+        super().__init__()
+        self._tags = tags
+        self._reverse = reverse
+        self._path_dictionary = path_dictionary
+
+    def __missing__(self, schema_path: LabelPath) -> EncodedKey:
+        if self._path_dictionary is not None:
+            components: tuple = (self._path_dictionary.intern(schema_path),)
+        else:
+            labels = reversed(schema_path) if self._reverse else schema_path
+            components = self._tags.path_ids(labels)
+        suffix = self[schema_path] = encode_key(components)
+        return suffix
+
+
+def adjust_counts(counts: dict, stat_keys: Iterable, sign: int) -> None:
+    """Add ``sign`` to ``counts`` once per occurrence in ``stat_keys``.
+
+    The catalog statistics of an entry batch: new keys are appended in
+    first-seen order and a key whose count reaches zero is dropped, so
+    after any churn ``counts`` is what a from-scratch build over the
+    remaining documents would hold.
+    """
+    for stat_key, occurrences in Counter(stat_keys).items():
+        total = counts.get(stat_key, 0) + sign * occurrences
+        if total > 0:
+            counts[stat_key] = total
+        else:
+            counts.pop(stat_key, None)
 
 
 def labels_to_tag_ids(db: XmlDatabase, labels: Sequence[str]) -> Optional[tuple[int, ...]]:

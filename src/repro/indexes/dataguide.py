@@ -22,7 +22,7 @@ from ..storage.btree import BPlusTree
 from ..storage.keys import encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, PathIndex, labels_to_tag_ids
+from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, adjust_counts, labels_to_tag_ids
 
 
 class DataGuideIndex(PathIndex):
@@ -45,74 +45,65 @@ class DataGuideIndex(PathIndex):
         super().__init__(stats)
         self.order = order
         self._tree: Optional[BPlusTree] = None
-        self._distinct_paths: list[LabelPath] = []
-        self._seen_paths: set[LabelPath] = set()
-        #: Occurrences per distinct rooted path — the refcounts that let
-        #: removals retire a skeleton path exactly when its last node
-        #: disappears.
+        self._key_suffixes: Optional[KeySuffixMemo] = None
+        #: Occurrences per distinct rooted path, in first-seen order:
+        #: the DataGuide's skeleton, and the refcounts that retire a
+        #: path exactly when its last node disappears.
         self._path_counts: dict[LabelPath, int] = {}
         self.entry_count = 0
 
     # ------------------------------------------------------------------
     def _build(self, db: XmlDatabase) -> None:
         self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
-        self._distinct_paths = []
-        self._seen_paths = set()
+        self._key_suffixes = KeySuffixMemo(db.tags, reverse=False)
         self._path_counts = {}
         self.entry_count = 0
-        entries = []
-        for row in iter_rootpaths_rows(db, include_values=False):
-            entries.append(self._entry_for_row(db, row))
-        self._tree.bulk_load(entries)
+        self._insert_documents(db, db.documents)
 
     def _update(self, db: XmlDatabase, document) -> None:
         """DataGuide summary extension for one new document.
 
         Every rooted path prefix of the new document contributes one
-        B+-tree entry; rooted schema paths never seen before also extend
-        the DataGuide skeleton (``distinct_paths``), so later recursive
-        pattern matching enumerates them too.
+        B+-tree entry, inserted as one batch; rooted schema paths never
+        seen before also extend the DataGuide skeleton
+        (``distinct_paths``), so later recursive pattern matching
+        enumerates them too.
         """
-        assert self._tree is not None
-        for row in iter_rootpaths_rows(db, include_values=False, documents=(document,)):
-            self._tree.insert(*self._entry_for_row(db, row))
+        self._insert_documents(db, (document,))
 
     def _remove(self, db: XmlDatabase, document) -> None:
         """DataGuide summary shrink for one removed document.
 
         Deletes the removed document's entries (one per structural
-        node) and decrements the per-path refcounts; a rooted path
-        whose count reaches zero is retired from the skeleton, so
-        recursive pattern matching stops enumerating (and probing) it —
-        exactly the skeleton a from-scratch build over the remaining
-        documents would produce.
+        node) as one batch and decrements the per-path refcounts by the
+        entries actually found; a rooted path whose count reaches zero
+        is retired from the skeleton, so recursive pattern matching
+        stops enumerating (and probing) it — exactly the skeleton a
+        from-scratch build over the remaining documents would produce.
         """
         assert self._tree is not None
-        for row in iter_rootpaths_rows(db, include_values=False, documents=(document,)):
-            tag_ids = tuple(db.tags.intern(label) for label in row.schema_path)
-            removed = self._tree.delete(encode_key(tag_ids), value=row.id_list[-1])
-            self.entry_count -= removed
-            if not removed:
-                continue
-            remaining = self._path_counts.get(row.schema_path, 0) - removed
-            if remaining > 0:
-                self._path_counts[row.schema_path] = remaining
-            else:
-                self._path_counts.pop(row.schema_path, None)
-                self._seen_paths.discard(row.schema_path)
-                self._distinct_paths.remove(row.schema_path)
+        removed = self._tree.delete_many(self._entry_batch(db, (document,)))
+        self.entry_count -= len(removed)
+        adjust_counts(self._path_counts, (entry[2] for entry in removed), -1)
 
-    def _entry_for_row(self, db: XmlDatabase, row) -> tuple:
-        """One summary entry; grows the skeleton on first-seen paths."""
-        tag_ids = tuple(db.tags.intern(label) for label in row.schema_path)
-        self.entry_count += 1
-        self._path_counts[row.schema_path] = (
-            self._path_counts.get(row.schema_path, 0) + 1
-        )
-        if row.schema_path not in self._seen_paths:
-            self._seen_paths.add(row.schema_path)
-            self._distinct_paths.append(row.schema_path)
-        return encode_key(tag_ids), row.id_list[-1]
+    def _insert_documents(self, db: XmlDatabase, documents) -> None:
+        """Build and incremental insert: one entry batch, one tree pass."""
+        assert self._tree is not None
+        batch = self._entry_batch(db, documents)
+        self.entry_count += len(batch)
+        adjust_counts(self._path_counts, (entry[2] for entry in batch), 1)
+        self._tree.insert_many(batch)
+
+    def _entry_batch(self, db: XmlDatabase, documents) -> list[tuple]:
+        """One ``(key, last id, schema_path)`` summary entry per
+        structural node of ``documents``, in row order."""
+        suffixes = self._key_suffixes
+        return [
+            (suffixes[schema_path], id_list[-1], schema_path)
+            for _head, schema_path, _value, id_list in iter_rootpaths_rows(
+                db, include_values=False, documents=documents
+            )
+        ]
 
     # ------------------------------------------------------------------
     def lookup_path(self, labels: Sequence[str]) -> list[int]:
@@ -127,7 +118,7 @@ class DataGuideIndex(PathIndex):
     def distinct_paths(self) -> list[LabelPath]:
         """Every distinct rooted schema path (the DataGuide's skeleton)."""
         self._require_built()
-        return list(self._distinct_paths)
+        return list(self._path_counts)
 
     def paths_matching(self, pattern: PathPattern) -> list[LabelPath]:
         """Distinct rooted paths that a (possibly recursive) pattern matches.
@@ -137,7 +128,7 @@ class DataGuideIndex(PathIndex):
         paper attributes to path-id-style structures.
         """
         self._require_built()
-        return matching_schema_paths(pattern, self._distinct_paths)
+        return matching_schema_paths(pattern, self._path_counts)
 
     # ------------------------------------------------------------------
     def estimated_size_bytes(self) -> int:

@@ -27,10 +27,10 @@ from ..paths.compression import HeadIdPruner, SchemaPathDictionary
 from ..paths.fourary import iter_datapaths_rows
 from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..storage.btree import BPlusTree
-from ..storage.keys import encode_key
+from ..storage.keys import encode_component, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
-from .base import FamilyDescriptor, PathIndex, PathMatch, labels_to_tag_ids
+from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, PathMatch, adjust_counts, labels_to_tag_ids
 
 
 class DataPathsIndex(PathIndex):
@@ -62,6 +62,7 @@ class DataPathsIndex(PathIndex):
         self.head_pruner = head_pruner
         self._tree: Optional[BPlusTree] = None
         self._path_dictionary = SchemaPathDictionary() if schema_path_dictionary else None
+        self._key_suffixes: Optional[KeySuffixMemo] = None
         self.entry_count = 0
         self.pruned_count = 0
         self.value_counts: dict[tuple[str, Optional[str]], int] = {}
@@ -74,91 +75,89 @@ class DataPathsIndex(PathIndex):
         self._path_dictionary = (
             SchemaPathDictionary() if self.schema_path_dictionary else None
         )
+        self._key_suffixes = KeySuffixMemo(
+            db.tags, reverse=True, path_dictionary=self._path_dictionary
+        )
         self.entry_count = 0
         self.pruned_count = 0
         self.value_counts = {}
-        self._tree.bulk_load(self._iter_entries(db, iter_datapaths_rows(db)))
+        self._insert_documents(db, db.documents)
 
     def _update(self, db: XmlDatabase, document) -> None:
         """Incremental insertion of the new document's subpath rows.
 
-        Each row (every (ancestor-or-self head, node) pair of the new
-        document, plus its virtual-root rows) becomes one B+-tree
-        ``insert``; head pruning, dictionary growth and the catalog
+        The entry batch of its rows (every (ancestor-or-self head, node)
+        pair, plus the virtual-root rows) goes into the tree in one
+        finger pass; head pruning, dictionary growth and the catalog
         statistics behave exactly as in a full build.
         """
-        assert self._tree is not None
-        rows = iter_datapaths_rows(db, documents=(document,))
-        for key, payload in self._iter_entries(db, rows):
-            self._tree.insert(key, payload)
+        self._insert_documents(db, (document,))
 
     def _remove(self, db: XmlDatabase, document) -> None:
         """Incremental deletion of one removed document's subpath rows.
 
-        Re-enumerates every row the detached document contributed
-        (same enumeration as build and update — the document keeps its
-        node ids) and deletes the corresponding entry; head pruning is
-        replayed so pruned rows decrement the pruning counter instead,
-        and the virtual-root catalog statistics are decremented to what
-        a from-scratch build over the remaining documents would count.
+        Re-enumerates the rows the detached document contributed (it
+        keeps its node ids) and deletes their batch in one finger pass;
+        pruned rows come off the pruning counter instead, and the
+        counters drop by the entries actually found — to what a
+        from-scratch build over the remaining documents would count.
         """
         assert self._tree is not None
-        for row in iter_datapaths_rows(db, documents=(document,)):
-            mapped = self._map_row(db, row)
-            if mapped is None:
-                self.pruned_count -= 1
-                continue
-            key, payload, stat_key = mapped
-            removed = self._tree.delete(key, value=payload)
-            self.entry_count -= removed
-            if removed and stat_key is not None and stat_key in self.value_counts:
-                remaining = self.value_counts[stat_key] - removed
-                if remaining > 0:
-                    self.value_counts[stat_key] = remaining
-                else:
-                    del self.value_counts[stat_key]
+        batch, pruned = self._entry_batch(db, (document,))
+        self.pruned_count -= pruned
+        self._count_entries(self._tree.delete_many(batch), -1)
 
-    def _iter_entries(self, db: XmlDatabase, rows) -> "Iterator[tuple]":
-        """Map 4-ary rows to ``(key, payload)`` entries.
+    def _insert_documents(self, db: XmlDatabase, documents) -> None:
+        """Build and incremental insert: one entry batch, one tree pass."""
+        assert self._tree is not None
+        batch, pruned = self._entry_batch(db, documents)
+        self.pruned_count += pruned
+        self._count_entries(batch, 1)
+        self._tree.insert_many(batch)
 
-        Shared by build and incremental update; maintains the entry and
-        pruning counters and the ``value_counts`` statistics.
+    def _count_entries(self, entries: list[tuple], sign: int) -> None:
+        """Entry counter and virtual-root catalog statistics of a batch."""
+        self.entry_count += sign * len(entries)
+        adjust_counts(
+            self.value_counts,
+            (entry[2] for entry in entries if entry[2] is not None),
+            sign,
+        )
+
+    def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
+        """``documents``' rows as ``(key, payload, stat_key)`` entries,
+        and how many rows head pruning dropped.
+
+        The one row-to-entry mapping build, insert and delete share.
+        The head's label is read from the schema path itself (its first
+        component) rather than via ``db.node`` — a removed document's
+        head ids are no longer resolvable in the database, but its rows
+        must map to exactly the entries they produced at insert time.
+        ``stat_key`` is set on virtual-root rows only.  Entries come in
+        row order; the tree applies a batch in stable key order, which
+        keeps equal keys in row order.
         """
-        for row in rows:
-            mapped = self._map_row(db, row)
-            if mapped is None:
-                self.pruned_count += 1
+        suffixes = self._key_suffixes
+        pruner = self.head_pruner
+        batch = []
+        pruned = 0
+        for head_id, schema_path, leaf_value, id_list in iter_datapaths_rows(
+            db, documents=documents
+        ):
+            stat_key = None
+            if head_id == VIRTUAL_ROOT_ID:
+                stat_key = (schema_path[-1], leaf_value)
+            elif pruner is not None and not pruner.keeps_label(schema_path[0]):
+                pruned += 1
                 continue
-            key, payload, stat_key = mapped
-            self.entry_count += 1
-            if stat_key is not None:
-                self.value_counts[stat_key] = self.value_counts.get(stat_key, 0) + 1
-            yield key, payload
-
-    def _map_row(self, db: XmlDatabase, row):
-        """One row's ``(key, payload, stat_key)``, or ``None`` when pruned.
-
-        Stateless and shared by build, incremental insert and
-        incremental delete.  The head's label is read from the schema
-        path itself (its first component) rather than via ``db.node`` —
-        a removed document's head ids are no longer resolvable in the
-        database, but its rows must map to exactly the entries they
-        produced at insert time.
-        """
-        if self.head_pruner is not None and row.head_id != VIRTUAL_ROOT_ID:
-            if not self.head_pruner.keeps_label(row.schema_path[0]):
-                return None
-        reverse_labels = tuple(reversed(row.schema_path))
-        tag_ids = tuple(db.tags.intern(label) for label in reverse_labels)
-        if self.schema_path_dictionary and self._path_dictionary is not None:
-            path_component: tuple = (self._path_dictionary.intern(row.schema_path),)
-        else:
-            path_component = tag_ids
-        key = encode_key((row.head_id, row.leaf_value, *path_component))
-        stat_key = None
-        if row.head_id == VIRTUAL_ROOT_ID:
-            stat_key = (row.schema_path[-1], row.leaf_value)
-        return key, (row.schema_path, row.id_list, row.leaf_value, row.head_id), stat_key
+            key = (
+                encode_component(head_id),
+                encode_component(leaf_value),
+            ) + suffixes[schema_path]
+            batch.append(
+                (key, (schema_path, id_list, leaf_value, head_id), stat_key)
+            )
+        return batch, pruned
 
     # ------------------------------------------------------------------
     # FreeIndex lookups

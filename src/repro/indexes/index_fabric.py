@@ -75,7 +75,7 @@ class IndexFabricIndex(PathIndex):
             entries.append((encode_key((*tag_ids, row.leaf_value)), stored))
             self.entry_count += 1
             seen_paths.setdefault(row.schema_path, None)
-        self._tree.bulk_load(entries)
+        self._tree.insert_many(entries)
         self._leaf_paths = list(seen_paths)
 
     # ------------------------------------------------------------------

@@ -36,10 +36,10 @@ from ..paths.compression import SchemaPathDictionary
 from ..paths.fourary import iter_rootpaths_rows
 from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..storage.btree import BPlusTree
-from ..storage.keys import encode_key
+from ..storage.keys import encode_component, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, PathIndex, PathMatch, labels_to_tag_ids
+from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, PathMatch, adjust_counts, labels_to_tag_ids
 
 
 class RootPathsIndex(PathIndex):
@@ -73,6 +73,7 @@ class RootPathsIndex(PathIndex):
         self.schema_path_dictionary = schema_path_dictionary
         self._tree: Optional[BPlusTree] = None
         self._path_dictionary = SchemaPathDictionary() if schema_path_dictionary else None
+        self._key_suffixes: Optional[KeySuffixMemo] = None
         self.entry_count = 0
         self.value_counts: dict[tuple[str, Optional[str]], int] = {}
 
@@ -84,77 +85,69 @@ class RootPathsIndex(PathIndex):
         self._path_dictionary = (
             SchemaPathDictionary() if self.schema_path_dictionary else None
         )
+        self._key_suffixes = KeySuffixMemo(
+            db.tags, self.reverse_schema_path, path_dictionary=self._path_dictionary
+        )
         self.entry_count = 0
         self.value_counts = {}
-        self._tree.bulk_load(self._entry_for_row(db, row) for row in iter_rootpaths_rows(db))
+        self._insert_documents(db, db.documents)
 
     def _update(self, db: XmlDatabase, document) -> None:
         """Incremental insertion (Section 3.2 layout, maintained in place).
 
-        Only the rows contributed by ``document`` are enumerated; each
-        becomes one B+-tree ``insert``.  Tags (and, under Section 4.2
-        compression, whole schema paths) first seen in the new document
-        grow the dictionaries exactly as a full build would, and the
-        catalog statistics in ``value_counts`` stay exact.
+        Only ``document``'s rows are enumerated; their entry batch goes
+        into the tree in one finger pass.  Tags (and, under Section 4.2
+        compression, whole schema paths) first seen here grow the
+        dictionaries exactly as a full build would, and the catalog
+        statistics in ``value_counts`` stay exact.
         """
-        assert self._tree is not None
-        for row in iter_rootpaths_rows(db, documents=(document,)):
-            self._tree.insert(*self._entry_for_row(db, row))
+        self._insert_documents(db, (document,))
 
     def _remove(self, db: XmlDatabase, document) -> None:
         """Incremental deletion of one removed document's rows.
 
         The detached document still carries its node ids, so the exact
-        ``(key, payload)`` entries it contributed at build/update time
-        are recomputed and deleted one B+-tree ``delete`` each —
-        shrinking the stored IdList set — while ``entry_count`` and the
-        ``value_counts`` catalog statistics are decremented to what a
-        from-scratch build over the remaining documents would count.
-        Dictionaries never shrink (ids are positional), which only
-        costs a few bytes of dead designators, not correctness:
-        lookups translate through the database dictionary, which
-        reports fully released tags as unknown.
+        entries it contributed are recomputed and deleted in one finger
+        pass, and ``entry_count`` / ``value_counts`` drop by the entries
+        actually found — to what a from-scratch build over the
+        remaining documents would count.  Dictionaries never shrink
+        (ids are positional); that costs a few dead designators, not
+        correctness: lookups translate through the database dictionary,
+        which reports fully released tags as unknown.
         """
         assert self._tree is not None
-        for row in iter_rootpaths_rows(db, documents=(document,)):
-            key, payload, stat_key = self._row_entry(db, row)
-            removed = self._tree.delete(key, value=payload)
-            self.entry_count -= removed
-            if removed and stat_key in self.value_counts:
-                remaining = self.value_counts[stat_key] - removed
-                if remaining > 0:
-                    self.value_counts[stat_key] = remaining
-                else:
-                    del self.value_counts[stat_key]
+        removed = self._tree.delete_many(self._entry_batch(db, (document,)))
+        self.entry_count -= len(removed)
+        adjust_counts(self.value_counts, (entry[2] for entry in removed), -1)
 
-    def _entry_for_row(self, db: XmlDatabase, row) -> tuple:
-        """The ``(key, payload)`` entry one 4-ary row contributes.
+    def _insert_documents(self, db: XmlDatabase, documents) -> None:
+        """Build and incremental insert: one entry batch, one tree pass."""
+        assert self._tree is not None
+        batch = self._entry_batch(db, documents)
+        self.entry_count += len(batch)
+        adjust_counts(self.value_counts, (entry[2] for entry in batch), 1)
+        self._tree.insert_many(batch)
 
-        Also maintains ``entry_count`` and the ``value_counts`` catalog
-        statistics, so build and incremental update cannot drift.
+    def _entry_batch(self, db: XmlDatabase, documents) -> list[tuple]:
+        """The ``(key, payload, stat_key)`` entries of ``documents``' rows.
+
+        The one row-to-entry mapping build, insert and delete share, so
+        the three cannot disagree about what a row looks like in the
+        tree.  Entries come in row order; the tree applies a batch in
+        stable key order, which keeps equal keys in row order.
         """
-        key, payload, stat_key = self._row_entry(db, row)
-        self.entry_count += 1
-        self.value_counts[stat_key] = self.value_counts.get(stat_key, 0) + 1
-        return key, payload
-
-    def _row_entry(self, db: XmlDatabase, row) -> tuple:
-        """Map one 4-ary row to ``(key, payload, stat_key)``, statelessly.
-
-        Shared by build, incremental insert and incremental delete so
-        the three paths cannot disagree about what a row looks like in
-        the tree.
-        """
-        key_labels = self._key_labels(row.schema_path)
-        tag_ids = tuple(db.tags.intern(label) for label in key_labels)
-        if self.schema_path_dictionary and self._path_dictionary is not None:
-            path_component: tuple = (self._path_dictionary.intern(row.schema_path),)
-        else:
-            path_component = tag_ids
-        key = encode_key((row.leaf_value, *path_component))
-        ids = row.id_list if self.store_full_idlist else row.id_list[-1:]
-        stat_key = (row.schema_path[-1], row.leaf_value)
-        return key, (row.schema_path, ids, row.leaf_value), stat_key
+        suffixes = self._key_suffixes
+        full = self.store_full_idlist
+        batch = []
+        for _head, schema_path, leaf_value, id_list in iter_rootpaths_rows(
+            db, documents=documents
+        ):
+            key = (encode_component(leaf_value),) + suffixes[schema_path]
+            ids = id_list if full else id_list[-1:]
+            batch.append(
+                (key, (schema_path, ids, leaf_value), (schema_path[-1], leaf_value))
+            )
+        return batch
 
     def _key_labels(self, labels: Sequence[str]) -> tuple[str, ...]:
         if self.reverse_schema_path:

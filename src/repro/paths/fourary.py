@@ -25,17 +25,19 @@ reverse it when building keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ..xmltree.document import Document, VIRTUAL_ROOT_ID, XmlDatabase
 from ..xmltree.nodes import Node
 from .schema_paths import LabelPath
 
 
-@dataclass(frozen=True)
-class PathRow:
-    """One row of the 4-ary relation (forward schema path)."""
+class PathRow(NamedTuple):
+    """One row of the 4-ary relation (forward schema path).
+
+    A named tuple: an index batch enumerates thousands of rows per
+    document and unpacks each one.
+    """
 
     head_id: int
     schema_path: LabelPath

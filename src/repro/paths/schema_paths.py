@@ -19,7 +19,7 @@ schema paths a recursive pattern matches), and by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 LabelPath = tuple[str, ...]
 
@@ -155,7 +155,7 @@ def matches(pattern: PathPattern, path: Sequence[str]) -> bool:
 
 
 def matching_schema_paths(
-    pattern: PathPattern, schema_paths: Sequence[Sequence[str]]
+    pattern: PathPattern, schema_paths: Iterable[Sequence[str]]
 ) -> list[LabelPath]:
     """The subset of ``schema_paths`` the pattern matches.
 

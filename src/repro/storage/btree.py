@@ -23,6 +23,8 @@ objects (the library stores tuple row-ids or packed IdLists).
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import StorageError
@@ -30,6 +32,9 @@ from .keys import EncodedKey, is_prefix
 from .stats import GLOBAL_STATS, StatsCollector
 
 __all__ = ["BPlusTree"]
+
+#: Batches are ordered and grouped by key alone, so equal keys keep batch order.
+_entry_key = operator.itemgetter(0)
 
 
 class _Leaf:
@@ -118,14 +123,65 @@ class BPlusTree:
             self.stats.btree_page_writes += 1  # the new root page
         self._size += 1
 
-    def bulk_load(self, entries: Iterable[tuple[EncodedKey, Any]]) -> None:
-        """Insert many entries.
+    def insert_many(self, entries: Iterable[tuple]) -> None:
+        """Insert a batch of ``(key, value, ...)`` entries in one pass.
 
-        Entries do not have to be sorted; sorting them first keeps the
-        tree balanced and is what a relational loader would do.
+        The loader and the batch form of :meth:`insert`: entries need
+        not be sorted, and fields after the value are ignored.  What it
+        guarantees is the tree and the counters that inserting the
+        entries one at a time in stable key order would leave — leaves
+        about half full after a sorted load, equal keys in batch order,
+        one ``btree_writes`` and one leaf ``btree_page_writes`` per
+        entry plus a page per split node and new root — and nothing
+        about balance beyond that.
+
+        It gets there with a leaf finger instead of a descent per
+        entry: the next key (never smaller than the last) belongs in
+        the current leaf as long as it sorts below the smallest
+        separator to the right of the descent path, and goes in place
+        while the leaf has room.  A full leaf is handed to
+        :meth:`insert`, which splits it, and the finger is found again.
         """
-        for key, value in sorted(entries, key=lambda kv: kv[0]):
-            self.insert(key, value)
+        order = self.order
+        leaf = high = None
+        in_place = 0
+        for entry in sorted(entries, key=_entry_key):
+            key = entry[0]
+            if leaf is None or (high is not None and key >= high):
+                leaf, high = self._insertion_leaf(key)
+            keys = leaf.keys
+            if len(keys) >= order:
+                self.insert(key, entry[1])
+                leaf = None
+                continue
+            if not keys or key >= keys[-1]:
+                keys.append(key)
+                leaf.values.append(entry[1])
+            else:
+                index = bisect.bisect_right(keys, key)
+                keys.insert(index, key)
+                leaf.values.insert(index, entry[1])
+            in_place += 1
+        self._size += in_place
+        self.stats.btree_writes += in_place
+        self.stats.btree_page_writes += in_place  # each entry's leaf
+
+    def _insertion_leaf(self, key: EncodedKey) -> tuple[_Leaf, Optional[EncodedKey]]:
+        """The leaf :meth:`insert` would put ``key`` in, and its upper bound.
+
+        The bound is the smallest separator to the right of the descent
+        path (``None`` on the tree's right edge): every key from ``key``
+        up to it descends to the same leaf.  Separators only tighten
+        with depth, so the deepest one seen is the smallest.
+        """
+        node = self._root
+        high = None
+        while isinstance(node, _Internal):
+            index = bisect.bisect_right(node.keys, key)
+            if index < len(node.keys):
+                high = node.keys[index]
+            node = node.children[index]
+        return node, high
 
     def _insert(self, node: Any, key: EncodedKey, value: Any):
         if isinstance(node, _Leaf):
@@ -211,6 +267,73 @@ class BPlusTree:
                 break
         self.stats.btree_deletes += max(removed, 1)
         return removed
+
+    def delete_many(self, entries: Iterable[tuple]) -> list[tuple]:
+        """Delete a batch of ``(key, value, ...)`` entries in one pass.
+
+        The batch form of ``delete(key, value)``: entries need not be
+        sorted, values must be hashable, and fields after the value
+        ride along.  Returns the batch entries that were found, in key
+        order, once per tree entry removed — callers read their own
+        extra fields back from them to keep per-entry statistics exact.
+
+        The batch is grouped by key and each key's duplicate run is
+        walked once, dropping every entry whose value the group holds,
+        across leaf boundaries and emptied leaves exactly as
+        :meth:`delete` walks it (no rebalancing).  Between keys the
+        walk keeps a leaf finger: the next key is larger, so its run
+        starts in the leaf the last walk ended in when that leaf's last
+        key reaches it; else the next leaf is tried the same way before
+        descending again.
+
+        Charges what the per-entry loop charges when no ``(key, value)``
+        pair is stored twice (index payloads carry node ids, so none
+        is): one ``btree_deletes`` and one leaf ``btree_page_writes`` per
+        removed entry, and one ``btree_deletes`` for every batch entry
+        that found nothing — one per batch entry in all.
+        """
+        batch = sorted(entries, key=_entry_key)
+        removed: list[tuple] = []
+        leaf: Optional[_Leaf] = None
+        for key, group in itertools.groupby(batch, _entry_key):
+            wanted = {entry[1]: entry for entry in group}
+            leaf = self._run_start_leaf(key, leaf)
+            while True:
+                keys = leaf.keys
+                values = leaf.values
+                index = bisect.bisect_left(keys, key)
+                while index < len(keys) and keys[index] == key:
+                    entry = wanted.get(values[index])
+                    if entry is None:
+                        index += 1
+                    else:
+                        del keys[index]
+                        del values[index]
+                        removed.append(entry)
+                if keys and keys[-1] > key:
+                    break
+                following = leaf.next
+                if following is None or (following.keys and following.keys[0] > key):
+                    break
+                leaf = following
+        self._size -= len(removed)
+        self.stats.btree_deletes += max(len(batch), len(removed))
+        self.stats.btree_page_writes += len(removed)  # each removed entry's leaf
+        return removed
+
+    def _run_start_leaf(self, key: EncodedKey, finger: Optional[_Leaf]) -> _Leaf:
+        """Leaf holding the first entry with ``key``, trying ``finger`` first.
+
+        ``finger`` is the leaf where the walk for a smaller key ended,
+        so every entry before it sorts below ``key``: the first leaf
+        from there on whose last key reaches ``key`` holds the start of
+        the key's run if the tree holds the key at all.  The finger and
+        its successor are tested before paying for a descent.
+        """
+        for leaf in (finger, finger.next) if finger is not None else ():
+            if leaf is not None and leaf.keys and key <= leaf.keys[-1]:
+                return leaf
+        return self._find_leaf(key, count=False)
 
     # ------------------------------------------------------------------
     # Lookups

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -545,6 +546,52 @@ def test_http_server_end_to_end(service):
     assert drained["healthz"][0] == 503
     assert drained["query"] == (503, drained["query"][1])
     assert drained["query"][1]["error"] == "draining"
+
+
+def test_stop_ends_every_connection_handler(service):
+    """Regression: ``stop()`` used to return with handlers still alive — a
+    client that had just hung up (handler inside ``wait_closed()``) or an
+    idle keep-alive connection — and the loop's shutdown then cancelled
+    them, logging a leaked ``CancelledError`` callback per connection."""
+    leaked: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: leaked.append(context)
+        )
+        server = FrontDoorServer(FrontDoor(service))
+        host, port = await server.start()
+
+        async def healthz(reader, writer):
+            """One whole keep-alive round trip; returns the status line."""
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(
+                re.search(rb"content-length: *(\d+)", head, re.I).group(1)
+            )
+            await reader.readexactly(length)
+            return head.split(b"\r\n", 1)[0]
+
+        # Both connections have been answered once, so the server holds a
+        # handler for each, waiting for the next request.
+        reader, writer = await asyncio.open_connection(host, port)
+        idle_reader, idle_writer = await asyncio.open_connection(host, port)
+        statuses = [
+            await healthz(reader, writer),
+            await healthz(idle_reader, idle_writer),
+        ]
+        writer.close()  # hang up just before stop()
+        await asyncio.wait_for(server.stop(), timeout=10)
+        # The idle keep-alive connection was closed from the server side.
+        rest = await asyncio.wait_for(idle_reader.read(), timeout=10)
+        idle_writer.close()
+        return statuses, rest
+
+    statuses, rest = asyncio.run(main())
+    assert all(line.startswith(b"HTTP/1.1 200") for line in statuses)
+    assert rest == b""
+    assert leaked == []
 
 
 def test_http_documents_scope_rejected_on_single_engine():

@@ -157,7 +157,7 @@ def _prune_stored_idlists(index, idlist_position: int) -> None:
             mutable[idlist_position] = prune_idlist(ids, keep_positions=(len(ids) - 1,))
         entries.append((key, tuple(mutable)))
     rebuilt = BPlusTree(order=index.order, stats=index.stats, name=index.name)
-    rebuilt.bulk_load(entries)
+    rebuilt.insert_many(entries)
     index._tree = rebuilt
 
 

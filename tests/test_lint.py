@@ -66,6 +66,22 @@ def test_checker_fires_on_bad_and_stays_silent_on_good(
     assert len(result.findings) == bad_count
 
 
+def test_cost_accounting_holds_batch_mutators_to_the_rule():
+    """Loop, count locally, charge once: clean.  Leave early: reported."""
+    fixtures = FIXTURES / "indexes"
+    assert fired_codes(fixtures / "batch_good.py", select=["RPR003"]) == set()
+    findings = lint(fixtures / "batch_bad.py", select=["RPR003"]).findings
+    assert [f.message.split()[0] for f in findings] == [
+        "Pages.insert_many",
+        "Pages.delete_many",
+        "Pages.drop_many",
+    ]
+    early, early_delete, uncharged_del = (f.message for f in findings)
+    assert "returns after mutating 'keys'" in early
+    assert "returns after mutating 'keys'" in early_delete
+    assert "never charges" in uncharged_del
+
+
 def test_registry_sync_good_package_is_clean():
     assert fired_codes(FIXTURES / "registry_good", select=["RPR004"]) == set()
 

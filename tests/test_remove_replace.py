@@ -25,21 +25,29 @@ Also pinned here:
 * service generations treating removals as incremental updates
   (results dropped, plans and strategy instances kept),
 * tag-dictionary refcount reclamation,
+* batched maintenance under seeded churn: entries and every counter of
+  the B+-tree-backed indexes equal a from-scratch build's,
 * error handling for unknown / ambiguous document names.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro import ShardedQueryService, TwigIndexDatabase
 from repro.datasets import book_document, generate_xmark
 from repro.errors import DocumentError
+from repro.indexes import DataGuideIndex, DataPathsIndex, RootPathsIndex
+from repro.paths import HeadIdPruner
 from repro.planner import DEFAULT_STRATEGIES
 from repro.service.service import AUTO_STRATEGY
+from repro.storage import StatsCollector
 from repro.storage.stats import maintenance_cost
+from repro.workloads import random_churn_ops, random_corpus
+from repro.xmltree import XmlDatabase
 
 #: Every index of the family, by registry name.
 ALL_INDEXES = (
@@ -427,3 +435,72 @@ def test_sharded_removal_invalidates_owning_shard_only():
         assert report["documents"] == 1
     finally:
         sharded.close()
+
+
+# ----------------------------------------------------------------------
+# Batched maintenance under churn vs a from-scratch build
+# ----------------------------------------------------------------------
+CHURNED_INDEXES = {
+    "rootpaths": lambda: RootPathsIndex(stats=StatsCollector(), order=6),
+    "rootpaths-dictionary": lambda: RootPathsIndex(
+        stats=StatsCollector(), order=6, schema_path_dictionary=True
+    ),
+    "datapaths": lambda: DataPathsIndex(stats=StatsCollector(), order=6),
+    "datapaths-dictionary": lambda: DataPathsIndex(
+        stats=StatsCollector(), order=6, schema_path_dictionary=True
+    ),
+    "datapaths-pruned": lambda: DataPathsIndex(
+        stats=StatsCollector(), order=6, head_pruner=HeadIdPruner({"a", "r"})
+    ),
+    "dataguide": lambda: DataGuideIndex(stats=StatsCollector(), order=4),
+}
+
+
+def _entry_multiset(index) -> Counter:
+    """Stored ``(key, payload)`` entries, path-dictionary ids spelled out.
+
+    Section 4.2 ids are positional over an index's lifetime, so a
+    churned index and a fresh build number the same path differently;
+    the path itself is what must agree.
+    """
+    dictionary = getattr(index, "_path_dictionary", None)
+    entries: Counter = Counter()
+    for key, payload in index._tree.scan_all():
+        if dictionary is not None:
+            key = key[:-1] + (dictionary.path_of(key[-1][1]),)
+        entries[(key, payload)] += 1
+    return entries
+
+
+@pytest.mark.parametrize("config", sorted(CHURNED_INDEXES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_churned_batches_leave_a_from_scratch_builds_entries_and_counters(
+    config, seed
+):
+    rng = random.Random(seed)
+    db = XmlDatabase()
+    for document in random_corpus(rng, documents=4):
+        db.add_document(document)
+    churned = CHURNED_INDEXES[config]().build(db)
+
+    for round_number in range(4):
+        live = [document.name for document in db.documents]
+        for op, name, document in random_churn_ops(
+            rng, live, operations=3, name_prefix=f"round{round_number}"
+        ):
+            if op != "add":  # remove, replace and move all start by removing
+                churned.remove(db, db.remove_document(name))
+            if document is not None:
+                churned.update(db, db.add_document(document))
+
+        fresh = CHURNED_INDEXES[config]().build(db)
+        assert _entry_multiset(churned) == _entry_multiset(fresh)
+        assert churned.entry_count == fresh.entry_count == len(churned._tree)
+        if isinstance(churned, DataGuideIndex):
+            assert churned._path_counts == fresh._path_counts
+            assert sorted(churned.distinct_paths()) == sorted(fresh.distinct_paths())
+        else:
+            assert churned.value_counts == fresh.value_counts
+        if isinstance(churned, DataPathsIndex):
+            assert churned.pruned_count == fresh.pruned_count
+            assert (churned.pruned_count > 0) == (config == "datapaths-pruned")

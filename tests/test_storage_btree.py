@@ -370,3 +370,135 @@ def test_height_stays_logarithmic(values):
         capacity *= 4
         bound += 1
     assert tree.height <= bound
+
+
+# ----------------------------------------------------------------------
+# Batch mutators: one finger pass must leave what the per-entry loop
+# over the same stably sorted batch leaves.
+# ----------------------------------------------------------------------
+def _shape(tree: BPlusTree):
+    """Leaf-for-leaf contents (emptied leaves included), height, size."""
+    leaves = [(list(leaf.keys), list(leaf.values)) for leaf in _leaf_chain(tree)]
+    return leaves, tree.height, len(tree)
+
+
+def _write_counters(tree: BPlusTree) -> dict:
+    snapshot = tree.stats.snapshot()
+    return {
+        name: snapshot[name]
+        for name in ("btree_writes", "btree_deletes", "btree_page_writes")
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**30),
+    st.integers(min_value=4, max_value=16),
+)
+def test_batch_mutators_match_the_per_entry_loop(seed, order):
+    """Random churn, then random batches: tree, size and counters agree."""
+    rng = random.Random(seed)
+    batched = BPlusTree(order=order, stats=StatsCollector())
+    looped = BPlusTree(order=order, stats=StatsCollector())
+    oracle: dict = {}
+    next_id = 0
+
+    def random_key():  # duplicate-heavy: 18 distinct keys
+        return encode_key((rng.randrange(6), rng.randrange(3)))
+
+    def live_entries():
+        return [(key, value) for key, values in oracle.items() for value in values]
+
+    # Unsorted single-entry churn, applied identically to both trees.
+    for _ in range(rng.randrange(0, 120)):
+        key = random_key()
+        if rng.random() < 0.7 or not oracle.get(key):
+            value = ("v", next_id)
+            next_id += 1
+            for tree in (batched, looped):
+                tree.insert(key, value)
+            oracle.setdefault(key, []).append(value)
+        else:
+            for tree in (batched, looped):
+                tree.delete(key)
+            oracle[key] = []
+    assert _shape(batched) == _shape(looped)
+
+    for _wave in range(10):
+        live = live_entries()
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            batch = []
+            for _ in range(rng.randrange(0, 40)):
+                batch.append((random_key(), ("v", next_id), "rides along"))
+                next_id += 1
+            batched.insert_many(batch)
+            for key, value, _extra in sorted(batch, key=lambda entry: entry[0]):
+                looped.insert(key, value)
+            for key, value, _extra in batch:
+                oracle.setdefault(key, []).append(value)
+        else:
+            if roll < 0.65:  # empty whole leaves: every entry under one head
+                head = rng.choice(live)[0][0]
+                batch = [entry for entry in live if entry[0][0] == head]
+            else:
+                batch = rng.sample(live, rng.randrange(1, len(live) + 1))
+            # ... plus entries that must find nothing: an absent key, a live
+            # value under another key, and a repeat of a batch entry.
+            batch.append((encode_key((99, 0)), ("v", -1)))
+            stray_key, stray_value = rng.choice(live)
+            batch.append((encode_key((stray_key[0][1], 7)), stray_value))
+            batch.append(batch[0])
+            rng.shuffle(batch)
+            removed = batched.delete_many(batch)
+            expected = []
+            for entry in sorted(batch, key=lambda entry: entry[0]):
+                expected.extend([entry] * looped.delete(entry[0], value=entry[1]))
+            assert sorted(removed) == sorted(expected)
+            for key, value in removed:
+                oracle[key].remove(value)
+        assert _shape(batched) == _shape(looped)
+        assert _write_counters(batched) == _write_counters(looped)
+        _check_invariants(batched, oracle)
+
+
+def test_insert_many_is_a_sorted_one_at_a_time_load():
+    """The loader's guarantee: the sorted per-entry tree, charged per entry."""
+    rng = random.Random(5)
+    entries = [(encode_key((rng.randrange(50), rng.randrange(3))), i) for i in range(600)]
+    loaded = make_tree(order=8)
+    loaded.insert_many(entries)
+    reference = make_tree(order=8)
+    for key, value in sorted(entries, key=lambda entry: entry[0]):
+        reference.insert(key, value)
+    assert _shape(loaded) == _shape(reference)
+    assert loaded.stats.snapshot() == reference.stats.snapshot()
+    assert loaded.stats.btree_writes == 600
+    # Equal keys come back in batch order.
+    key = entries[0][0]
+    assert loaded.search(key) == [v for k, v in entries if k == key]
+
+
+def test_delete_many_misses_remove_nothing_and_charge_the_probe():
+    stats = StatsCollector()
+    tree = BPlusTree(order=4, stats=stats)
+    for i in range(30):
+        tree.insert(encode_key(("k", i % 5)), i)
+    before = _shape(tree)
+    stats.reset()
+    removed = tree.delete_many(
+        [
+            (encode_key(("absent",)), 1),  # no such key
+            (encode_key(("k", 9)), 1),  # no such key, inside the key range
+            (encode_key(("k", 2)), 1),  # value 1 is held under ("k", 1)
+        ]
+    )
+    assert removed == []
+    assert _shape(tree) == before
+    assert stats.btree_deletes == 3  # one probe each, as delete() charges a miss
+    assert stats.btree_page_writes == 0
+    # The same value under its own key is found, with its extra field.
+    assert tree.delete_many([(encode_key(("k", 1)), 1, "extra")]) == [
+        (encode_key(("k", 1)), 1, "extra")
+    ]
+    assert 1 not in tree.search(encode_key(("k", 1)))

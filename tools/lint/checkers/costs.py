@@ -12,6 +12,14 @@ Charging is propagated through the class's own call graph with a
 fixpoint, so ``BPlusTree._insert`` (which mutates node pages but leaves
 the accounting to ``_split_leaf`` and its public caller) is not a false
 positive, while a genuinely uncharged mutation still is.
+
+Batch mutators (``insert_many`` / ``delete_many``) edit pages in a loop,
+count locally and charge once after it; that is a charging method like
+any other.  What the rule must not let through is the same method
+leaving early: a ``return`` that follows a mutation with no charge
+anywhere before it drops the writes made so far, and is reported.
+"Before" is by line number, not by control flow: a charge in an
+unrelated earlier branch hides an uncharged return below it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,15 @@ MUTATING_METHODS = frozenset(
 #: calling one of these on a non-container attribute counts as charging
 #: (``self._tree.insert(...)``, ``self.heap.delete_where(...)``).
 CHARGING_DELEGATES = frozenset(
-    {"insert", "delete", "bulk_load", "append", "extend", "delete_where"}
+    {
+        "insert",
+        "delete",
+        "insert_many",
+        "delete_many",
+        "append",
+        "extend",
+        "delete_where",
+    }
 )
 
 
@@ -61,23 +77,38 @@ class _MethodFacts:
     def __init__(self, method: ast.AST, method_names: set[str]) -> None:
         #: ``(attr, line)`` container mutations performed directly.
         self.mutations: list[tuple[str, int]] = []
-        self.charges = False
-        #: Names of same-class methods invoked through ``self``.
-        self.calls: set[str] = set()
+        #: Lines that charge directly or through a storage primitive.
+        self.charge_lines: list[int] = []
+        #: ``(name, line)`` same-class methods invoked through ``self``.
+        self.self_calls: list[tuple[str, int]] = []
+        self.return_lines: list[int] = []
         for node in ast.walk(method):
             self._observe(node, method_names)
 
+    @property
+    def charges(self) -> bool:
+        return bool(self.charge_lines)
+
+    @property
+    def calls(self) -> set[str]:
+        return {name for name, _line in self.self_calls}
+
     def _observe(self, node: ast.AST, method_names: set[str]) -> None:
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
+        if isinstance(node, ast.Return):
+            self.return_lines.append(node.lineno)
+        elif isinstance(
+            node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)
+        ):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            else:
+                targets = [node.target]
             for target in targets:
                 base = target
                 if isinstance(base, ast.Subscript):
                     base = base.value
                 if "stats" in _chain_attrs(target):
-                    self.charges = True
+                    self.charge_lines.append(target.lineno)
                 elif _is_container_attr(base):
                     self.mutations.append((base.attr, target.lineno))
         elif isinstance(node, ast.Call) and isinstance(
@@ -92,13 +123,13 @@ class _MethodFacts:
                 and isinstance(receiver, ast.Attribute)
                 and not _is_container_attr(receiver)
             ):
-                self.charges = True
+                self.charge_lines.append(node.lineno)
             elif (
                 isinstance(receiver, ast.Name)
                 and receiver.id == "self"
                 and name in method_names
             ):
-                self.calls.add(name)
+                self.self_calls.append((name, node.lineno))
 
 
 class CostAccountingChecker(Checker):
@@ -127,7 +158,12 @@ class CostAccountingChecker(Checker):
         for name, fact in facts.items():
             if name.startswith("__"):
                 continue  # construction/reset is not a chargeable mutation
-            if name in charging or not fact.mutations:
+            if not fact.mutations:
+                continue
+            if name in charging:
+                findings.extend(
+                    self._early_returns(path, cls.name, name, fact, charging)
+                )
                 continue
             for attr, line in fact.mutations:
                 findings.append(
@@ -140,6 +176,37 @@ class CostAccountingChecker(Checker):
                             "charges a self.stats counter (directly or "
                             "through a callee); the cost model loses this "
                             "write"
+                        ),
+                    )
+                )
+        return findings
+
+    def _early_returns(
+        self,
+        path: str,
+        cls_name: str,
+        name: str,
+        fact: _MethodFacts,
+        charging: set[str],
+    ) -> list[Finding]:
+        """Returns that follow a mutation with no charge before them."""
+        charge_lines = fact.charge_lines + [
+            line for callee, line in fact.self_calls if callee in charging
+        ]
+        findings: list[Finding] = []
+        for line in fact.return_lines:
+            mutated = [attr for attr, at in fact.mutations if at < line]
+            if mutated and not any(at <= line for at in charge_lines):
+                findings.append(
+                    Finding(
+                        code=self.code,
+                        path=path,
+                        line=line,
+                        message=(
+                            f"{cls_name}.{name} returns after mutating "
+                            f"'{mutated[0]}' with no self.stats charge "
+                            "before this line; the cost model loses the "
+                            "writes made so far"
                         ),
                     )
                 )
