@@ -1,8 +1,8 @@
-"""The concurrent front door under load: coalescing, scatter, backpressure.
+"""The concurrent front door under load: coalescing and backpressure.
 
 A load generator drives the asyncio front door with 100+ simulated
 connections (one asyncio task per client, each issuing its requests
-back-to-back) and pins the three throughput mechanisms the front door
+back-to-back) and pins the two throughput mechanisms the front door
 exists for:
 
 * **single-flight coalescing** on a hot-skewed mix — most clients ask
@@ -11,17 +11,6 @@ exists for:
   one execution.  The result cache is off throughout: this phase
   isolates what coalescing does for *in-flight* duplicates, which is
   exactly the window the result cache cannot cover.  Asserted: ≥3x qps.
-
-* **cross-query pipelined scatter** on a uniform mix at 4 shards —
-  each shard is dressed as a single-threaded storage node with a
-  deterministic, seeded per-read latency (the only honest way to make
-  thread arrangement visible under the GIL, where pure-compute legs
-  serialize identically no matter how they are pooled).  The pipelined
-  per-shard lanes keep every shard busy whenever any query has work
-  for it; the legacy shared-FIFO pool ("pooled", the serial-gather-era
-  arrangement) loses capacity to head-of-line blocking — a worker that
-  dequeues a leg for a busy shard blocks on that shard while other
-  shards idle with queued work.  Asserted: ≥1.3x qps.
 
 * **bounded admission** under overload — 150 clients against 2
   execution slots and a tiny queue.  The door must shed (fast, typed
@@ -35,8 +24,8 @@ serves is asserted bit-identical to that oracle.  Latency quantiles
 come from the observability histogram layer
 (``repro_frontdoor_latency_seconds``), not from ad-hoc timers.
 
-``REPRO_FRONTDOOR_SMOKE=1`` (CI) shrinks per-client request counts and
-the simulated storage latency while keeping 100+ concurrent clients.
+``REPRO_FRONTDOOR_SMOKE=1`` (CI) shrinks per-client request counts
+while keeping 100+ concurrent clients.
 """
 
 from __future__ import annotations
@@ -44,7 +33,6 @@ from __future__ import annotations
 import asyncio
 import os
 import random
-import threading
 import time
 
 import pytest
@@ -54,8 +42,8 @@ from repro.bench import format_table, write_bench_report
 from repro.datasets import generate_xmark
 from repro.frontdoor import RejectedError
 
-#: Reduced-scale CI smoke: fewer requests per client and shorter
-#: simulated storage latency; the client count never drops below 100.
+#: Reduced-scale CI smoke: fewer requests per client; the client count
+#: never drops below 100.
 SMOKE = os.environ.get("REPRO_FRONTDOOR_SMOKE", "") not in ("", "0")
 
 CLIENTS = 120
@@ -80,23 +68,6 @@ ALL_XPATHS = (HOT_XPATH,) + COLD_XPATHS
 #: Hot-skew: 8 of 10 requests hit the hot query.
 HOT_SHARE = 0.8
 
-#: Simulated per-read storage latency of one shard (seconds); bimodal
-#: with a wide spread, so pooled workers desynchronize and head-of-line
-#: blocking shows.
-STORAGE_DELAYS = (0.0005, 0.006) if SMOKE else (0.001, 0.012)
-SCATTER_SHARDS = 4
-SCATTER_REQUESTS = 2 if SMOKE else 4
-
-#: The scatter phase serves only the cheap rooted paths: per-leg compute
-#: is GIL-serialized identically under either pool, so keeping it small
-#: lets the *arrangement* of the latency-bound legs dominate the signal.
-SCATTER_XPATHS = (
-    HOT_XPATH,
-    "/site/open_auctions/open_auction",
-    "/site/regions",
-    "/site/people/person",
-)
-
 
 def _documents():
     return [
@@ -105,59 +76,21 @@ def _documents():
     ]
 
 
-def _sharded(num_shards: int, scatter: str) -> ShardedQueryService:
+def _sharded(num_shards: int) -> ShardedQueryService:
     service = ShardedQueryService.from_documents(
-        _documents(), num_shards=num_shards, placement="round_robin",
-        scatter=scatter,
+        _documents(), num_shards=num_shards, placement="round_robin"
     )
     service.build_index("rootpaths")
     return service
 
 
-def _dress_as_storage_nodes(service: ShardedQueryService, seed: int) -> None:
-    """Serialize each shard behind a deterministic per-read latency.
-
-    Each shard becomes a single-threaded storage node: one read at a
-    time (a lock), each read preceded by a seeded bimodal sleep.  The
-    sleep releases the GIL, so the *arrangement* of legs onto threads
-    — per-shard lanes vs one shared FIFO — decides how busy the four
-    nodes stay, exactly as it would against real storage.
-    """
-    for shard in service.collection.shards:
-        rng = random.Random(seed + shard.index)
-        # Bimodal base with an occasional compaction-pause-like stall:
-        # the stalls are what convoy a shared FIFO pool (every worker
-        # that dequeues a leg for the stalled shard blocks on it while
-        # the other shards sit idle), and what per-shard lanes absorb.
-        schedule = [
-            STORAGE_DELAYS[1] * 10 if rng.random() < 0.06 else rng.choice(STORAGE_DELAYS)
-            for _ in range(512)
-        ]
-        lock = threading.Lock()
-        state = {"calls": 0}
-        real = shard.execute
-
-        def slow_execute(
-            *args, _real=real, _lock=lock, _state=state, _schedule=schedule, **kwargs
-        ):
-            with _lock:  # one read at a time: a single-threaded node
-                delay = _schedule[_state["calls"] % len(_schedule)]
-                _state["calls"] += 1
-                time.sleep(delay)
-                return _real(*args, **kwargs)
-
-        shard.execute = slow_execute
-
-
-def _client_plan(
-    client: int, requests: int, hot_share: float, mix: tuple = COLD_XPATHS
-) -> list[str]:
+def _client_plan(client: int, requests: int, hot_share: float) -> list[str]:
     """Client ``client``'s deterministic request sequence."""
     rng = random.Random(10_000 + client)
     return [
         HOT_XPATH
         if rng.random() < hot_share
-        else mix[rng.randrange(len(mix))]
+        else COLD_XPATHS[rng.randrange(len(COLD_XPATHS))]
         for _ in range(requests)
     ]
 
@@ -237,9 +170,9 @@ def coalescing(oracle):
     ]
     measured = {}
     for label, coalesce in (("on", True), ("off", False)):
-        with _sharded(2, "pipelined") as service:
+        with _sharded(2) as service:
             # The queue bound exceeds the client count: this phase
-            # measures coalescing, not shedding (phase 3 does that).
+            # measures coalescing, not shedding (phase 2 does that).
             with FrontDoor(
                 service, coalesce=coalesce, max_concurrency=8, max_queue=2 * CLIENTS
             ) as door:
@@ -274,48 +207,7 @@ def test_coalescing_multiplies_hot_skewed_qps(coalescing):
 
 
 # ----------------------------------------------------------------------
-# Phase 2: pipelined vs pooled scatter on the uniform mix, 4 shards
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def scatter(oracle):
-    plans = [
-        _client_plan(client, SCATTER_REQUESTS, hot_share=0.0, mix=SCATTER_XPATHS)
-        for client in range(CLIENTS)
-    ]
-    measured = {}
-    for mode in ("pipelined", "pooled"):
-        with _sharded(SCATTER_SHARDS, mode) as service:
-            _dress_as_storage_nodes(service, seed=77)
-            with FrontDoor(
-                service, coalesce=False, max_concurrency=12, max_queue=2 * CLIENTS
-            ) as door:
-                responses, rejections, elapsed = asyncio.run(
-                    _drive(door, plans)
-                )
-                _assert_fidelity(responses, oracle)
-                assert rejections == 0
-                measured[mode] = {
-                    "clients": CLIENTS,
-                    "requests": len(responses),
-                    "qps": len(responses) / elapsed,
-                    "elapsed": elapsed,
-                    "scatter": service.describe()["scatter"],
-                    **_quantiles(door, "served"),
-                }
-    measured["qps_ratio"] = (
-        measured["pipelined"]["qps"] / measured["pooled"]["qps"]
-    )
-    return measured
-
-
-def test_pipelined_scatter_beats_the_shared_pool(scatter):
-    assert scatter["pipelined"]["scatter"] == "pipelined"
-    assert scatter["pooled"]["scatter"] == "pooled"
-    assert scatter["qps_ratio"] >= 1.3, scatter
-
-
-# ----------------------------------------------------------------------
-# Phase 3: bounded admission under overload
+# Phase 2: bounded admission under overload
 # ----------------------------------------------------------------------
 MAX_CONCURRENCY = 2
 MAX_QUEUE = 6
@@ -327,7 +219,7 @@ def backpressure(oracle):
         _client_plan(client, 2, hot_share=0.0)
         for client in range(OVERLOAD_CLIENTS)
     ]
-    with _sharded(2, "pipelined") as service:
+    with _sharded(2) as service:
         with FrontDoor(
             service,
             coalesce=False,
@@ -395,16 +287,14 @@ def test_overload_sheds_instead_of_buffering(backpressure):
 # ----------------------------------------------------------------------
 # The artifact
 # ----------------------------------------------------------------------
-def test_write_report(coalescing, scatter, backpressure):
+def test_write_report(coalescing, backpressure):
     summary = {
         "smoke": SMOKE,
         "clients": CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
         "coalescing": coalescing,
-        "scatter": scatter,
         "backpressure": backpressure,
         "coalesce_qps_ratio": coalescing["qps_ratio"],
-        "scatter_qps_ratio": scatter["qps_ratio"],
     }
     path = write_bench_report("frontdoor", summary)
     rows = [
@@ -413,12 +303,6 @@ def test_write_report(coalescing, scatter, backpressure):
             f"{coalescing['off']['qps']:.0f}",
             f"{coalescing['on']['qps']:.0f}",
             f"{coalescing['qps_ratio']:.2f}x",
-        ],
-        [
-            "scatter (uniform, 4 shards)",
-            f"{scatter['pooled']['qps']:.0f}",
-            f"{scatter['pipelined']['qps']:.0f}",
-            f"{scatter['qps_ratio']:.2f}x",
         ],
     ]
     print()

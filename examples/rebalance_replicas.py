@@ -43,7 +43,7 @@ def documents():
 
 def main() -> None:
     # 1. A pathologically skewed corpus: hash placement, colliding names.
-    #    (`with` drains the scatter pool and maintenance worker on exit.)
+    #    (`with` drains the maintenance worker on exit.)
     with ShardedQueryService.from_documents(
         documents(), num_shards=NUM_SHARDS, placement="hash"
     ) as service:

@@ -28,7 +28,7 @@ def main() -> None:
         generate_xmark(scale=0.05, seed=100 + i, name=f"xmark-{i}") for i in range(4)
     ]
     # The service is a context manager: leaving the block drains the
-    # scatter pool and the maintenance worker even if a step raises.
+    # maintenance worker even if a step raises.
     with ShardedQueryService.from_documents(
         documents, num_shards=4, placement="round_robin"
     ) as service:

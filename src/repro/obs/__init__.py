@@ -3,7 +3,7 @@
 One :class:`Telemetry` hub per stack composes three primitives:
 
 * :mod:`repro.obs.trace` — per-query traces of nested spans,
-  propagated across the scatter thread pool via ``contextvars``;
+  propagated across the front door's thread pool via ``contextvars``;
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters,
   gauges and fixed-bucket latency histograms with p50/p95/p99;
 * :mod:`repro.obs.events` — a bounded, deterministic ring-buffer ops

@@ -5,7 +5,7 @@ serving stack shares.  The top-level service creates it (or accepts
 one) and threads it down through the collection, the shards, the
 replica sets and their per-replica :class:`~repro.service.QueryService`
 instances — which is what makes one query's spans, wherever they were
-opened (the scatter pool, a replica's engine, the write path's index
+opened (the scatter loop, a replica's engine, the write path's index
 maintenance), land in the *same* trace tree, and every layer's events
 land in the *same* ordered ops log.
 

@@ -12,14 +12,12 @@ Parent/child structure comes from a ``contextvars.ContextVar``: a span
 opened while another is current becomes its child.  Crossing a thread
 pool does **not** propagate context variables by itself —
 ``ThreadPoolExecutor.submit`` runs the callable in whatever context
-the worker thread last had — so the scatter path submits through
-``contextvars.copy_context().run`` (see
-:meth:`~repro.shard.service.ShardedQueryService._scatter`), giving
-every worker a private copy in which the scatter span is current.
-Child spans then attach to the right trace, and sibling workers'
-``set``/``reset`` operations cannot interleave because each mutates
-its own context copy (``list.append`` on the shared parent is atomic
-under the GIL).
+the worker thread last had — so the one thread hop a query makes (the
+front door's executor, :meth:`~repro.frontdoor.server.FrontDoor._execute`)
+submits through ``contextvars.copy_context().run``, giving the worker
+a private copy in which the request's span is current.  Everything
+below that hop — scatter, shard legs, replicas, engine — runs on that
+one worker thread, so its spans nest by plain call order.
 
 A root span (opened with no parent) becomes a :class:`Trace` when it
 closes: the :class:`Tracer` keeps a bounded ring of recent traces and

@@ -129,8 +129,8 @@ class ServingFacade:
         """Release whatever workers the service owns (idempotent).
 
         The single-engine service owns no threads, so the base close is
-        a no-op; the sharded tier drains its rebalance worker and
-        scatter pool.  Defined here so every facade supports the same
+        a no-op; the sharded tier drains its rebalance worker.
+        Defined here so every facade supports the same
         ``with service: ...`` idiom and call sites never leak executor
         threads.
         """
@@ -295,12 +295,12 @@ class ServingFacade:
         return key
 
     def _result_key(
-        self, xpath: str, strategy: str, strategy_options: dict
+        self, normalized_xpath: str, strategy: str, strategy_options: dict
     ) -> Optional[tuple]:
         options_key = self._options_key(strategy, strategy_options)
         if options_key is None:
             return None
-        return (normalize_xpath(xpath), options_key)
+        return (normalized_xpath, options_key)
 
     @staticmethod
     def _copy_result(result: QueryResult, cached: bool = False) -> QueryResult:

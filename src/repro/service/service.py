@@ -141,8 +141,11 @@ class QueryService(ServingFacade):
         """The parsed twig for a query, served from the plan cache."""
         if isinstance(query, TwigPattern):
             return query
+        return self._plan_keyed(query, normalize_xpath(query))
+
+    def _plan_keyed(self, query: str, key: str) -> TwigPattern:
+        """:meth:`plan` for a caller that already normalised ``query``."""
         with self._lock:
-            key = normalize_xpath(query)
             twig = self.plan_cache.get(key)
             if twig is None:
                 twig = parse_xpath(query)
@@ -443,11 +446,15 @@ class QueryService(ServingFacade):
     ) -> QueryResult:
         with self._lock:
             self._check_generation()
+            is_text = isinstance(query, str)
+            xpath = query if is_text else query.to_xpath()
+            # Normalised once per execution: the plan cache and the
+            # result cache key on the same string.
+            normalized = normalize_xpath(xpath)
             with self.telemetry.span("plan"):
-                twig = self.plan(query)
-            xpath = query if isinstance(query, str) else twig.to_xpath()
+                twig = self._plan_keyed(query, normalized) if is_text else query
             root.annotate(xpath=xpath)
-            cache_key = self._result_key(xpath, strategy, strategy_options)
+            cache_key = self._result_key(normalized, strategy, strategy_options)
             if use_result_cache and cache_key is not None:
                 with self.telemetry.span("cache-lookup") as lookup:
                     hit = self.result_cache.get(cache_key)

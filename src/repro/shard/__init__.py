@@ -5,7 +5,7 @@ The horizontal-scaling tier over the paper's index family: a
 shards (each with its own database, indexes, statistics and
 single-node :class:`~repro.service.QueryService`), and a
 :class:`ShardedQueryService` fans twig queries out to the relevant
-shards on a thread pool, translating and merging the per-shard answers
+shards on the caller's thread, translating and merging the per-shard answers
 into the global id space so the sharded tier is answer-identical to a
 single engine.
 

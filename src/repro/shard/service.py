@@ -3,9 +3,9 @@
 :class:`ShardedQueryService` mirrors the single-node
 :class:`~repro.service.QueryService` facade (``execute`` /
 ``execute_batch`` / ``add_document`` / ``build_index`` / ``describe``)
-but fans every query out to the shards of a
-:class:`~repro.shard.collection.ShardedCollection` on a
-``ThreadPoolExecutor`` and gathers the partial answers into one
+but sends every query to the shards of a
+:class:`~repro.shard.collection.ShardedCollection`, one leg after the
+other on the calling thread, and gathers the partial answers into one
 cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
 
 * **scatter** — each relevant shard evaluates the query through its own
@@ -54,9 +54,7 @@ the concurrency tests assert exactly it.
 
 from __future__ import annotations
 
-import contextvars
 import threading
-from concurrent.futures import as_completed
 from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import DocumentError
@@ -78,7 +76,6 @@ from .collection import (
 )
 from .placement import PlacementPolicy
 from .replica import ReadPicker
-from .scatter import ScatterPool, make_scatter_pool
 
 
 class ShardedQueryService(ServingFacade):
@@ -91,7 +88,6 @@ class ShardedQueryService(ServingFacade):
         placement: Union[str, PlacementPolicy] = "hash",
         replicas: int = 1,
         read_picker: Union[str, ReadPicker] = "round_robin",
-        max_workers: Optional[int] = None,
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
         result_cache_ttl: Optional[float] = None,
@@ -104,7 +100,6 @@ class ShardedQueryService(ServingFacade):
         rebalance_background: bool = True,
         telemetry: Optional[Telemetry] = None,
         use_kernels: bool = True,
-        scatter: Union[str, ScatterPool] = "pipelined",
     ) -> None:
         if collection is None:
             collection = ShardedCollection(
@@ -123,19 +118,6 @@ class ShardedQueryService(ServingFacade):
         #: services already share it, so the scatter spans this facade
         #: opens become parents of the spans those layers open.
         self.telemetry = collection.telemetry
-        #: How per-shard legs map onto worker threads.  ``"pipelined"``
-        #: (default) gives every shard its own lane — sized by its
-        #: replica count, since replicas read in parallel — so legs
-        #: from *different* concurrent queries interleave per shard and
-        #: all shards stay busy whenever any query has work.
-        #: ``"pooled"`` is the legacy shared FIFO pool (the baseline
-        #: the front-door bench measures against).
-        self.scatter_pool = make_scatter_pool(
-            scatter,
-            self.collection.num_shards,
-            lanes=[shard.replica_count for shard in self.collection.shards],
-            max_workers=max_workers,
-        )
         #: The self-driving rebalance trigger; off unless
         #: ``auto_rebalance=True``.  ``execute`` ticks it after every
         #: query, so skew checks run *between* queries — never on a
@@ -375,29 +357,23 @@ class ShardedQueryService(ServingFacade):
         strategy_options: dict,
         query_id: Optional[str] = None,
     ) -> list[QueryResult]:
-        """Run the query on every target shard, in parallel past one.
+        """Run the query on every target shard, on the calling thread.
+
+        Legs run in shard order; the first error raises and later legs
+        never start.  A leg is a B+-tree lookup or a result-cache hit —
+        tens to hundreds of microseconds of Python under the GIL, with
+        nothing to wait on but its replica's service lock — so handing
+        it to another thread costs more than running it.  Concurrency
+        across queries comes from the callers (the front door's
+        executor workers, each carrying one whole query).
 
         Routing through the shard surface (not ``shard.service``
-        directly) is what lets a replicated shard fan the read out to
-        one of its replicas.  Each per-shard leg runs under its own
-        ``shard`` span.  Context variables do not cross
-        ``ThreadPoolExecutor.submit`` by themselves (the worker runs in
-        whatever context it last had), so each parallel leg is
-        submitted through a fresh ``contextvars.copy_context()``: the
-        worker sees this thread's current span as the parent, child
-        spans attach to the right trace, and sibling workers'
-        context operations cannot interfere because each mutates its
-        private copy (appending to the shared parent's child list is a
-        single atomic list operation).
-
-        Legs are gathered *as they complete*, not in submission order:
-        the first failing leg is observed as soon as it fails, every
-        not-yet-started leg is cancelled, and the error is re-raised
-        after the already-running legs drain — a fast-failing later
-        shard no longer waits behind every earlier shard, and no leg's
-        exception is ever dropped.
+        directly) is what lets a replicated shard hand the read to one
+        of its replicas.  Each leg runs under its own ``shard`` span, a
+        child of the caller's ``scatter`` span.
         """
-        def run(shard: Shard) -> QueryResult:
+        partials: list[QueryResult] = []
+        for shard, _ in targets:
             with self.telemetry.span("shard", shard=shard.index) as span:
                 result = shard.execute(
                     xpath,
@@ -407,35 +383,7 @@ class ShardedQueryService(ServingFacade):
                     **strategy_options,
                 )
                 span.annotate(strategy=result.strategy, cached=result.cached)
-                return result
-
-        if len(targets) <= 1:
-            # No gain from thread hand-off for a pruned or single-shard
-            # scatter; run inline.
-            return [run(shard) for shard, _ in targets]
-        positions = {
-            self.scatter_pool.submit(
-                shard.index, contextvars.copy_context().run, run, shard
-            ): position
-            for position, (shard, _) in enumerate(targets)
-        }
-        partials: list[Optional[QueryResult]] = [None] * len(targets)
-        first_error: Optional[BaseException] = None
-        for future in as_completed(positions):
-            if future.cancelled():
-                continue
-            error = future.exception()
-            if error is not None:
-                if first_error is None:
-                    first_error = error
-                    # Stop legs that have not started; running ones
-                    # drain through this loop so none is abandoned.
-                    for pending in positions:
-                        pending.cancel()
-                continue
-            partials[positions[future]] = future.result()
-        if first_error is not None:
-            raise first_error
+            partials.append(result)
         return partials
 
     def _gather(
@@ -597,7 +545,6 @@ class ShardedQueryService(ServingFacade):
                 ),
             }
         report["queries_executed"] = self.queries_executed
-        report["scatter"] = self.scatter_pool.name
         report["operations"] = {
             "auto_rebalance": self.operations.describe(),
             "failover": self._failover_report(),
@@ -615,15 +562,14 @@ class ShardedQueryService(ServingFacade):
         }
 
     def close(self) -> None:
-        """Drain the operations worker, then the scatter pool (idempotent).
+        """Drain the operations worker (idempotent).
 
         Inherited ``__enter__`` / ``__exit__`` (see
         :class:`~repro.service.base.ServingFacade`) make the service a
         context manager, so ``with ShardedQueryService(...) as service``
-        releases every worker thread on the way out.
+        releases its worker thread on the way out.
         """
         self.operations.close()
-        self.scatter_pool.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

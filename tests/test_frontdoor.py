@@ -11,8 +11,9 @@ The contracts pinned here, roughly in pipeline order:
 * **admission** — token buckets refill on an injected clock; quota and
   queue-full rejections are typed and *fast* (the queue never grows
   past its bound); drain stops new work and waits for admitted work;
-* **scatter** — the pipelined and pooled pools return identical
-  answers, and a failing shard leg propagates its error from either;
+* **scatter** — legs run in shard order on the caller's thread: a
+  failing leg surfaces its error, later legs never start, and the
+  service keeps serving;
 * **HTTP** — the stdlib server round-trips queries, serves the
   observability surface, and maps every rejection to its status code;
 * **lifecycle** — services and the front door are context managers,
@@ -52,7 +53,6 @@ from repro.frontdoor import (
     TokenBucket,
     error_body,
 )
-from repro.shard.scatter import SCATTER_MODES
 
 XPATH = "/site/people/person/name"
 OTHER_XPATHS = (
@@ -416,41 +416,43 @@ def test_admission_controller_validates_bounds():
 
 
 # ----------------------------------------------------------------------
-# Scatter pools
+# Scatter
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", SCATTER_MODES)
-def test_scatter_failure_propagates_and_service_survives(mode):
+def test_scatter_failure_propagates_and_service_survives():
     with ShardedQueryService.from_documents(
-        _documents(4), num_shards=4, placement="round_robin", scatter=mode
+        _documents(4), num_shards=4, placement="round_robin", replicas=2
     ) as svc:
         svc.build_index("rootpaths")
+        shards = svc.collection.shards
         expected = svc.execute(XPATH, use_result_cache=False).ids
-        real = svc.collection.shards[1].execute
+        reads_before = [sum(shard.replica_reads) for shard in shards]
+        real = shards[2].execute
 
         def boom(*args, **kwargs):
-            raise RuntimeError("shard 1 exploded")
+            raise RuntimeError("shard 2 exploded")
 
-        svc.collection.shards[1].execute = boom
-        with pytest.raises(RuntimeError, match="shard 1 exploded"):
+        shards[2].execute = boom
+        with pytest.raises(RuntimeError, match="shard 2 exploded"):
             svc.execute(XPATH, use_result_cache=False)
-        # The pool survives a failed scatter and keeps serving.
-        svc.collection.shards[1].execute = real
+        # Legs run in shard order and stop at the first error: shards 0
+        # and 1 were read once more, shard 3's leg never started.
+        reads_after = [sum(shard.replica_reads) for shard in shards]
+        assert [after - before for before, after in zip(reads_before, reads_after)] == [
+            1, 1, 0, 0
+        ]
+        # A failed scatter leaves nothing behind; the next query is served.
+        shards[2].execute = real
         assert svc.execute(XPATH, use_result_cache=False).ids == expected
 
 
-def test_scatter_modes_answer_identically():
-    results = {}
-    for mode in SCATTER_MODES:
-        with ShardedQueryService.from_documents(
-            _documents(4), num_shards=4, placement="round_robin", scatter=mode
-        ) as svc:
-            svc.build_index("rootpaths")
-            results[mode] = {
-                xpath: svc.execute(xpath, use_result_cache=False).ids
-                for xpath in (XPATH,) + OTHER_XPATHS
-            }
-            assert svc.describe()["scatter"] == mode
-    assert results["pipelined"] == results["pooled"]
+def test_scattered_answers_match_the_oracle():
+    with ShardedQueryService.from_documents(
+        _documents(4), num_shards=4, placement="round_robin"
+    ) as svc:
+        svc.build_index("rootpaths")
+        for xpath in (XPATH,) + OTHER_XPATHS:
+            assert svc.execute(xpath, use_result_cache=False).ids == svc.oracle(xpath)
+        assert "scatter" not in svc.describe()
 
 
 # ----------------------------------------------------------------------

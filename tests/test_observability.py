@@ -12,9 +12,9 @@ The instrumentation contract of ``repro.obs`` (``docs/OBSERVABILITY.md``):
   spans and publishes ``cache-invalidated`` events, and the slow-query
   log fires deterministically under an injected clock;
 * **sharded tier** — one scatter-gather query is *one* trace whose
-  spans cross the executor's thread pool (``contextvars`` copied per
-  submit), and the shared registry reports separate latency histograms
-  per tier;
+  ``scatter`` span holds one ``shard`` child per target, back to back
+  in shard order, and the shared registry reports separate latency
+  histograms per tier;
 * **failover story** — a seeded replica kill mid-workload produces a
   trace showing the failed read and the retry on a healthy replica,
   plus ``fault-injected`` / ``replica-health`` / ``replica-quarantined``
@@ -434,11 +434,14 @@ def test_batch_results_carry_query_ids_and_root_spans_are_attributed():
 
 
 # ----------------------------------------------------------------------
-# Sharded tier: one trace across the scatter pool
+# Sharded tier: one trace, one shard span per target
 # ----------------------------------------------------------------------
-def test_sharded_query_is_one_trace_across_the_thread_pool():
+def test_sharded_query_is_one_trace_with_one_shard_span_per_target():
     service = ShardedQueryService.from_documents(
-        [_doc(i) for i in range(8)], num_shards=2, replicas=2
+        [_doc(i) for i in range(8)],
+        num_shards=4,
+        placement="round_robin",
+        replicas=2,
     )
     service.build_index("rootpaths")
     result = service.execute(XPATH, strategy="auto", query_id="req-1")
@@ -452,10 +455,16 @@ def test_sharded_query_is_one_trace_across_the_thread_pool():
     root = trace.root
     assert root.attributes["query_id"] == "req-1"
     (scatter,) = root.find("scatter")
-    shard_spans = scatter.find("shard")
-    assert {span.attributes["shard"] for span in shard_spans} == {0, 1}
-    # Worker threads joined this trace: every shard span nests a replica
-    # read whose engine-tier query span nests plan/execute work.
+    shard_spans = scatter.children
+    assert [span.name for span in shard_spans] == ["shard"] * 4
+    assert [span.attributes["shard"] for span in shard_spans] == [0, 1, 2, 3]
+    # Legs run one after the other inside the scatter window.
+    assert scatter.started <= shard_spans[0].started
+    for earlier, later in zip(shard_spans, shard_spans[1:]):
+        assert earlier.ended <= later.started
+    assert shard_spans[-1].ended <= scatter.ended
+    # Every shard span nests a replica read whose engine-tier query span
+    # nests plan/execute work.
     for span in shard_spans:
         (replica,) = span.find("replica")
         assert replica.attributes["outcome"] == "ok"

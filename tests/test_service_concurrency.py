@@ -225,29 +225,102 @@ def test_sharded_service_race_no_stale_results(prefix_oracles, placement):
     service.close()
 
 
+CHURN_CALLERS = 8
+CHURN_INCARNATIONS = 10
+
+
 def test_concurrent_scattered_queries_share_one_collection():
-    """Many reader threads scatter concurrently over the same shards."""
+    """Caller threads scatter over the same shards under add/remove churn.
+
+    One writer adds and removes a ``churn`` document over and over
+    (round-robin placement lands each incarnation on the next shard)
+    while eight callers query.  State *s* is the collection after the
+    writer's first *s* operations, so incarnation *k* is whole in state
+    ``2k + 1`` only.  A query that read ``done == lo`` before it started
+    and ``done == hi - 1`` after it returned can have observed states
+    ``lo .. hi`` (operation ``hi`` may have been in flight).  Its answer
+    must be a consistent cut of that window: every base match, plus
+    *whole* incarnations only, each alive in some state of the window,
+    and no two from the same shard (a leg sees one state of its shard).
+    """
     service = ShardedQueryService.from_documents(
         _documents(4), num_shards=4, placement="round_robin"
     )
     service.build_index("rootpaths")
     service.build_index("datapaths")
-    expected = {xpath: service.oracle(xpath) for xpath in QUERIES}
+    base = {xpath: set(service.oracle(xpath)) for xpath in QUERIES}
+    incarnations: list[dict] = []  # alive state, shard, match ids per query
+    done = [0]  # operations the writer has finished
+    observations: list[tuple[str, int, int, list[int]]] = []
+    observations_lock = threading.Lock()
     errors: list[BaseException] = []
+    writer_done = threading.Event()
 
-    def reader():
+    def writer():
         try:
-            for _ in range(10):
+            for _ in range(CHURN_INCARNATIONS):
+                service.add_document(
+                    generate_xmark(scale=0.015, seed=900, name="churn")
+                )
+                # Only this thread writes, so the oracle is stable here.
+                ids = {
+                    xpath: set(service.oracle(xpath)) - base[xpath]
+                    for xpath in QUERIES
+                }
+                done[0] += 1
+                placement = service.remove_document("churn")
+                incarnations.append(
+                    {"state": done[0], "shard": placement.shard_index, "ids": ids}
+                )
+                done[0] += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def caller():
+        try:
+            rounds = 0
+            while rounds < 10 or not writer_done.is_set():
+                rounds += 1
                 for xpath in QUERIES:
-                    assert service.execute(xpath).ids == expected[xpath]
+                    lo = done[0]
+                    ids = service.execute(xpath).ids
+                    hi = done[0] + 1
+                    with observations_lock:
+                        observations.append((xpath, lo, hi, ids))
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
-    threads = [threading.Thread(target=reader) for _ in range(4)]
+    threads = [threading.Thread(target=writer)] + [
+        threading.Thread(target=caller) for _ in range(CHURN_CALLERS)
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
         assert not thread.is_alive()
     assert not errors, errors
+
+    assert {entry["shard"] for entry in incarnations} == {0, 1, 2, 3}
+    assert any(entry["ids"][QUERIES[0]] for entry in incarnations)
+    for xpath, lo, hi, ids in observations:
+        assert ids == sorted(set(ids))
+        assert base[xpath] <= set(ids), f"{xpath}: base matches missing"
+        extra = set(ids) - base[xpath]
+        seen = [entry for entry in incarnations if entry["ids"][xpath] & extra]
+        assert extra == set().union(*(entry["ids"][xpath] for entry in seen)), (
+            f"{xpath}: torn read of a churn document"
+        )
+        for entry in seen:
+            assert lo <= entry["state"] <= hi, (
+                f"{xpath}: saw state {entry['state']} outside [{lo}, {hi}]"
+            )
+        shards = [entry["shard"] for entry in seen]
+        assert len(shards) == len(set(shards)), f"{xpath}: two states of one shard"
+    # The race was real: some query caught a churn document alive.
+    assert any(set(ids) - base[xpath] for xpath, _, _, ids in observations)
+
+    for xpath in QUERIES:
+        assert set(service.execute(xpath).ids) == base[xpath]
     service.close()

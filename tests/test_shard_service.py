@@ -3,6 +3,8 @@ per-shard cache invalidation and cross-shard stats aggregation."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import ShardedCollection, ShardedQueryService, TwigIndexDatabase
@@ -250,6 +252,28 @@ def test_empty_scatter_returns_empty_result():
     assert result.ids == [] and result.cost == {}
     assert result.strategy == "rootpaths"
     service.close()
+
+
+def test_legs_run_on_the_callers_thread_and_no_worker_threads_exist():
+    with ShardedQueryService.from_documents(
+        _named_docs(4), num_shards=4, placement="round_robin", replicas=2
+    ) as service:
+        service.build_index("rootpaths")
+        leg_threads: set[int] = set()
+        for shard in service.collection.shards:
+            def recorded(*args, _real=shard.execute, **kwargs):
+                leg_threads.add(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            shard.execute = recorded
+        expected = service.oracle("/site/people/person/name")
+        for round_ in range(100):
+            result = service.execute(
+                "/site/people/person/name", use_result_cache=round_ % 2 == 0
+            )
+            assert result.ids == expected
+        assert leg_threads == {threading.get_ident()}
+        assert [t.name for t in threading.enumerate() if t.name.startswith("shard")] == []
 
 
 # ----------------------------------------------------------------------

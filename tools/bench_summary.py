@@ -38,10 +38,10 @@ HEADLINES = {
     "incremental_update": "cost_ratio",
     "kernels": "sections/fig12_mixed/speedup",
     "observability": "paired_ratio_median",
-    "rebalance": "skew_recovery/throughput_ratio",
+    "rebalance": "skew_recovery/cost_ratio",
     "remove_replace": "cost_ratio",
     "service_throughput": "speedup",
-    "shard_scaling": "sharded/4/throughput_ratio",
+    "shard_scaling": "sharded/4/cost_ratio",
 }
 
 #: Substrings that mark a numeric leaf as headline-shaped.

@@ -1,7 +1,7 @@
 """RPR005 executor-hygiene checker.
 
-The scatter/gather tier (``ShardedQueryService._scatter``) relies on
-two disciplines that are easy to erode in review:
+The serving tiers (shard legs, replica write-through, the rebalance
+worker) rely on two disciplines that are easy to erode in review:
 
 * exceptions must not be silently swallowed — a bare ``except:`` or a
   broad ``except Exception:`` whose handler never re-raises hides shard
