@@ -12,22 +12,42 @@ fast path.
 The two stacks are served in *alternating* order round by round, so
 slow drift on a shared CI runner (thermal throttling, cache pollution
 from neighbours) debits both sides evenly instead of whichever ran
-second.  The asserted ~2% real overhead would drown in the +/-20%
-round-to-round noise of a plain mean on a shared runner, so the ratio
-is taken as the better of two noise-resistant estimators: fastest
-round vs fastest round (scheduler noise only ever *adds* time, so
-each minimum approaches the true cost), and the median of per-round
-paired ratios (both sides of one round share that round's machine
-load, so the pairing cancels drift the minima might not).  Noise can
-only push either estimator *down*; a genuine >5% instrumentation cost
-would depress both, so asserting on the survivor stays one-sided.
+second.  The cost being measured would drown in the +/-20%
+round-to-round noise of a plain mean on a shared runner, so each
+figure is taken as the better of two noise-resistant estimators:
+fastest round vs fastest round (scheduler noise only ever *adds* time,
+so each minimum approaches the true cost), and the median over rounds
+of the paired figure (both sides of one round share that round's
+machine load, so the pairing cancels drift the minima might not).
+Noise can only make either estimator look *worse*; a genuine
+regression would depress both, so asserting on the survivor stays
+one-sided.
+
+What is pinned, and why it is two numbers.  Telemetry costs a fixed
+number of microseconds per traced query — five span enter/exit pairs,
+one counter diff, one trace-ring append and three metric updates, none
+of which depends on what the query does — so the *ratio* to untraced
+throughput measures the query as much as the instrumentation: every PR
+that makes the untraced path faster (the kernels, the shared plans)
+makes the same instrumentation read redder.  The ratio was pinned at
+0.95x when a Figure 12 miss took ~1 ms; it takes ~0.25 ms now, and the
+same five spans read 0.83-0.91x.  The overhead itself is therefore
+pinned in absolute terms, ``overhead_us_per_query`` (enabled minus
+disabled wall time per executed query; 30-47 us before the enabled
+path was trimmed, 14-26 us after, over five runs each on one host),
+against :data:`MAX_OVERHEAD_US`, and the ratio keeps a floor below what
+the stack delivers today (0.91-0.94x) so a change that doubles the
+instrumentation still trips it.  ``docs/BENCHMARKS.md`` carries the
+same note.
 
 Asserted shape:
 
 * every answer of the instrumented stack is bit-identical to the
   disabled stack's — observability observes, it never participates,
-* the enabled stack holds at least 0.95x the disabled throughput (the
-  instrumentation overhead stays within 5%),
+* tracing one executed query costs at most :data:`MAX_OVERHEAD_US`
+  microseconds,
+* the enabled stack holds at least :data:`MIN_THROUGHPUT_RATIO` of the
+  disabled throughput,
 * the enabled stack actually recorded what the loop did: traces,
   latency series, per-strategy counters and cache-invalidation events.
 """
@@ -51,11 +71,14 @@ FIG12_QUERIES = ("Q4x", "Q5x", "Q6x", "Q7x", "Q8x", "Q9x", "Q10x", "Q11x")
 BASE_DOCS = 4
 BASE_SCALE = 0.08
 
-ROUNDS = 12
+ROUNDS = 36
 DELTA_SCALE = 0.01
 
-#: The enabled stack must hold this fraction of disabled throughput.
-MIN_THROUGHPUT_RATIO = 0.95
+#: The enabled stack must hold this fraction of disabled throughput
+#: (see the module docstring for why this is not 0.95 any more).
+MIN_THROUGHPUT_RATIO = 0.85
+#: Tracing one executed query may cost this many microseconds.
+MAX_OVERHEAD_US = 40.0
 
 
 def _base_documents():
@@ -123,6 +146,16 @@ def overhead():
     ratio = max(
         qps["enabled"] / qps["disabled"], statistics.median(paired_ratios)
     )
+    paired_overheads = [
+        (enabled_seconds - disabled_seconds) / len(workload) * 1e6
+        for enabled_seconds, disabled_seconds in zip(
+            rounds["enabled"], rounds["disabled"]
+        )
+    ]
+    overhead_us = min(
+        (min(rounds["enabled"]) - min(rounds["disabled"])) / len(workload) * 1e6,
+        statistics.median(paired_overheads),
+    )
 
     print()
     print(
@@ -143,6 +176,7 @@ def overhead():
             ),
         )
     )
+    print(f"tracing costs {overhead_us:.1f} us per executed query")
     write_bench_report(
         "observability",
         {
@@ -155,10 +189,19 @@ def overhead():
             "paired_ratio_median": statistics.median(paired_ratios),
             "throughput_ratio": ratio,
             "min_throughput_ratio": MIN_THROUGHPUT_RATIO,
+            "paired_overhead_us_median": statistics.median(paired_overheads),
+            "overhead_us_per_query": overhead_us,
+            "max_overhead_us": MAX_OVERHEAD_US,
             "telemetry": stacks["enabled"].service.describe()["telemetry"],
         },
     )
-    return {"stacks": stacks, "answers": answers, "qps": qps, "ratio": ratio}
+    return {
+        "stacks": stacks,
+        "answers": answers,
+        "qps": qps,
+        "ratio": ratio,
+        "overhead_us": overhead_us,
+    }
 
 
 def test_instrumented_answers_are_bit_identical(overhead):
@@ -168,7 +211,14 @@ def test_instrumented_answers_are_bit_identical(overhead):
         assert enabled[xpath] == expected, xpath
 
 
-def test_instrumentation_overhead_is_within_five_percent(overhead):
+def test_tracing_one_query_costs_a_bounded_number_of_microseconds(overhead):
+    assert overhead["overhead_us"] <= MAX_OVERHEAD_US, (
+        f"tracing costs {overhead['overhead_us']:.1f} us per executed "
+        f"query (ceiling {MAX_OVERHEAD_US} us)"
+    )
+
+
+def test_instrumented_stack_holds_its_throughput_floor(overhead):
     ratio = overhead["ratio"]
     assert ratio >= MIN_THROUGHPUT_RATIO, (
         f"instrumented stack holds only {ratio:.3f}x of disabled "

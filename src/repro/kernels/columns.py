@@ -3,9 +3,8 @@
 Three pieces, all shared by the join/filter kernels:
 
 * :class:`PathInterner` — a tiny append-only dictionary mapping schema
-  paths (label tuples) to dense integer ids.  Ids are stable for the
-  lifetime of the interner, so placement caches keyed by path id stay
-  valid across incremental document churn.
+  paths (label tuples) to dense integer ids, stable for the lifetime of
+  the interner; :class:`NodeColumns` stores its ``pathids`` through one.
 * :func:`encode_id_column` / :func:`decode_id_column` — the batch delta
   codec for id columns.  Columns are stored as first-difference gaps and
   decompressed in one :func:`itertools.accumulate` pass on access,
@@ -20,7 +19,7 @@ Three pieces, all shared by the join/filter kernels:
 :class:`BranchExtractor` is the strategies' payload-to-row kernel: it
 maps raw index payloads (schema path, id tuple) to join rows for a
 branch's needed twig-node positions, memoising the placement arithmetic
-per interned schema path so :func:`~repro.paths.schema_paths.match_positions`
+per schema path so :func:`~repro.paths.schema_paths.match_positions`
 runs once per distinct path instead of once per matched row.
 """
 
@@ -93,8 +92,10 @@ class BranchExtractor:
     ``None`` row-skip for pruned IdLists and the
     :meth:`~repro.indexes.base.PathMatch.id_at` head offset — but runs
     :func:`match_positions` once per distinct schema path: placements
-    are memoised per interned path id as pre-mapped needed-position
-    tuples.
+    are memoised per schema path as pre-mapped needed-position tuples.
+    The memo is a function of the pattern and the labels alone, so an
+    extractor shared by concurrent shard legs only ever sees a slot
+    filled with the value any other leg would have computed.
     """
 
     def __init__(
@@ -102,16 +103,14 @@ class BranchExtractor:
         pattern: PathPattern,
         needed_positions: Sequence[int],
         exact: bool,
-        interner: PathInterner,
         bound: bool = False,
     ) -> None:
         self.pattern = pattern
         self.needed_positions = tuple(needed_positions)
         self.exact = exact
-        self.interner = interner
         self.bound = bound
-        #: schema path -> (path id, tuple of pre-mapped position tuples)
-        self._placements: dict[tuple[str, ...], tuple[int, tuple[tuple[int, ...], ...]]] = {}
+        #: schema path -> tuple of pre-mapped position tuples
+        self._placements: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
 
     def rows(self, payloads: Iterable[tuple]) -> list[tuple]:
         """Join rows (needed-node id tuples) for a payload batch."""
@@ -135,19 +134,15 @@ class BranchExtractor:
                     append(row)
             return out
         cache = self._placements
-        intern = self.interner.intern
         pattern = self.pattern
         for payload in payloads:
             labels = payload[0]
-            entry = cache.get(labels)
-            if entry is None:
-                mapped = tuple(
+            mapped = cache.get(labels)
+            if mapped is None:
+                mapped = cache[labels] = tuple(
                     tuple(placement[p] for p in needed)
                     for placement in match_positions(pattern, labels)
                 )
-                entry = (intern(labels), mapped)
-                cache[labels] = entry
-            mapped = entry[1]
             if not mapped:
                 continue
             ids = payload[1]

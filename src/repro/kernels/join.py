@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..errors import PlanningError
-from .columns import BranchExtractor, PathInterner
+from .columns import BranchExtractor
 
 
 class _Step:
@@ -78,7 +78,9 @@ class CompiledJoin:
         branch_columns: Sequence[tuple[str, ...]],
         branch_labels: Sequence[str],
     ) -> None:
-        self.error: Optional[PlanningError] = None
+        #: Message of the plan error :meth:`run` raises (a fresh exception
+        #: per call: compiled joins are shared between threads).
+        self.error: Optional[str] = None
         self.first = 0
         self.out_pos = 0
         self.steps: list[_Step] = []
@@ -92,9 +94,7 @@ class CompiledJoin:
             if output_column not in branch_columns[i]
         ]
         if not with_output:
-            self.error = PlanningError(
-                "no branch relation contains the output node"
-            )
+            self.error = "no branch relation contains the output node"
             return
         with_output.sort(key=lambda i: len(branch_columns[i]), reverse=True)
         ordered = with_output + without
@@ -113,7 +113,7 @@ class CompiledJoin:
             cols = branch_columns[relation]
             shared = [c for c in cols if c in joined]
             if not shared:
-                self.error = PlanningError(
+                self.error = (
                     f"branch relation {branch_labels[relation]!r} shares no "
                     "join column with the plan"
                 )
@@ -137,7 +137,7 @@ class CompiledJoin:
     def run(self, rows_by_relation: Sequence[list[tuple]], stats) -> list[int]:
         """Join the branch row lists; sorted distinct output ids."""
         if self.error is not None:
-            raise self.error
+            raise PlanningError(self.error)
         rows = rows_by_relation[self.first]
         out_pos = self.out_pos
         produced = len(rows)  # the first relation's RowSource
@@ -269,7 +269,7 @@ class CompiledBranch:
         "extractor",
     )
 
-    def __init__(self, analysis, path, interner: PathInterner, bound: bool) -> None:
+    def __init__(self, analysis, path, bound: bool) -> None:
         query = path.query
         self.path = path
         self.columns = tuple(analysis.column_name(n) for n in path.needed_nodes)
@@ -282,7 +282,7 @@ class CompiledBranch:
         self.value = query.value
         self.trailing = pattern.trailing_segment
         self.extractor = BranchExtractor(
-            pattern, self.needed_positions, self.exact, interner, bound=bound
+            pattern, self.needed_positions, self.exact, bound=bound
         )
 
 
@@ -292,16 +292,17 @@ class CompiledTwig:
     Holds the :class:`~repro.planner.analysis.TwigAnalysis` (passed in
     by the strategy so this module stays independent of the planner
     package), one :class:`CompiledBranch` per root-to-leaf path and the
-    :class:`CompiledJoin` over their column layouts.  Strategies cache
-    one instance per twig object; nothing here depends on the document
-    set.
+    :class:`CompiledJoin` over their column layouts.  The twig object
+    keeps one instance per payload flavour (``bound``) and every
+    strategy instance of every shard and replica runs it; nothing here
+    depends on the document set, the indexes or the strategy that asked
+    first.
     """
 
-    def __init__(self, analysis, interner: PathInterner, bound: bool = False) -> None:
+    def __init__(self, analysis, bound: bool = False) -> None:
         self.analysis = analysis
         self.branches = [
-            CompiledBranch(analysis, path, interner, bound)
-            for path in analysis.paths
+            CompiledBranch(analysis, path, bound) for path in analysis.paths
         ]
         self.join = CompiledJoin(
             analysis,

@@ -24,5 +24,5 @@ __all__ = ["now"]
 
 #: Monotonic high-resolution timestamp in seconds.  An alias, not a
 #: wrapper: callers pay no extra frame per read, which matters on the
-#: per-query hot path the overhead bench pins at <=5%.
+#: per-query hot path the overhead bench pins in microseconds.
 now = time.perf_counter

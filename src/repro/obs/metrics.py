@@ -24,6 +24,7 @@ consistent cut.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Sequence
 
 __all__ = [
@@ -163,12 +164,8 @@ class Histogram(_Family):
             if series is None:
                 series = _HistogramSeries(len(self.buckets))
                 self._series[key] = series
-            position = len(self.buckets)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    position = index
-                    break
-            series.counts[position] += 1
+            # First bound >= value; past the last one is the +Inf bucket.
+            series.counts[bisect_left(self.buckets, value)] += 1
             series.total += 1
             series.sum += value
             series.min = min(series.min, value)
@@ -257,28 +254,24 @@ class MetricsRegistry:
         help_text: str = "",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> Histogram:
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = Histogram(name, help_text, self._lock, buckets=buckets)
-                self._families[name] = family
-            elif not isinstance(family, Histogram):
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}"
-                )
-            return family
+        return self._family(name, Histogram, help_text, buckets=buckets)
 
-    def _family(self, name: str, cls: type, help_text: str) -> _Family:
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = cls(name, help_text, self._lock)
-                self._families[name] = family
-            elif type(family) is not cls:
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}"
-                )
-            return family
+    def _family(self, name: str, cls: type, help_text: str, **options) -> _Family:
+        # Families are never replaced or removed, so the per-query
+        # callers find theirs with one lock-free dict probe; the lock
+        # is for creation only.
+        family = self._families.get(name)
+        if family is None:
+            with self._lock:
+                family = self._families.get(name)
+                if family is None:
+                    family = cls(name, help_text, self._lock, **options)
+                    self._families[name] = family
+        if type(family) is not cls:
+            raise ValueError(
+                f"metric {name!r} already registered as {family.kind}"
+            )
+        return family
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, object]:

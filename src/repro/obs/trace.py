@@ -50,18 +50,63 @@ def current_span() -> Optional["Span"]:
 
 
 class Span:
-    """One named, timed, attributed window of a query's execution."""
+    """One named, timed, attributed window of a query's execution.
 
-    __slots__ = ("name", "attributes", "children", "started", "ended", "cost")
+    A span is its own context manager: ``with tracer.span(...) as
+    span`` opens it under the context's current span, and leaving the
+    block closes it — a root span (no parent) then becomes a
+    :class:`Trace`.  One object per span, no wrapper: the enter/exit
+    pair is paid five times per traced query.
+    """
 
-    def __init__(self, name: str, attributes: Optional[dict] = None) -> None:
+    __slots__ = (
+        "name", "attributes", "children", "started", "ended", "cost",
+        "_tracer", "_stats", "_before", "_token", "_parent",
+    )
+
+    def __init__(
+        self, name: str, attributes: Optional[dict] = None, tracer=None, stats=None
+    ) -> None:
         self.name = name
-        self.attributes: dict = dict(attributes) if attributes else {}
+        #: Owned, not copied: :meth:`Tracer.span` hands over its own
+        #: keyword dict.
+        self.attributes: dict = attributes if attributes is not None else {}
         self.children: list[Span] = []
         self.started: Optional[float] = None
         self.ended: Optional[float] = None
         #: StatsCollector diff over this span's window (when attached).
         self.cost: Optional[dict[str, int]] = None
+        self._tracer = tracer
+        self._stats = stats
+        self._before = None
+        self._token = None
+        self._parent: Optional[Span] = None
+
+    def __enter__(self) -> "Span":
+        parent = self._parent = _CURRENT_SPAN.get()
+        if parent is not None:
+            parent.children.append(self)
+        self._token = _CURRENT_SPAN.set(self)
+        if self._stats is not None:
+            self._before = self._stats.snapshot()
+        self.started = self._tracer.clock()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.ended = self._tracer.clock()
+        if self._stats is not None:
+            self.cost = self._stats.diff(self._before)
+        if exc is not None and "error" not in self.attributes:
+            self.attributes["error"] = repr(exc)
+        _CURRENT_SPAN.reset(self._token)
+        parent = self._parent
+        # A closed span is a record: drop what only the open window
+        # needed (the parent link would make every retained trace a
+        # reference cycle).
+        self._stats = self._before = self._token = self._parent = None
+        if parent is None:
+            self._tracer._finish(self)
+        return False
 
     # ------------------------------------------------------------------
     @property
@@ -153,43 +198,6 @@ class Trace:
         return f"trace #{self.trace_id}\n" + self.root.render(indent=1)
 
 
-class _SpanContext:
-    """Context manager that opens a span on enter and closes it on exit."""
-
-    __slots__ = ("_tracer", "_span", "_stats", "_before", "_token", "_parent")
-
-    def __init__(self, tracer: "Tracer", span: Span, stats) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._stats = stats
-        self._before = None
-        self._token = None
-        self._parent = None
-
-    def __enter__(self) -> Span:
-        span = self._span
-        self._parent = _CURRENT_SPAN.get()
-        if self._parent is not None:
-            self._parent.children.append(span)
-        self._token = _CURRENT_SPAN.set(span)
-        if self._stats is not None:
-            self._before = self._stats.snapshot()
-        span.started = self._tracer.clock()
-        return span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self._span
-        span.ended = self._tracer.clock()
-        if self._stats is not None:
-            span.cost = self._stats.diff(self._before)
-        if exc is not None and "error" not in span.attributes:
-            span.attributes["error"] = repr(exc)
-        _CURRENT_SPAN.reset(self._token)
-        if self._parent is None:
-            self._tracer._finish(span)
-        return False
-
-
 class Tracer:
     """Produces spans and retains finished traces in bounded rings."""
 
@@ -216,14 +224,14 @@ class Tracer:
         self._finished = 0
 
     # ------------------------------------------------------------------
-    def span(self, name: str, stats=None, **attributes) -> _SpanContext:
-        """Open one span as a context manager.
+    def span(self, name: str, stats=None, **attributes) -> Span:
+        """One span, opened by entering it as a context manager.
 
         ``stats`` is any object with ``snapshot()``/``diff()`` (in
         practice a :class:`~repro.storage.stats.StatsCollector`); the
         span's ``cost`` becomes the counter diff over its window.
         """
-        return _SpanContext(self, Span(name, attributes), stats)
+        return Span(name, attributes, self, stats)
 
     def _finish(self, root: Span) -> None:
         slow_trace = None

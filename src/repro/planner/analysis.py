@@ -42,6 +42,22 @@ class AnalyzedPath:
 class TwigAnalysis:
     """Join-relevant structure of a twig pattern."""
 
+    @classmethod
+    def of(cls, twig: TwigPattern) -> "TwigAnalysis":
+        """The twig's own analysis, built on first use and kept on it.
+
+        The optimizer and every strategy instance of every shard read
+        this one object.  Two threads that both find the slot empty
+        build equal analyses and one assignment wins; a
+        :class:`~repro.kernels.join.CompiledTwig` keeps the analysis it
+        was compiled from, so the loser is still consistent with
+        itself.
+        """
+        analysis = twig.analysis
+        if analysis is None:
+            analysis = twig.analysis = cls(twig)
+        return analysis
+
     def __init__(self, twig: TwigPattern) -> None:
         self.twig = twig
         self.trunk: list[TwigNode] = twig.output_path()

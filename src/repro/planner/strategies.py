@@ -33,7 +33,6 @@ from typing import Iterable, Optional, Sequence
 from ..errors import PlanningError
 from ..indexes.asr import AccessSupportRelationsIndex
 from ..indexes.base import PathIndex, PathMatch
-from ..kernels.columns import PathInterner
 from ..kernels.join import CompiledBranch, CompiledTwig
 from ..indexes.dataguide import DataGuideIndex
 from ..indexes.datapaths import DataPathsIndex
@@ -60,8 +59,6 @@ class EvaluationStrategy(abc.ABC):
     required_indexes: tuple[str, ...] = ()
     #: DATAPATHS payloads carry a bound head id the extractors must read.
     bound_payloads: bool = False
-    #: Compiled twig plans kept per strategy before the cache is reset.
-    PLAN_CACHE_LIMIT = 128
 
     def __init__(
         self,
@@ -74,8 +71,6 @@ class EvaluationStrategy(abc.ABC):
         self.indexes = indexes
         self.stats = stats if stats is not None else GLOBAL_STATS
         self.use_kernels = bool(use_kernels)
-        self._interner = PathInterner()
-        self._twig_plans: dict[TwigPattern, CompiledTwig] = {}
         for required in self.required_indexes:
             if required not in indexes:
                 raise PlanningError(
@@ -89,7 +84,7 @@ class EvaluationStrategy(abc.ABC):
             plan = self._twig_plan(twig)
             rows = [self._kernel_branch_rows(plan, branch) for branch in plan.branches]
             return plan.join.run(rows, self.stats)
-        analysis = TwigAnalysis(twig)
+        analysis = TwigAnalysis.of(twig)
         relations = []
         for path in analysis.paths:
             rows = self._branch_rows(analysis, path)
@@ -107,20 +102,19 @@ class EvaluationStrategy(abc.ABC):
     # Columnar kernel path
     # ------------------------------------------------------------------
     def _twig_plan(self, twig: TwigPattern) -> CompiledTwig:
-        """The cached :class:`CompiledTwig` for a twig object.
+        """The twig's own :class:`CompiledTwig` for this payload flavour.
 
-        Twig patterns hash by identity, so a live twig object keys its
-        compiled plan directly; the cache resets past
-        ``PLAN_CACHE_LIMIT`` distinct twigs to bound memory.
+        Compiled on first use and kept on the twig object, so every
+        strategy instance of every shard and replica handed the same
+        twig runs the same compiled plan, and it lives exactly as long
+        as the twig does.  Like :meth:`TwigAnalysis.of`, a racing
+        first use compiles twice and one assignment wins.
         """
-        plan = self._twig_plans.get(twig)
+        plan = twig.compiled.get(self.bound_payloads)
         if plan is None:
-            if len(self._twig_plans) >= self.PLAN_CACHE_LIMIT:
-                self._twig_plans.clear()
-            plan = CompiledTwig(
-                TwigAnalysis(twig), self._interner, bound=self.bound_payloads
+            plan = twig.compiled[self.bound_payloads] = CompiledTwig(
+                TwigAnalysis.of(twig), bound=self.bound_payloads
             )
-            self._twig_plans[twig] = plan
         return plan
 
     def _kernel_branch_rows(
@@ -249,7 +243,7 @@ class DataPathsStrategy(EvaluationStrategy):
                 return self._kernel_inl(plan, choice)
             rows = [self._kernel_branch_rows(plan, branch) for branch in plan.branches]
             return plan.join.run(rows, self.stats)
-        analysis = TwigAnalysis(twig)
+        analysis = TwigAnalysis.of(twig)
         choice = choose_datapaths_plan(analysis, self.index, force=self.force_plan)
         self.last_plan = choice
         if choice.plan == "inl" and not analysis.is_single_path:
@@ -271,8 +265,10 @@ class DataPathsStrategy(EvaluationStrategy):
 
         The per-outer-branch probe layout — head-column positions, probe
         patterns, placement caches — is compiled once and stashed on the
-        twig plan; each execution is the same probe sequence with the
-        same ``join_probes`` charge points as the legacy loop.
+        twig plan (shared like the plan itself: a function of the twig
+        and the outer branch alone); each execution is the same probe
+        sequence with the same ``join_probes`` charge points as the
+        legacy loop.
         """
         spec = plan.inl_plans.get(choice.outer_index)
         if spec is None:

@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..errors import QueryParseError
 from .ast import Axis, TwigNode
-from .twig import TwigPattern
+from .twig import TwigPattern, normalize_xpath
 
 _TOKEN_RE = re.compile(
     r"""
@@ -42,9 +42,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-#: Curly quotes that appear in the paper's query listings.
-_QUOTE_NORMALISATION = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -222,17 +219,6 @@ class _Parser:
         raise QueryParseError(f"expected a literal but found {token[1]!r} in {self.text!r}")
 
 
-def normalize_xpath(text: str) -> str:
-    """Canonical form of a query string for caching purposes.
-
-    Normalises the curly quotes of the paper's listings and strips
-    surrounding whitespace — exactly the preprocessing
-    :func:`parse_xpath` applies — so queries differing only in those
-    details share one plan-cache entry.
-    """
-    return text.translate(_QUOTE_NORMALISATION).strip()
-
-
 def parse_xpath(text: str) -> TwigPattern:
     """Parse an XPath-subset string into a :class:`TwigPattern`.
 
@@ -245,4 +231,6 @@ def parse_xpath(text: str) -> TwigPattern:
     if not normalised:
         raise QueryParseError("empty query string")
     tokens = _tokenize(normalised)
-    return _Parser(tokens, text).parse_query()
+    twig = _Parser(tokens, text).parse_query()
+    twig._source, twig._key = text, normalised
+    return twig

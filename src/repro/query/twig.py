@@ -31,6 +31,20 @@ from typing import Iterator, Optional, Sequence
 from ..paths.schema_paths import PathPattern
 from .ast import Axis, TwigNode
 
+#: Curly quotes that appear in the paper's query listings.
+_QUOTE_NORMALISATION = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
+
+
+def normalize_xpath(text: str) -> str:
+    """Canonical form of a query string for caching purposes.
+
+    Normalises the curly quotes of the paper's listings and strips
+    surrounding whitespace — exactly the preprocessing
+    :func:`~repro.query.parser.parse_xpath` applies — so queries
+    differing only in those details share one plan-cache entry.
+    """
+    return text.translate(_QUOTE_NORMALISATION).strip()
+
 
 @dataclass(frozen=True)
 class PathQuery:
@@ -75,11 +89,46 @@ class PathQuery:
 
 
 class TwigPattern:
-    """A parsed query twig pattern with a designated output node."""
+    """A parsed query twig pattern with a designated output node.
+
+    A twig is also the *prepared plan* of its query (see
+    ``docs/ARCHITECTURE.md``, "Prepared plans"): it remembers the text
+    it was parsed from and carries everything the planner derives from
+    the pattern alone, so one twig object handed to every shard leg,
+    replica and strategy instance is analysed and join-compiled once.
+    None of that state depends on documents or indexes, and the pattern
+    must not be edited once it has been planned.
+    """
 
     def __init__(self, root: TwigNode, output: Optional[TwigNode] = None) -> None:
         self.root = root
         self.output = output if output is not None else root
+        #: The query text and its :func:`normalize_xpath` cache key.
+        #: :func:`~repro.query.parser.parse_xpath` fills both; a
+        #: hand-built twig renders them on first use.
+        self._source: Optional[str] = None
+        self._key: Optional[str] = None
+        #: Planner-owned memos, each slot assigned at most one distinct
+        #: value: the :class:`~repro.planner.analysis.TwigAnalysis`
+        #: (:meth:`TwigAnalysis.of`) and one
+        #: :class:`~repro.kernels.join.CompiledTwig` per payload flavour
+        #: (``bound_payloads``), filled by the first strategy to ask.
+        self.analysis = None
+        self.compiled: dict[bool, object] = {}
+
+    @property
+    def source(self) -> str:
+        """The text this twig was parsed from (else its rendering)."""
+        if self._source is None:
+            self._source = self.to_xpath()
+        return self._source
+
+    @property
+    def key(self) -> str:
+        """The normalised text every cache keys this query on."""
+        if self._key is None:
+            self._key = normalize_xpath(self.source)
+        return self._key
 
     # ------------------------------------------------------------------
     # Introspection

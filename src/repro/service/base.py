@@ -24,7 +24,6 @@ and sums the diffs through
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -32,7 +31,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ..obs import Telemetry, Trace
 from ..obs.clock import now as _now
 from ..planner.evaluator import QueryResult
-from ..query.parser import normalize_xpath
+from ..query.parser import normalize_xpath, parse_xpath
 from ..query.twig import TwigPattern
 from ..storage.stats import weighted_cost
 from .cache import LRUCache
@@ -81,6 +80,8 @@ class ServingFacade:
     #: The shared observability hub; subclasses assign it in their
     #: constructors (and the sharded tier adopts its collection's).
     telemetry: Telemetry
+    #: Normalised query text -> parsed twig; subclasses size it.
+    plan_cache: LRUCache
 
     # ------------------------------------------------------------------
     # Hooks subclasses implement
@@ -121,6 +122,28 @@ class ServingFacade:
         landed between them.
         """
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Prepared plans (shared)
+    # ------------------------------------------------------------------
+    def plan(self, query: Union[str, TwigPattern]) -> TwigPattern:
+        """The prepared plan of a query: text through the plan cache.
+
+        A :class:`TwigPattern` is its own plan and passes through — it
+        carries its text, cache key, analysis and compiled joins (see
+        ``docs/ARCHITECTURE.md``, "Prepared plans").  A twig is complete
+        before it enters the cache; two threads that miss on the same
+        new text each parse it, both twigs are equally valid, and the
+        later ``put`` is the one the cache keeps.
+        """
+        if isinstance(query, TwigPattern):
+            return query
+        key = normalize_xpath(query)
+        twig = self.plan_cache.get(key)
+        if twig is None:
+            twig = parse_xpath(query)
+            self.plan_cache.put(key, twig)
+        return twig
 
     # ------------------------------------------------------------------
     # Lifecycle (shared)
@@ -304,8 +327,13 @@ class ServingFacade:
 
     @staticmethod
     def _copy_result(result: QueryResult, cached: bool = False) -> QueryResult:
-        return dataclasses.replace(
-            result, ids=list(result.ids), cost=dict(result.cost), cached=cached
+        return QueryResult(
+            strategy=result.strategy,
+            xpath=result.xpath,
+            ids=list(result.ids),
+            elapsed_seconds=result.elapsed_seconds,
+            cost=dict(result.cost),
+            cached=cached,
         )
 
     @staticmethod

@@ -56,7 +56,6 @@ from ..planner.evaluator import QueryResult, STRATEGY_TYPES, TwigQueryEngine
 from ..planner.analysis import TwigAnalysis
 from ..planner.optimizer import AUTO_CANDIDATES, StrategyChoice, choose_strategy
 from ..planner.strategies import EvaluationStrategy
-from ..query.parser import normalize_xpath, parse_xpath
 from ..query.twig import TwigPattern
 from ..xmltree.document import Document
 from .base import AUTO_STRATEGY, BatchResult, ServingFacade
@@ -133,24 +132,6 @@ class QueryService(ServingFacade):
                 )
 
         return on_clear
-
-    # ------------------------------------------------------------------
-    # Plan cache
-    # ------------------------------------------------------------------
-    def plan(self, query: Union[str, TwigPattern]) -> TwigPattern:
-        """The parsed twig for a query, served from the plan cache."""
-        if isinstance(query, TwigPattern):
-            return query
-        return self._plan_keyed(query, normalize_xpath(query))
-
-    def _plan_keyed(self, query: str, key: str) -> TwigPattern:
-        """:meth:`plan` for a caller that already normalised ``query``."""
-        with self._lock:
-            twig = self.plan_cache.get(key)
-            if twig is None:
-                twig = parse_xpath(query)
-                self.plan_cache.put(key, twig)
-            return twig
 
     # ------------------------------------------------------------------
     # Mutation (locked against execution)
@@ -338,16 +319,13 @@ class QueryService(ServingFacade):
         """
         with self._lock:
             self._check_generation()
-            twig = self.plan(query)
-            xpath = query if isinstance(query, str) else twig.to_xpath()
-            return self._choose_cached(twig, xpath)
+            return self._choose_cached(self.plan(query))
 
-    def _choose_cached(self, twig: TwigPattern, xpath: str) -> StrategyChoice:
-        key = normalize_xpath(xpath)
-        choice = self.choice_cache.get(key)
+    def _choose_cached(self, twig: TwigPattern) -> StrategyChoice:
+        choice = self.choice_cache.get(twig.key)
         if choice is None:
             choice = self._choose(twig)
-            self.choice_cache.put(key, choice)
+            self.choice_cache.put(twig.key, choice)
         self.last_choice = choice
         return choice
 
@@ -365,7 +343,7 @@ class QueryService(ServingFacade):
                 f"{sorted(candidates)}; build one of them first"
             )
         return choose_strategy(
-            TwigAnalysis(twig),
+            TwigAnalysis.of(twig),
             catalog,
             candidates=candidates,
             indexes=self.engine.indexes,
@@ -446,15 +424,14 @@ class QueryService(ServingFacade):
     ) -> QueryResult:
         with self._lock:
             self._check_generation()
-            is_text = isinstance(query, str)
-            xpath = query if is_text else query.to_xpath()
-            # Normalised once per execution: the plan cache and the
-            # result cache key on the same string.
-            normalized = normalize_xpath(xpath)
             with self.telemetry.span("plan"):
-                twig = self._plan_keyed(query, normalized) if is_text else query
+                twig = self.plan(query)
+            # A text caller's own spelling names the request; the plan,
+            # result and choice caches all key on the twig's one
+            # normalised string.
+            xpath = query if isinstance(query, str) else twig.source
             root.annotate(xpath=xpath)
-            cache_key = self._result_key(normalized, strategy, strategy_options)
+            cache_key = self._result_key(twig.key, strategy, strategy_options)
             if use_result_cache and cache_key is not None:
                 with self.telemetry.span("cache-lookup") as lookup:
                     hit = self.result_cache.get(cache_key)
@@ -478,7 +455,7 @@ class QueryService(ServingFacade):
     ) -> QueryResult:
         if strategy == AUTO_STRATEGY:
             with self.telemetry.span("choose") as chosen:
-                choice = self._choose_cached(twig, xpath)
+                choice = self._choose_cached(twig)
                 strategy = choice.strategy
                 chosen.annotate(strategy=strategy)
             self.auto_choice_counts[strategy] = (

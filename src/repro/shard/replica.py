@@ -587,7 +587,7 @@ class ReplicatedShard:
         failed-over read's trace shows the failed attempt (with its
         error) next to the retry that answered.
         """
-        query_key = query if isinstance(query, str) else query.to_xpath()
+        query_key = query if isinstance(query, str) else query.source
         attempted: set[int] = set()
         while True:
             choice = self._pick_replica(query_key, attempted)

@@ -8,9 +8,15 @@ but sends every query to the shards of a
 other on the calling thread, and gathers the partial answers into one
 cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
 
-* **scatter** — each relevant shard evaluates the query through its own
-  :class:`~repro.service.QueryService`, so per-shard plan caches,
-  result caches, generation fingerprints and ``strategy="auto"``
+* **prepare** — the query text is resolved once per request through
+  the tier's one plan cache (:meth:`~repro.service.base.ServingFacade.plan`)
+  and every leg is handed the same parsed
+  :class:`~repro.query.twig.TwigPattern`, which carries its analysis
+  and compiled joins: parsing, analysing and join-compiling are
+  functions of the text alone, so no shard or replica repeats them;
+* **scatter** — each relevant shard evaluates the twig through its own
+  :class:`~repro.service.QueryService`, so per-shard result caches,
+  generation fingerprints and ``strategy="auto"``
   choices all apply per shard (a shard prices its plan against its own
   catalog statistics, and an ``add_document`` on one shard invalidates
   only that shard's cached results); a replicated shard
@@ -66,6 +72,7 @@ from ..query.twig import TwigPattern
 from ..storage.stats import sum_snapshots
 from ..xmltree.document import Document
 from ..service.base import AUTO_STRATEGY, ServingFacade
+from ..service.cache import LRUCache
 from .collection import (
     AutoRebalancer,
     DocumentPlacement,
@@ -118,6 +125,11 @@ class ShardedQueryService(ServingFacade):
         #: services already share it, so the scatter spans this facade
         #: opens become parents of the spans those layers open.
         self.telemetry = collection.telemetry
+        #: The tier's prepared plans, one per normalised query text and
+        #: shared by every shard leg and replica.  Never invalidated: a
+        #: plan is a function of the text alone, so no document write
+        #: or index build can make one stale.
+        self.plan_cache = LRUCache(plan_cache_size)
         #: The self-driving rebalance trigger; off unless
         #: ``auto_rebalance=True``.  ``execute`` ticks it after every
         #: query, so skew checks run *between* queries — never on a
@@ -295,15 +307,17 @@ class ShardedQueryService(ServingFacade):
         it.
         """
         started = _now()
-        xpath = query if isinstance(query, str) else query.to_xpath()
+        xpath = query if isinstance(query, str) else query.source
         attributes = {"tier": "sharded", "xpath": xpath}
         if query_id is not None:
             attributes["query_id"] = query_id
         with self.telemetry.span("query", **attributes) as root:
+            with self.telemetry.span("plan"):
+                twig = self.plan(query)
             targets = self._target_shards(documents)
             with self.telemetry.span("scatter", shards=len(targets)):
                 partials = self._scatter(
-                    targets, xpath, strategy, use_result_cache, strategy_options,
+                    targets, twig, strategy, use_result_cache, strategy_options,
                     query_id=query_id,
                 )
             with self.telemetry.span("gather"):
@@ -351,13 +365,13 @@ class ShardedQueryService(ServingFacade):
     def _scatter(
         self,
         targets: list[tuple[Shard, Optional[list[DocumentPlacement]]]],
-        xpath: str,
+        twig: TwigPattern,
         strategy: str,
         use_result_cache: bool,
         strategy_options: dict,
         query_id: Optional[str] = None,
     ) -> list[QueryResult]:
-        """Run the query on every target shard, on the calling thread.
+        """Run the prepared twig on every target shard, on the calling thread.
 
         Legs run in shard order; the first error raises and later legs
         never start.  A leg is a B+-tree lookup or a result-cache hit —
@@ -376,7 +390,7 @@ class ShardedQueryService(ServingFacade):
         for shard, _ in targets:
             with self.telemetry.span("shard", shard=shard.index) as span:
                 result = shard.execute(
-                    xpath,
+                    twig,
                     strategy=strategy,
                     use_result_cache=use_result_cache,
                     query_id=query_id,
@@ -476,7 +490,7 @@ class ShardedQueryService(ServingFacade):
         )
 
     def _cache_reports(self) -> dict[str, dict[str, object]]:
-        reports: dict[str, dict[str, object]] = {}
+        reports: dict[str, dict[str, object]] = {"plan": self.plan_cache.describe()}
         for shard in self.collection.shards:
             service_report = shard.service_report()
             for cache_name, short in (
@@ -495,8 +509,14 @@ class ShardedQueryService(ServingFacade):
         shard_reports = [shard["service"] for shard in report["shards"]]
         aggregated: dict[str, dict[str, int]] = {}
         for cache_name in ("plan_cache", "result_cache", "choice_cache"):
+            reports = [r[cache_name] for r in shard_reports]
+            if cache_name == "plan_cache":
+                # Requests look plans up in the tier's cache, once each;
+                # the replicas' own only see text handed to a shard
+                # directly, and count beside it.
+                reports.append(self.plan_cache.describe())
             aggregated[cache_name] = {
-                counter: sum(r[cache_name][counter] for r in shard_reports)
+                counter: sum(r[counter] for r in reports)
                 for counter in (
                     "size",
                     "hits",

@@ -153,8 +153,14 @@ class StatsCollector:
             setattr(self, f.name, 0)
 
     def snapshot(self) -> dict[str, int]:
-        """A plain-dict copy of all counters."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """A plain-dict copy of all counters.
+
+        The instance dict *is* the counters, in field order (the class
+        declares nothing else), and copying it is one C call where a
+        per-field ``getattr`` loop was microseconds — on every executed
+        query, and on every traced one twice.
+        """
+        return self.__dict__.copy()
 
     def total_logical_io(self) -> int:
         """Reads that would hit the buffer pool: B+-tree nodes + heap pages."""
@@ -180,7 +186,8 @@ class StatsCollector:
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Counter deltas relative to an earlier :meth:`snapshot`."""
-        return {k: getattr(self, k) - v for k, v in earlier.items()}
+        current = self.__dict__
+        return {k: current[k] - v for k, v in earlier.items()}
 
     @contextlib.contextmanager
     def measure(self) -> Iterator[dict[str, int]]:

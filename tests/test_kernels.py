@@ -4,8 +4,9 @@ Three pins:
 
 * the batch codecs and merge/gallop kernels agree with tiny obvious
   oracles (nested loops, set operations) on random inputs;
-* the path interner hands out stable ids across document churn, so
-  placement caches keyed by path id survive rebuilds;
+* the path interner hands out stable ids, and a twig's compiled plan
+  (its placement memos included) survives index rebuilds and document
+  churn;
 * kernels-on and kernels-off executions return bit-identical answers
   *and* bit-identical cost counters for every strategy — the kernels
   are a pure encoding change, not a cost-model change.
@@ -141,7 +142,7 @@ def test_structural_join_excludes_self_on_same_tag_chain():
 
 
 # ----------------------------------------------------------------------
-# Interner stability
+# Interner and compiled-plan stability
 # ----------------------------------------------------------------------
 def test_path_interner_ids_are_stable():
     interner = PathInterner()
@@ -153,25 +154,29 @@ def test_path_interner_ids_are_stable():
     assert len(interner) == 2
 
 
-def test_strategy_interner_survives_rebuild_and_churn():
+def test_compiled_twig_survives_rebuild_and_churn():
     rng = random.Random(11)
     db = TwigIndexDatabase()
     for document in random_corpus(rng, documents=2):
         db.add_document(document)
     db.build_index("rootpaths")
     strategy = db.engine.strategy("rootpaths")
-    queries = [random_twig_xpath(rng, db.db.documents) for _ in range(10)]
-    for xpath in queries:
-        strategy.evaluate(db.parse(xpath))
-    interner = strategy._interner
-    before = {interner.path_of(pid): pid for pid in range(len(interner))}
-    # Full index rebuild plus churn: interned ids must not move.
+    twigs = [
+        db.parse(random_twig_xpath(rng, db.db.documents)) for _ in range(10)
+    ]
+    for twig in twigs:
+        strategy.evaluate(twig)
+    compiled = [twig.compiled[False] for twig in twigs]
+    # Full index rebuild plus churn: the plans are functions of the
+    # twig alone, so a fresh strategy instance over the rebuilt index
+    # runs the very same compiled objects and still answers correctly.
     db.add_document(random_document(rng, "later"))
     db.build_index("rootpaths")
-    for xpath in queries:
-        strategy.evaluate(db.parse(xpath))
-    for path, pid in before.items():
-        assert interner.id_of(path) == pid
+    rebuilt = db.engine.strategy("rootpaths")
+    for twig, plan in zip(twigs, compiled):
+        assert rebuilt.evaluate(twig) == NaiveMatcher(db.db).match_ids(twig)
+        assert twig.compiled == {False: plan}
+        assert plan.analysis is twig.analysis
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ and checks each observed answer against the admissible set.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -229,35 +230,34 @@ CHURN_CALLERS = 8
 CHURN_INCARNATIONS = 10
 
 
-def test_concurrent_scattered_queries_share_one_collection():
-    """Caller threads scatter over the same shards under add/remove churn.
+def _race_callers_against_churn(service, caller_queries):
+    """Race one add/remove writer against one thread per ``caller_queries`` entry.
 
-    One writer adds and removes a ``churn`` document over and over
+    The writer adds and removes a ``churn`` document over and over
     (round-robin placement lands each incarnation on the next shard)
-    while eight callers query.  State *s* is the collection after the
-    writer's first *s* operations, so incarnation *k* is whole in state
-    ``2k + 1`` only.  A query that read ``done == lo`` before it started
-    and ``done == hi - 1`` after it returned can have observed states
-    ``lo .. hi`` (operation ``hi`` may have been in flight).  Its answer
-    must be a consistent cut of that window: every base match, plus
-    *whole* incarnations only, each alive in some state of the window,
-    and no two from the same shard (a leg sees one state of its shard).
+    while each caller keeps issuing its own queries.  State *s* is the
+    collection after the writer's first *s* operations, so incarnation
+    *k* is whole in state ``2k + 1`` only.  A query that read ``done ==
+    lo`` before it started and ``done == hi - 1`` after it returned can
+    have observed states ``lo .. hi`` (operation ``hi`` may have been in
+    flight).  Its answer must be a consistent cut of that window: every
+    base match, plus *whole* incarnations only, each alive in some state
+    of the window, and no two from the same shard (a leg sees one state
+    of its shard).
     """
-    service = ShardedQueryService.from_documents(
-        _documents(4), num_shards=4, placement="round_robin"
-    )
-    service.build_index("rootpaths")
-    service.build_index("datapaths")
-    base = {xpath: set(service.oracle(xpath)) for xpath in QUERIES}
+    queries = sorted({xpath for mine in caller_queries for xpath in mine})
+    base = {xpath: set(service.oracle(xpath)) for xpath in queries}
     incarnations: list[dict] = []  # alive state, shard, match ids per query
     done = [0]  # operations the writer has finished
     observations: list[tuple[str, int, int, list[int]]] = []
     observations_lock = threading.Lock()
     errors: list[BaseException] = []
     writer_done = threading.Event()
+    start = threading.Barrier(len(caller_queries) + 1)
 
     def writer():
         try:
+            start.wait(timeout=60)
             for _ in range(CHURN_INCARNATIONS):
                 service.add_document(
                     generate_xmark(scale=0.015, seed=900, name="churn")
@@ -265,7 +265,7 @@ def test_concurrent_scattered_queries_share_one_collection():
                 # Only this thread writes, so the oracle is stable here.
                 ids = {
                     xpath: set(service.oracle(xpath)) - base[xpath]
-                    for xpath in QUERIES
+                    for xpath in queries
                 }
                 done[0] += 1
                 placement = service.remove_document("churn")
@@ -278,12 +278,13 @@ def test_concurrent_scattered_queries_share_one_collection():
         finally:
             writer_done.set()
 
-    def caller():
+    def caller(mine):
         try:
+            start.wait(timeout=60)
             rounds = 0
             while rounds < 10 or not writer_done.is_set():
                 rounds += 1
-                for xpath in QUERIES:
+                for xpath in mine:
                     lo = done[0]
                     ids = service.execute(xpath).ids
                     hi = done[0] + 1
@@ -293,17 +294,22 @@ def test_concurrent_scattered_queries_share_one_collection():
             errors.append(exc)
 
     threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=caller) for _ in range(CHURN_CALLERS)
+        threading.Thread(target=caller, args=(mine,)) for mine in caller_queries
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # more interleavings than the 5 ms default
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert not errors, errors
 
     assert {entry["shard"] for entry in incarnations} == {0, 1, 2, 3}
-    assert any(entry["ids"][QUERIES[0]] for entry in incarnations)
+    assert any(ids for entry in incarnations for ids in entry["ids"].values())
     for xpath, lo, hi, ids in observations:
         assert ids == sorted(set(ids))
         assert base[xpath] <= set(ids), f"{xpath}: base matches missing"
@@ -321,6 +327,53 @@ def test_concurrent_scattered_queries_share_one_collection():
     # The race was real: some query caught a churn document alive.
     assert any(set(ids) - base[xpath] for xpath, _, _, ids in observations)
 
-    for xpath in QUERIES:
+    for xpath in queries:
         assert set(service.execute(xpath).ids) == base[xpath]
-    service.close()
+
+
+def _churn_tier(replicas: int = 1) -> ShardedQueryService:
+    service = ShardedQueryService.from_documents(
+        _documents(4), num_shards=4, placement="round_robin", replicas=replicas
+    )
+    service.build_index("rootpaths")
+    service.build_index("datapaths")
+    return service
+
+
+def test_concurrent_scattered_queries_share_one_collection():
+    """Eight callers scatter the same queries over the same shards under churn."""
+    with _churn_tier() as service:
+        _race_callers_against_churn(service, [QUERIES] * CHURN_CALLERS)
+
+
+def test_concurrent_callers_share_one_prepared_plan_under_churn():
+    """Plans shared between requests, replica locks and a writer stay sound.
+
+    Eight callers open on the same never-seen text at once (the barrier
+    lines their first plan-cache miss up), eight more each bring a text
+    of their own, and all sixteen then run legs of the same twig objects
+    on different replicas, under different replica locks, beside the
+    add/remove writer.  Every answer must still be a consistent cut,
+    and afterwards the tier holds one plan per text — the object every
+    later request is handed.
+    """
+    shared = "/site/people/person[profile/education]/name"
+    own = [
+        f"/site/people/person[profile/@income][address/city]/emailaddress[. = 'x{i}']"
+        if i % 2
+        else f"//open_auction[bidder/increase][@id = 'open_auction{i}']/current"
+        for i in range(CHURN_CALLERS)
+    ]
+    with _churn_tier(replicas=2) as service:
+        assert len(service.plan_cache) == 0
+        _race_callers_against_churn(
+            service,
+            [(shared, QUERIES[0])] * CHURN_CALLERS
+            + [(xpath, QUERIES[1]) for xpath in own],
+        )
+        assert sorted(service.plan_cache) == sorted({shared, *own, *QUERIES[:2]})
+        plan = service.plan(shared)
+        assert service.plan(shared) is plan and plan.analysis is not None
+        for compiled in plan.compiled.values():
+            assert compiled.analysis.twig is plan
+        assert service.execute(shared).ids == service.oracle(shared)

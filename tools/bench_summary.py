@@ -37,7 +37,7 @@ HEADLINES = {
     "frontdoor": "coalesce_qps_ratio",
     "incremental_update": "cost_ratio",
     "kernels": "sections/fig12_mixed/speedup",
-    "observability": "paired_ratio_median",
+    "observability": "overhead_us_per_query",
     "rebalance": "skew_recovery/cost_ratio",
     "remove_replace": "cost_ratio",
     "service_throughput": "speedup",
