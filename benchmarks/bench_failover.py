@@ -11,15 +11,17 @@ The *healthy* run is left alone.  In the *faulted* run, a seeded
 after two rounds, mid-workload: every subsequent read that routes to it
 raises, the health machine walks the replica healthy → suspect → dead,
 and the shard quarantines it and retries the failed reads on the
-surviving replicas.
+surviving replicas.  Every measured read passes
+``use_result_cache=False``: a repeated query otherwise lands at the
+tier's answer cache and never reaches a replica, and a failover bench
+measures reads that do.
 
 Asserted, per round and per query, for both runs: answers bit-identical
 to a never-faulted **single** engine over the same documents (not just
 the sharded oracle — the whole distributed tier against one
 :class:`~repro.TwigIndexDatabase`).  Asserted on throughput: the
 faulted run keeps at least **0.6x** the healthy run's queries/s — the
-failure costs the failed attempts and the lost cache capacity of one
-replica, not availability.  The failover counters (reads retried,
+failure costs the failed attempts, not availability.  The failover counters (reads retried,
 replicas failed) are asserted through ``describe()``.
 
 Summarized into ``BENCH_failover.json``
@@ -97,7 +99,9 @@ def _serve(service: ShardedQueryService, workload, faulted: bool) -> dict:
         started = now()
         round_answers = {}
         for xpath in workload:
-            round_answers[xpath] = service.execute(xpath).ids
+            round_answers[xpath] = service.execute(
+                xpath, use_result_cache=False
+            ).ids
         round_seconds.append(now() - started)
         answers.append(round_answers)
     describe = service.describe()

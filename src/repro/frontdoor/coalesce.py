@@ -2,14 +2,15 @@
 
 Under concurrency a hot query arrives many times while its first
 arrival is still executing.  Without coalescing each arrival pays full
-execution (the result cache only helps *after* the first completion);
+execution (a landed answer only helps *after* the first completion);
 with it, the first arrival becomes the flight *leader*, every identical
 arrival becomes a *follower* awaiting the leader's future, and the
 engine runs once per flight regardless of the concurrent client count.
 
-The flight key is ``(normalized_xpath, strategy, options, documents,
-use_result_cache, generation)`` — built by the front door from
-:meth:`~repro.service.base.ServingFacade.generation` — so two requests
+The flight key is the service's
+:meth:`~repro.service.base.ServingFacade.answer_key` for the request —
+``(normalized_xpath, strategy + options, documents, generation)`` —
+paired with ``use_result_cache``, so two requests
 share a flight only when no write landed between them: a write bumps
 the generation, later arrivals key to a *new* flight, and the old one
 keeps serving only the waiters that arrived before the write (each of
@@ -99,8 +100,11 @@ class SingleFlight:
             return result, False
         finally:
             # Popped before the leader returns: later arrivals start a
-            # fresh flight instead of reading a completed one (the
-            # result cache, keyed the same way, covers *that* window).
+            # fresh flight instead of reading a completed one.  That
+            # window is the service's answer cache's: the leader's
+            # ``execute`` files its answer under the same key unless a
+            # write raced it, and the front door looks there before it
+            # asks for a flight.
             self._flights.pop(key, None)
 
     def describe(self) -> dict[str, object]:

@@ -20,12 +20,15 @@ Request flow (the order is the admission pipeline of
 
 1. **validate** — malformed bodies are 400s before any accounting;
 2. **quota** — the tenant's token bucket (fast 429, ``retry_after``);
-3. **coalesce** — identical in-flight queries (same normalized xpath,
+3. **landed?** — an answer the service already gathered for this
+   question at the current generation (its ``answer_cache``) is
+   returned from the event loop: no flight, slot or worker thread;
+4. **coalesce** — identical in-flight queries (same normalized xpath,
    strategy, options, scope, cache flag *and service generation*) join
    the running flight as followers and never touch the engine;
-4. **admit** — flight leaders take one of ``max_concurrency`` slots or
+5. **admit** — flight leaders take one of ``max_concurrency`` slots or
    wait in the bounded queue (fast 503 beyond it);
-5. **execute** — the blocking ``service.execute`` runs on the front
+6. **execute** — the blocking ``service.execute`` runs on the front
    door's thread pool, inside the caller's telemetry context, so the
    engine's ``query`` span lands under this request's trace.
 
@@ -39,6 +42,7 @@ import asyncio
 import contextvars
 import inspect
 import json
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Optional, Union
 
@@ -118,20 +122,33 @@ class FrontDoor:
             attributes["query_id"] = request.query_id
         try:
             with self.telemetry.span("frontdoor", **attributes) as root:
-                response = await self._admit_and_run(request, started)
-                root.annotate(
-                    outcome="coalesced" if response.coalesced else "executed",
-                    strategy=response.strategy,
-                )
+                response, outcome = await self._admit_and_run(request, started)
+                root.annotate(outcome=outcome, strategy=response.strategy)
         except FrontDoorError as error:
             self.requests_rejected += 1
             self._record(request, started, outcome=error.code, served=False)
+            raise
+        except ReproError:
+            # Parse/planning/lookup errors are the query's own fault.
+            self._record(request, started, outcome="query-error", served=False)
+            raise
+        except Exception as error:
+            # Not a refusal and not the query's fault: keep what an
+            # operator needs to find it, then let the caller answer 500.
+            self.telemetry.event(
+                "internal-error",
+                xpath=request.xpath,
+                tenant=request.tenant,
+                error=repr(error),
+                traceback=traceback.format_exc(),
+            )
+            self._record(request, started, outcome="internal-error", served=False)
             raise
         self.requests_served += 1
         self._record(
             request,
             started,
-            outcome="coalesced" if response.coalesced else "executed",
+            outcome=outcome,
             served=True,
             cached=response.cached,
             strategy=response.strategy,
@@ -140,7 +157,8 @@ class FrontDoor:
 
     async def _admit_and_run(
         self, request: QueryRequest, started: float
-    ) -> QueryResponse:
+    ) -> tuple[QueryResponse, str]:
+        """The response and how it was come by (the ``outcome`` label)."""
         if self.admission.draining:
             raise DrainingError("server is draining; not accepting new queries")
         if request.documents is not None and not self._supports_documents:
@@ -150,9 +168,24 @@ class FrontDoor:
             )
         self.admission.check_quota(request.tenant)
         key = self.flight_key(request)
+        answers = self.service.answer_cache
+        if key is not None and request.use_result_cache and key[0] in answers:
+            # Probed first, because a miss here is not the request's
+            # lookup: ``execute`` makes that one on a worker, and counts
+            # it, so the cache's counters see every request once.  Only
+            # the cache's own lock is taken, never a replica's service
+            # lock, so a writer cannot stall the loop; and the stored
+            # answer is never handed out -- the response copies what it
+            # keeps of it.
+            landed = answers.get(key[0])
+            if landed is not None:
+                response = QueryResponse.from_result(
+                    request, landed, False, elapsed_seconds=_now() - started
+                )
+                return response, "landed"
         with self.telemetry.span("coalesce", xpath=request.xpath) as span:
             result, coalesced = await self.flights.run(
-                key, lambda: self._execute(request)
+                key if self.coalesce else None, lambda: self._execute(request)
             )
             span.annotate(
                 outcome="hit" if coalesced else "lead",
@@ -165,9 +198,10 @@ class FrontDoor:
             # Followers share the leader's QueryResult object; hand each
             # its own copy so no client can mutate another's answer.
             result = ServingFacade._copy_result(result, cached=result.cached)
-        return QueryResponse.from_result(
+        response = QueryResponse.from_result(
             request, result, coalesced, elapsed_seconds=_now() - started
         )
+        return response, "coalesced" if coalesced else "executed"
 
     async def _execute(self, request: QueryRequest) -> QueryResult:
         """The leader's path: bounded admission, then a worker thread."""
@@ -204,26 +238,23 @@ class FrontDoor:
     # Coalescing key
     # ------------------------------------------------------------------
     def flight_key(self, request: QueryRequest) -> Optional[tuple]:
-        """``(normalized_xpath, strategy, options, scope, cache, generation)``.
+        """``(answer key, cache flag)``: what may share one execution.
 
-        ``None`` (no coalescing) when disabled or when the options are
-        unhashable; the generation component is what keeps a write from
-        ever being masked by an older in-flight execution.
+        The first half is the service's own
+        :meth:`~repro.service.base.ServingFacade.answer_key` — query,
+        strategy and options, scope, generation — so a flight and a
+        landed answer are the same question by construction, and the
+        generation in it is what keeps a write from ever being masked
+        by an older execution.  ``None`` (nothing shared) when the
+        options are unhashable.
         """
-        if not self.coalesce:
-            return None
-        options_key = ServingFacade._options_key(
-            request.strategy, dict(request.options)
-        )
-        if options_key is None:
-            return None
-        return (
+        key = self.service.answer_key(
             normalize_xpath(request.xpath),
-            options_key,
+            request.strategy,
+            request.options,
             request.documents,
-            request.use_result_cache,
-            self.service.generation(),
         )
+        return None if key is None else (key, request.use_result_cache)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -302,8 +333,15 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
+}
+
+_HEADER_TOO_LARGE = {
+    "error": "header-too-large",
+    "status": 431,
+    "message": "request line and headers exceed the 64 KiB read buffer",
 }
 
 #: Refuse request bodies past this size (a malformed content-length
@@ -398,6 +436,14 @@ class FrontDoorServer:
                 self._idle.add(writer)
                 try:
                     parsed = await self._read_request(reader)
+                except asyncio.LimitOverrunError:
+                    # The header block outgrew the stream's buffer: say
+                    # so and hang up, the rest of it is unread.
+                    parsed = None
+                    self._write_response(
+                        writer, *self._json(431, _HEADER_TOO_LARGE), False
+                    )
+                    await writer.drain()
                 finally:
                     self._idle.discard(writer)
                 if parsed is None:
@@ -431,19 +477,26 @@ class FrontDoorServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        request_line = await reader.readline()
-        if not request_line:
+        """One request off the wire, or ``None`` at a clean end of stream.
+
+        The request line and headers arrive in one await and are split
+        as one string; ``LimitOverrunError`` (no blank line within the
+        stream's 64 KiB buffer) is the caller's 431.
+        """
+        try:
+            block = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if error.partial:
+                raise
             return None
-        parts = request_line.decode("latin-1").split()
+        request_line, *lines = block[:-4].decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) < 2:
-            raise asyncio.IncompleteReadError(request_line, None)
+            raise asyncio.IncompleteReadError(block, None)
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in lines:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
@@ -499,16 +552,23 @@ class FrontDoorServer:
         except ReproError as error:
             # Parse/planning/lookup errors are the *query's* fault: a
             # deterministic 400, never a 500.
-            return self._json(
-                400,
-                {
-                    "error": "query-error",
-                    "status": 400,
-                    "kind": type(error).__name__,
-                    "message": str(error),
-                },
-            )
+            return self._fault(400, "query-error", error)
+        except Exception as error:  # repro-lint: ignore[RPR005] -- answered as a typed 500 and counted by handle(); re-raising would kill the connection handler
+            return self._fault(500, "internal-error", error)
         return self._json(200, response.to_dict())
+
+    @classmethod
+    def _fault(cls, status: int, code: str, error: Exception):
+        """The JSON answer to an error the front door did not raise itself."""
+        return cls._json(
+            status,
+            {
+                "error": code,
+                "status": status,
+                "kind": type(error).__name__,
+                "message": str(error),
+            },
+        )
 
     @staticmethod
     def _json(status: int, payload: object, extra=()):

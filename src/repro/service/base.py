@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..obs import Telemetry, Trace
 from ..obs.clock import now as _now
@@ -82,6 +82,12 @@ class ServingFacade:
     telemetry: Telemetry
     #: Normalised query text -> parsed twig; subclasses size it.
     plan_cache: LRUCache
+    #: :meth:`answer_key` -> the whole answer of one ``execute``, as a
+    #: hit reports it (``cached=True``).  The sharded tier sizes it; a
+    #: facade whose ``execute`` is already one cache lookup switches it
+    #: off with ``LRUCache(0)``.  The front door reads it on the event
+    #: loop, so nothing but the cache's own lock may guard it.
+    answer_cache: LRUCache
 
     # ------------------------------------------------------------------
     # Hooks subclasses implement
@@ -117,11 +123,31 @@ class ServingFacade:
 
         Subclasses return a hashable tuple that moves on every
         client-visible write (document add/remove/replace/move, index
-        build).  The front door keys its single-flight coalescing on
-        it, so two requests may share one execution only when no write
-        landed between them.
+        build).  It closes every :meth:`answer_key`, so two requests
+        may share one execution -- in flight or landed -- only when no
+        write came between them.
         """
         raise NotImplementedError
+
+    def answer_key(
+        self,
+        xpath_key: str,
+        strategy: str,
+        strategy_options: Mapping,
+        documents: Optional[Sequence[str]] = None,
+    ) -> Optional[tuple]:
+        """``(normalised xpath, options key, documents scope, generation)``.
+
+        What one answer is an answer *to*: the key of the
+        :attr:`answer_cache` and, with the cache flag beside it, of the
+        front door's flights.  ``None`` when the options are
+        unhashable -- such a request shares nothing.
+        """
+        key = self._result_key(xpath_key, strategy, strategy_options)
+        if key is None:
+            return None
+        scope = None if documents is None else tuple(documents)
+        return key + (scope, self.generation())
 
     # ------------------------------------------------------------------
     # Prepared plans (shared)
@@ -308,7 +334,7 @@ class ServingFacade:
     # Cache key and copy helpers (shared)
     # ------------------------------------------------------------------
     @staticmethod
-    def _options_key(name: str, options: dict) -> Optional[tuple]:
+    def _options_key(name: str, options: Mapping) -> Optional[tuple]:
         try:
             key = (name, tuple(sorted(options.items())))
             hash(key)  # building the tuple alone never hashes the values
@@ -318,7 +344,7 @@ class ServingFacade:
         return key
 
     def _result_key(
-        self, normalized_xpath: str, strategy: str, strategy_options: dict
+        self, normalized_xpath: str, strategy: str, strategy_options: Mapping
     ) -> Optional[tuple]:
         options_key = self._options_key(strategy, strategy_options)
         if options_key is None:

@@ -89,6 +89,9 @@ class QueryService(ServingFacade):
             ttl_seconds=result_cache_ttl,
             on_clear=self._cache_clear_listener("result"),
         )
+        #: Off: ``execute`` here is already one lookup in ``result_cache``,
+        #: so there is no gathered answer to keep above it.
+        self.answer_cache = LRUCache(0)
         #: Memoised StrategyChoice per normalized query; flushed with the
         #: result cache (a choice depends on the built-index generation).
         self.choice_cache = LRUCache(

@@ -825,8 +825,15 @@ class ReplicatedShard:
                 replica.invalidate(rebuilt=rebuilt)
 
     def generation(self) -> tuple:
-        """The primary's change fingerprint (replicas track it in lock-step)."""
-        return self.primary.generation()
+        """Every replica's change fingerprint, in slot order.
+
+        Not the primary's alone: write-through maintains the primary
+        first, so between the two halves a read can be handed a
+        secondary that has not absorbed the write yet.  With every
+        replica in the fingerprint that stretch has a generation of its
+        own, and nothing keyed on it outlives the write.
+        """
+        return tuple(replica.generation() for replica in self.replicas)
 
     def document_at(self, local_start: int) -> Document:
         return self.primary.document_at(local_start)

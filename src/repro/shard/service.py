@@ -14,6 +14,13 @@ cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
   :class:`~repro.query.twig.TwigPattern`, which carries its analysis
   and compiled joins: parsing, analysing and join-compiling are
   functions of the text alone, so no shard or replica repeats them;
+* **land** — the tier keeps the gathered answer of each request under
+  its :meth:`~repro.service.base.ServingFacade.answer_key` (query,
+  strategy and options, scope, :meth:`~ShardedQueryService.generation`),
+  so a repeat at the same generation is one lookup and none of the
+  steps below; an answer is filed only if the generation still reads
+  the same after the gather, so never under a state it was not
+  computed at;
 * **scatter** — each relevant shard evaluates the twig through its own
   :class:`~repro.service.QueryService`, so per-shard result caches,
   generation fingerprints and ``strategy="auto"``
@@ -130,6 +137,16 @@ class ShardedQueryService(ServingFacade):
         #: plan is a function of the text alone, so no document write
         #: or index build can make one stale.
         self.plan_cache = LRUCache(plan_cache_size)
+        #: Landed answers: the gathered result of one ``execute`` under
+        #: its :meth:`~repro.service.base.ServingFacade.answer_key`, so
+        #: a repeat at the same generation costs one lookup -- no
+        #: scatter here, and no flight, slot or worker thread at the
+        #: front door, which reads this on its event loop.  Sized and
+        #: aged like the per-replica result caches below it, which keep
+        #: the partial answers a write to another shard did not touch.
+        self.answer_cache = LRUCache(
+            result_cache_size, ttl_seconds=result_cache_ttl
+        )
         #: The self-driving rebalance trigger; off unless
         #: ``auto_rebalance=True``.  ``execute`` ticks it after every
         #: query, so skew checks run *between* queries — never on a
@@ -150,6 +167,8 @@ class ShardedQueryService(ServingFacade):
         )
         self.queries_executed = 0
         self._counter_lock = threading.Lock()
+        #: The last fingerprint :meth:`generation` returned.
+        self._generation_read: tuple = ()
 
     @classmethod
     def from_documents(
@@ -263,7 +282,8 @@ class ShardedQueryService(ServingFacade):
         self.collection.ensure_indexes_for(strategy_name)
 
     def invalidate(self, rebuilt: bool = True) -> None:
-        """Flush every shard's service caches (every replica's, too)."""
+        """Flush the landed answers and every replica's service caches."""
+        self.answer_cache.clear()
         for shard in self.collection.shards:
             shard.invalidate(rebuilt=rebuilt)
 
@@ -271,16 +291,28 @@ class ShardedQueryService(ServingFacade):
         """A cheap fingerprint of everything that can change answers.
 
         The topology epoch (placements, moves, rebalances) plus every
-        shard's service generation (documents, index builds and
+        replica's service generation (documents, index builds and
         maintenance).  Read lock-free — see
         :meth:`QueryService.generation
         <repro.service.QueryService.generation>` for the contract: any
-        client-visible write is reflected in every later read, which is
-        exactly what the front door's coalescing key needs.
+        client-visible write is reflected in every later read.  Every
+        component only ever advances, so two equal reads bracket a
+        stretch in which nothing a query can see changed — the rule
+        :meth:`execute` lands answers by.
         """
-        return (self.collection.topology.epoch,) + tuple(
+        current = (self.collection.topology.epoch,) + tuple(
             shard.generation() for shard in self.collection.shards
         )
+        # Between writes every read is equal; hand out one object, so
+        # the keys that hold a generation (one per landed answer) keep
+        # one nest of tuples alive between them, not one each for the
+        # collector to count and walk.  A racing reader at worst keeps
+        # an equal tuple of its own.
+        last = self._generation_read
+        if current == last:
+            return last
+        self._generation_read = current
+        return current
 
     # ------------------------------------------------------------------
     # Execution: scatter, prune, gather
@@ -314,27 +346,52 @@ class ShardedQueryService(ServingFacade):
         with self.telemetry.span("query", **attributes) as root:
             with self.telemetry.span("plan"):
                 twig = self.plan(query)
-            targets = self._target_shards(documents)
-            with self.telemetry.span("scatter", shards=len(targets)):
-                partials = self._scatter(
-                    targets, twig, strategy, use_result_cache, strategy_options,
-                    query_id=query_id,
-                )
-            with self.telemetry.span("gather"):
-                result = self._gather(xpath, strategy, targets, partials, started)
+            key = (
+                self.answer_key(twig.key, strategy, strategy_options, documents)
+                if use_result_cache
+                else None
+            )
+            landed = self.answer_cache.get(key) if key is not None else None
+            if landed is not None:
+                result = self._copy_result(landed, cached=True)
+            else:
+                targets = self._target_shards(documents)
+                with self.telemetry.span("scatter", shards=len(targets)):
+                    partials = self._scatter(
+                        targets, twig, strategy, use_result_cache,
+                        strategy_options, query_id=query_id,
+                    )
+                with self.telemetry.span("gather"):
+                    result = self._gather(
+                        xpath, strategy, targets, partials, started
+                    )
+                # File the answer only under a state it was computed at:
+                # generation components never go back, so an unchanged
+                # fingerprint means no leg and no translation above saw
+                # a write.  A racing write costs this entry, never a
+                # later reader's answer.
+                if key is not None and self.generation() == key[-1]:
+                    self.answer_cache.put(
+                        key, self._copy_result(result, cached=True)
+                    )
             root.annotate(
-                strategy=result.strategy, cached=result.cached, ids=len(result.ids)
+                strategy=result.strategy,
+                cached=result.cached,
+                landed=landed is not None,
+                ids=len(result.ids),
             )
         self.telemetry.record_query(
             "sharded", result.strategy, root.duration_seconds, result.cached
         )
         with self._counter_lock:
             self.queries_executed += 1
-        # The between-queries heartbeat of the self-driving tier: the
-        # answer is already gathered, so a due skew check (and an
-        # inline-mode rebalance) delays only the turnaround of this
-        # call, never a scatter in flight.
-        self.operations.tick()
+        if landed is None:
+            # The between-queries heartbeat of the self-driving tier,
+            # counted in gathers: the answer is already merged, so a due
+            # skew check (and an inline-mode rebalance) delays only the
+            # turnaround of this call, never a scatter in flight.  A
+            # landed answer touched no shard and moves no skew.
+            self.operations.tick()
         return result
 
     def _target_shards(
@@ -490,7 +547,10 @@ class ShardedQueryService(ServingFacade):
         )
 
     def _cache_reports(self) -> dict[str, dict[str, object]]:
-        reports: dict[str, dict[str, object]] = {"plan": self.plan_cache.describe()}
+        reports: dict[str, dict[str, object]] = {
+            "plan": self.plan_cache.describe(),
+            "answer": self.answer_cache.describe(),
+        }
         for shard in self.collection.shards:
             service_report = shard.service_report()
             for cache_name, short in (
@@ -507,14 +567,19 @@ class ShardedQueryService(ServingFacade):
         report = self.collection.describe()
         report["telemetry"] = self.telemetry.describe()
         shard_reports = [shard["service"] for shard in report["shards"]]
+        # Requests look plans and landed answers up in the tier's own
+        # caches and count there; the replicas' caches see only what
+        # reaches a leg (for plans: text handed to a shard directly)
+        # and count beside them.
+        tier_caches = {
+            "plan_cache": self.plan_cache,
+            "result_cache": self.answer_cache,
+        }
         aggregated: dict[str, dict[str, int]] = {}
         for cache_name in ("plan_cache", "result_cache", "choice_cache"):
             reports = [r[cache_name] for r in shard_reports]
-            if cache_name == "plan_cache":
-                # Requests look plans up in the tier's cache, once each;
-                # the replicas' own only see text handed to a shard
-                # directly, and count beside it.
-                reports.append(self.plan_cache.describe())
+            if cache_name in tier_caches:
+                reports.append(tier_caches[cache_name].describe())
             aggregated[cache_name] = {
                 counter: sum(r[counter] for r in reports)
                 for counter in (
@@ -528,6 +593,7 @@ class ShardedQueryService(ServingFacade):
                 )
             }
         report["caches"] = aggregated
+        report["answer_cache"] = self.answer_cache.describe()
         report["invalidations"] = {
             "total": sum(r["invalidations"] for r in shard_reports),
             "result_only": sum(r["result_invalidations"] for r in shard_reports),

@@ -102,11 +102,19 @@ def test_cold_request_prepares_once_for_all_eight_replicas(prepare_counts):
         flavours = prepare_counts["compiled"]
         assert 1 <= len(flavours) <= 2 and len(set(flavours)) == len(flavours)
 
-        # Round-robin sends the repeat to each shard's *other* replica:
-        # it executes (its result cache is cold) with the first
-        # request's plan.  Only a flavour no replica ran yet may still
-        # be compiled, and then once.
-        second = service.execute(xpath)
+        # The repeat lands at the tier: no leg runs, no replica is read.
+        landed = service.execute(xpath)
+        assert landed.cached and landed.ids == first.ids
+        assert service.answer_cache.hits == 1
+        assert all(
+            shard.replica_reads == [1, 0] for shard in service.collection.shards
+        )
+
+        # Past the tier's cache round-robin sends the repeat to each
+        # shard's *other* replica: it executes with the first request's
+        # plan.  Only a flavour no replica ran yet may still be
+        # compiled, and then once.
+        second = service.execute(xpath, use_result_cache=False)
         assert not second.cached and second.ids == first.ids
         assert all(
             shard.replica_reads == [1, 1] for shard in service.collection.shards

@@ -11,6 +11,8 @@ replicas together through the one aggregation path
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import ShardedQueryService
@@ -19,6 +21,7 @@ from repro.errors import DocumentError
 from repro.shard import (
     LeastLoadedPicker,
     READ_PICKERS,
+    ReadPicker,
     ReplicatedShard,
     RoundRobinPicker,
     StickyPicker,
@@ -112,6 +115,59 @@ def test_reads_fan_out_and_are_counted():
     for _ in range(6):
         assert shard.execute(xpath, strategy="rootpaths").ids == expected
     assert shard.replica_reads == [2, 2, 2]
+
+
+class _LastReplica(ReadPicker):
+    """Every read to the highest eligible slot: the secondary, when alive."""
+
+    name = "last"
+
+    def pick(self, in_flight, query_key, slots=None):
+        return len(in_flight) - 1
+
+
+def test_generation_names_the_stretch_between_write_through_halves():
+    """Regression: ``generation()`` was the primary's fingerprint alone.
+
+    Write-through maintains the primary first.  Until the secondary has
+    caught up its lock is free and it answers with the pre-write state,
+    while the primary's fingerprint already reads post-write -- so an
+    answer keyed on it (a flight, a landed answer) was filed under the
+    finished write and outlived it.  A read issued after the ack must
+    never get the pre-write ids.
+    """
+    xpath = "/site/people/person/name"
+    with ShardedQueryService.from_documents(
+        [_doc(0), _doc(1)], num_shards=1, replicas=2, read_picker=_LastReplica()
+    ) as service:
+        service.build_index("rootpaths")
+        before = service.execute(xpath).ids
+        secondary = service.collection.shards[0].replicas[1]
+        parked, release = threading.Event(), threading.Event()
+
+        def parked_add(document, _real=secondary.add_document):
+            parked.set()
+            assert release.wait(timeout=30), "never released"
+            return _real(document)
+
+        secondary.add_document = parked_add
+        writer = threading.Thread(target=service.add_document, args=(_doc(2),))
+        writer.start()
+        try:
+            assert parked.wait(timeout=30)
+            # Between the halves: the primary holds the document, the
+            # secondary does not, and serves.  Legal -- the write is
+            # still in flight -- and now a generation of its own.
+            between = service.generation()
+            assert service.execute(xpath).ids == before
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert service.generation() != between
+        after = service.execute(xpath)
+        assert not after.cached
+        assert after.ids == service.oracle(xpath) and len(after.ids) > len(before)
 
 
 def test_replica_stats_merge_through_the_one_aggregation_path():

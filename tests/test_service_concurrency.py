@@ -26,12 +26,14 @@ and checks each observed answer against the admissible set.
 
 from __future__ import annotations
 
+import asyncio
+import itertools
 import sys
 import threading
 
 import pytest
 
-from repro import ShardedQueryService, TwigIndexDatabase
+from repro import FrontDoor, QueryRequest, ShardedQueryService, TwigIndexDatabase
 from repro.datasets import generate_xmark
 
 QUERIES = (
@@ -230,30 +232,55 @@ CHURN_CALLERS = 8
 CHURN_INCARNATIONS = 10
 
 
-def _race_callers_against_churn(service, caller_queries):
-    """Race one add/remove writer against one thread per ``caller_queries`` entry.
+def _race_callers_against_churn(service, caller_queries, ask=None, full_churn=False):
+    """Race one churn writer against one thread per ``caller_queries`` entry.
 
     The writer adds and removes a ``churn`` document over and over
     (round-robin placement lands each incarnation on the next shard)
-    while each caller keeps issuing its own queries.  State *s* is the
-    collection after the writer's first *s* operations, so incarnation
-    *k* is whole in state ``2k + 1`` only.  A query that read ``done ==
-    lo`` before it started and ``done == hi - 1`` after it returned can
-    have observed states ``lo .. hi`` (operation ``hi`` may have been in
-    flight).  Its answer must be a consistent cut of that window: every
-    base match, plus *whole* incarnations only, each alive in some state
-    of the window, and no two from the same shard (a leg sees one state
-    of its shard).
+    while each caller keeps issuing its own queries through ``ask``
+    (``xpath -> ids``; the service's own ``execute`` by default).  With
+    ``full_churn`` every incarnation is also replaced by a different
+    document and then moved one shard on before it is removed.
+
+    State *s* is the collection after the writer's first *s*
+    operations.  A *version* is one document the churn name stood for:
+    its match ids per query, and the shard it lived on in each state it
+    was alive in (a replace starts a new version with new ids, a move
+    keeps the version and gives it a second home).  A query that read
+    ``done == lo`` before it started and ``done == hi - 1`` after it
+    returned can have observed states ``lo .. hi`` (operation ``hi``
+    may have been in flight).  Its answer must be a consistent cut of
+    that window: every base match, plus *whole* versions only, each
+    alive in some state of the window, and no two read off the same
+    shard (a leg sees one state of its shard).
     """
+    if ask is None:
+        def ask(xpath):
+            return service.execute(xpath).ids
+
     queries = sorted({xpath for mine in caller_queries for xpath in mine})
     base = {xpath: set(service.oracle(xpath)) for xpath in queries}
-    incarnations: list[dict] = []  # alive state, shard, match ids per query
+    versions: list[dict] = []  # match ids per query, {alive state: shard}
     done = [0]  # operations the writer has finished
     observations: list[tuple[str, int, int, list[int]]] = []
     observations_lock = threading.Lock()
     errors: list[BaseException] = []
     writer_done = threading.Event()
     start = threading.Barrier(len(caller_queries) + 1)
+
+    def finished(new_version: bool) -> int:
+        """Count the operation that just returned; record what it left."""
+        (placement,) = service.collection.placements_for("churn")
+        if new_version:
+            # Only this thread writes, so the oracle is stable here.
+            ids = {
+                xpath: set(service.oracle(xpath)) - base[xpath]
+                for xpath in queries
+            }
+            versions.append({"ids": ids, "homes": {}})
+        done[0] += 1
+        versions[-1]["homes"][done[0]] = placement.shard_index
+        return placement.shard_index
 
     def writer():
         try:
@@ -262,16 +289,17 @@ def _race_callers_against_churn(service, caller_queries):
                 service.add_document(
                     generate_xmark(scale=0.015, seed=900, name="churn")
                 )
-                # Only this thread writes, so the oracle is stable here.
-                ids = {
-                    xpath: set(service.oracle(xpath)) - base[xpath]
-                    for xpath in queries
-                }
-                done[0] += 1
-                placement = service.remove_document("churn")
-                incarnations.append(
-                    {"state": done[0], "shard": placement.shard_index, "ids": ids}
-                )
+                shard = finished(new_version=True)
+                if full_churn:
+                    service.replace_document(
+                        "churn", generate_xmark(scale=0.015, seed=901, name="churn")
+                    )
+                    shard = finished(new_version=True)
+                    service.move_document(
+                        "churn", (shard + 1) % service.collection.num_shards
+                    )
+                    finished(new_version=False)
+                service.remove_document("churn")
                 done[0] += 1
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
@@ -286,7 +314,7 @@ def _race_callers_against_churn(service, caller_queries):
                 rounds += 1
                 for xpath in mine:
                     lo = done[0]
-                    ids = service.execute(xpath).ids
+                    ids = ask(xpath)
                     hi = done[0] + 1
                     with observations_lock:
                         observations.append((xpath, lo, hi, ids))
@@ -308,27 +336,38 @@ def _race_callers_against_churn(service, caller_queries):
         sys.setswitchinterval(interval)
     assert not errors, errors
 
-    assert {entry["shard"] for entry in incarnations} == {0, 1, 2, 3}
-    assert any(ids for entry in incarnations for ids in entry["ids"].values())
+    assert {
+        shard for version in versions for shard in version["homes"].values()
+    } == {0, 1, 2, 3}
+    assert any(ids for version in versions for ids in version["ids"].values())
     for xpath, lo, hi, ids in observations:
         assert ids == sorted(set(ids))
         assert base[xpath] <= set(ids), f"{xpath}: base matches missing"
         extra = set(ids) - base[xpath]
-        seen = [entry for entry in incarnations if entry["ids"][xpath] & extra]
-        assert extra == set().union(*(entry["ids"][xpath] for entry in seen)), (
+        seen = [version for version in versions if version["ids"][xpath] & extra]
+        assert extra == set().union(*(version["ids"][xpath] for version in seen)), (
             f"{xpath}: torn read of a churn document"
         )
-        for entry in seen:
-            assert lo <= entry["state"] <= hi, (
-                f"{xpath}: saw state {entry['state']} outside [{lo}, {hi}]"
-            )
-        shards = [entry["shard"] for entry in seen]
-        assert len(shards) == len(set(shards)), f"{xpath}: two states of one shard"
+        homes = [
+            {
+                shard
+                for state, shard in version["homes"].items()
+                if lo <= state <= hi
+            }
+            for version in seen
+        ]
+        assert all(homes), (
+            f"{xpath}: saw a version alive only outside [{lo}, {hi}]: "
+            f"{[version['homes'] for version in seen]}"
+        )
+        assert any(
+            len(set(shards)) == len(shards) for shards in itertools.product(*homes)
+        ), f"{xpath}: two states of one shard"
     # The race was real: some query caught a churn document alive.
     assert any(set(ids) - base[xpath] for xpath, _, _, ids in observations)
 
     for xpath in queries:
-        assert set(service.execute(xpath).ids) == base[xpath]
+        assert set(ask(xpath)) == base[xpath]
 
 
 def _churn_tier(replicas: int = 1) -> ShardedQueryService:
@@ -377,3 +416,40 @@ def test_concurrent_callers_share_one_prepared_plan_under_churn():
         for compiled in plan.compiled.values():
             assert compiled.analysis.twig is plan
         assert service.execute(shared).ids == service.oracle(shared)
+
+
+def test_front_door_answers_stay_consistent_cuts_under_full_churn():
+    """Landed answers, flights and gathers beside add/replace/move/remove.
+
+    Eight callers ask through ``FrontDoor.handle`` -- one event loop,
+    the answer cache on, coalescing on -- while the writer takes the
+    churn document through every kind of write on a 4 x 2 tier.  An
+    answer filed under a generation it was not computed at, or a flight
+    that outlived a write, would hand some caller a version that was
+    alive only outside its window.
+    """
+    loop = asyncio.new_event_loop()
+    runner = threading.Thread(target=loop.run_forever)
+    with _churn_tier(replicas=2) as service, FrontDoor(service) as door:
+
+        def ask(xpath):
+            response = asyncio.run_coroutine_threadsafe(
+                door.handle(QueryRequest(xpath=xpath)), loop
+            ).result(timeout=60)
+            return list(response.ids)
+
+        runner.start()
+        try:
+            _race_callers_against_churn(
+                service, [QUERIES] * CHURN_CALLERS, ask=ask, full_churn=True
+            )
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            runner.join(timeout=30)
+            loop.close()
+        # The race went through every path: landed, led and followed.
+        assert service.answer_cache.hits > 0
+        assert door.flights.flights_started > 0
+        report = service.describe()["maintenance"]
+        assert report["documents_replaced"] == CHURN_INCARNATIONS
+        assert report["documents_moved"] == CHURN_INCARNATIONS

@@ -4,6 +4,7 @@ per-shard cache invalidation and cross-shard stats aggregation."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -239,10 +240,21 @@ def test_describe_aggregates_shard_counters():
     assert report["placement"] == "round_robin"
     assert report["documents"] == 2
     assert len(report["shards"]) == 2
-    # Both shards missed once then hit once.
-    assert report["caches"]["result_cache"]["hits"] == 2
-    assert report["caches"]["result_cache"]["misses"] == 2
+    # The tier missed once, both shards missed under it, and the repeat
+    # landed at the tier without reaching a shard.
+    assert report["answer_cache"]["hits"] == 1
+    assert report["answer_cache"]["misses"] == 1
+    assert report["caches"]["result_cache"]["hits"] == 1
+    assert report["caches"]["result_cache"]["misses"] == 3
     assert report["queries_executed"] == 2
+    # Past the tier's cache both shards hit once, and the sum shows it.
+    service.execute(xpath, use_result_cache=False)
+    service.execute(xpath)
+    report = service.describe()
+    assert report["answer_cache"]["hits"] == 2
+    assert report["answer_cache"]["misses"] == 1
+    assert report["caches"]["result_cache"]["hits"] == 2
+    assert report["caches"]["result_cache"]["misses"] == 3
     service.close()
 
 
@@ -274,6 +286,117 @@ def test_legs_run_on_the_callers_thread_and_no_worker_threads_exist():
             assert result.ids == expected
         assert leg_threads == {threading.get_ident()}
         assert [t.name for t in threading.enumerate() if t.name.startswith("shard")] == []
+
+
+# ----------------------------------------------------------------------
+# Landed answers: the tier's own cache of gathered results
+# ----------------------------------------------------------------------
+XPATH = "/site/people/person/name"
+
+
+def _landing_tier(**options) -> ShardedQueryService:
+    service = ShardedQueryService.from_documents(
+        _named_docs(4), num_shards=2, placement="round_robin", replicas=2, **options
+    )
+    service.build_index("rootpaths")
+    return service
+
+
+def _replica_reads(service) -> int:
+    return sum(sum(shard.replica_reads) for shard in service.collection.shards)
+
+
+def test_landed_answer_is_the_gathers_and_reaches_no_replica():
+    with _landing_tier(auto_rebalance=True, rebalance_interval=1) as service:
+        gathered = service.execute(XPATH)
+        reads = _replica_reads(service)
+        landed = service.execute(XPATH)
+        assert landed.cached and not gathered.cached
+        assert (landed.ids, landed.strategy, landed.cost, landed.xpath) == (
+            gathered.ids, gathered.strategy, gathered.cost, gathered.xpath,
+        )
+        assert landed.ids == service.oracle(XPATH)
+        assert _replica_reads(service) == reads
+        # The rebalance heartbeat counts gathers, not lookups.
+        assert service.operations.describe()["ticks"] == 1
+        assert service.queries_executed == 2
+
+
+def test_callers_cannot_poison_a_landed_answer():
+    with _landing_tier() as service:
+        expected = service.oracle(XPATH)
+        for _ in range(3):  # the gather's own result, then two landed copies
+            result = service.execute(XPATH)
+            assert result.ids == expected and "poison" not in result.cost
+            result.ids.append(-1)
+            result.cost["poison"] = 1
+
+
+def test_cache_flag_scope_and_options_key_landed_answers_apart():
+    with _landing_tier() as service:
+        full = service.execute(XPATH)
+        scoped = service.execute(XPATH, documents=["doc-1"])
+        fixed = service.execute(XPATH, strategy="rootpaths")
+        assert not scoped.cached and not fixed.cached
+        assert set(scoped.ids) < set(full.ids)
+        assert len(service.answer_cache) == 3
+        assert service.execute(XPATH, documents=["doc-1"]).ids == scoped.ids
+        assert service.answer_cache.hits == 1
+
+        # Flag off: neither served from the cache nor filed in it.
+        lookups = service.answer_cache.hits + service.answer_cache.misses
+        reads = _replica_reads(service)
+        bypass = service.execute(XPATH, use_result_cache=False)
+        assert not bypass.cached and bypass.ids == full.ids
+        assert _replica_reads(service) == reads + 2
+        assert service.answer_cache.hits + service.answer_cache.misses == lookups
+        assert len(service.answer_cache) == 3
+
+        # Unhashable options (here a falsy list: the legacy evaluation
+        # path, same answers) cannot key anything: they run every time.
+        for _ in range(2):
+            odd = service.execute(XPATH, strategy="rootpaths", use_kernels=[])
+            assert not odd.cached and odd.ids == full.ids
+        assert len(service.answer_cache) == 3
+
+
+def test_invalidate_and_ttl_expiry_drop_landed_answers():
+    with _landing_tier(result_cache_ttl=0.05) as service:
+        service.execute(XPATH)
+        assert service.execute(XPATH).cached
+        service.invalidate(rebuilt=False)
+        assert len(service.answer_cache) == 0 and service.answer_cache.clears == 1
+        assert not service.execute(XPATH).cached
+        assert service.execute(XPATH).cached
+        time.sleep(0.06)
+        # Dated from its own put, like the partials under it: all expired.
+        assert not service.execute(XPATH).cached
+        assert service.answer_cache.expiries == 1
+        assert service.execute(XPATH).ids == service.oracle(XPATH)
+
+
+def test_a_write_to_one_shard_costs_every_answer_one_miss():
+    other = "//item/name"
+    with _landing_tier() as service:
+        for xpath in (XPATH, other):
+            service.execute(xpath)
+            assert service.execute(xpath).cached
+        reads = _replica_reads(service)
+        placed = service.collection.add_document(
+            generate_xmark(scale=0.01, seed=998, name="doc-new")
+        )
+        untouched = service.collection.shards[1 - placed.shard_index]
+        for xpath in (XPATH, other):
+            missed = service.execute(xpath)
+            assert not missed.cached and missed.ids == service.oracle(xpath)
+        # Every answer re-gathered once, on both shards -- and the shard
+        # the write did not touch answered from a replica's own cache.
+        assert _replica_reads(service) == reads + 4
+        assert untouched.service_report()["result_cache"]["hits"] == 2
+        reads += 4
+        for xpath in (XPATH, other):
+            assert service.execute(xpath).cached
+        assert _replica_reads(service) == reads
 
 
 # ----------------------------------------------------------------------
