@@ -39,9 +39,13 @@ fan-out can never alias one mutable answer across clients.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
+import gc
 import inspect
 import json
+import sys
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Optional, Union
@@ -348,6 +352,43 @@ _HEADER_TOO_LARGE = {
 #: must not buffer unbounded memory).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: The interpreter's thread switch interval while a server serves.  A
+#: read beside a write hops threads (loop -> worker -> loop) and waits
+#: one interval per hop for the writer to let go of the interpreter; the
+#: default 5 ms is the reads' mean spacing.  Chosen by the table in
+#: ``docs/BENCHMARKS.md`` ("The switch interval").
+SWITCH_INTERVAL_SECONDS = 0.001
+
+
+class _ServingPosture:
+    """Interpreter-wide serving settings, shared by a process's servers:
+    every entry freezes the heap built so far, the first also shortens
+    the switch interval, and the last exit undoes both (``gc.unfreeze()``
+    is all or nothing: what anyone else froze is unfrozen with it)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._found_interval = 0.0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._holders:
+                self._found_interval = sys.getswitchinterval()
+                sys.setswitchinterval(SWITCH_INTERVAL_SECONDS)
+            self._holders += 1
+            gc.freeze()
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._holders -= 1
+            if not self._holders:
+                sys.setswitchinterval(self._found_interval)
+                gc.unfreeze()
+
+
+_POSTURE = _ServingPosture()
+
 
 class FrontDoorServer:
     """A stdlib asyncio HTTP server around a :class:`FrontDoor`.
@@ -374,14 +415,34 @@ class FrontDoorServer:
         self._handlers: set[asyncio.Task] = set()
         self._idle: set[asyncio.StreamWriter] = set()
         self._stopping = False
+        #: Gives back what :meth:`start` took of the interpreter.
+        self._posture = contextlib.ExitStack()
 
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind and start serving; returns ``(host, port)``."""
+        """Bind and start serving; returns ``(host, port)``.
+
+        Takes the serving posture, given back by :meth:`stop` or a
+        failed bind: :data:`SWITCH_INTERVAL_SECONDS`, timed collector
+        pauses, and ``gc.freeze()`` — the heap built before listening
+        (corpus, indexes) is walked by no later collection.  The price
+        is a bounded leak: a frozen object that becomes cyclic garbage
+        while serving (a document held at ``start()`` and removed since)
+        is reclaimed only at ``stop()`` — at most the corpus held at
+        ``start()``.  What is added *and* removed while serving is
+        collected as ever.
+        """
         self._stopping = False
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
+        loop = asyncio.get_running_loop()
+        with contextlib.ExitStack() as posture:
+            posture.callback(
+                self.frontdoor.telemetry.watch_gc(loop.call_soon_threadsafe)
+            )
+            posture.enter_context(_POSTURE)
+            self._server = await asyncio.start_server(
+                self._serve_connection, self.host, self.port
+            )
+            self._posture = posture.pop_all()
         self.port = self._server.sockets[0].getsockname()[1]
         self.frontdoor.telemetry.event(
             "frontdoor-listening", host=self.host, port=self.port
@@ -423,6 +484,7 @@ class FrontDoorServer:
             # connection, so it must follow the hang-ups above.
             await self._server.wait_closed()
             self._server = None
+        self._posture.close()
         self.frontdoor.close()
 
     # ------------------------------------------------------------------

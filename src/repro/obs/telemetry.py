@@ -20,6 +20,7 @@ on enabled/disabled throughput, answers bit-identical).
 from __future__ import annotations
 
 import contextlib
+import gc
 from typing import Callable, Optional
 
 from .clock import now as _now
@@ -28,7 +29,11 @@ from .export import render_prometheus
 from .metrics import MetricsRegistry
 from .trace import NULL_SPAN, Span, Trace, Tracer
 
-__all__ = ["Telemetry"]
+__all__ = ["GC_PAUSE_EVENT_SECONDS", "Telemetry"]
+
+#: Collector pauses at least this long are ops events (``gc-pause``) as
+#: well as ``repro_gc_pause_seconds`` observations.
+GC_PAUSE_EVENT_SECONDS = 0.010
 
 
 class Telemetry:
@@ -96,6 +101,44 @@ class Telemetry:
             "repro_result_cache_lookups_total",
             "Result-cache outcomes of served queries, by tier",
         ).inc(tier=tier, outcome="hit" if cached else "miss")
+
+    def watch_gc(self, defer: Callable[..., object]) -> Callable[[], None]:
+        """Time every collection from now on; call the result to stop.
+
+        A collection holds the interpreter lock, so its length is a
+        pause of every thread.  The ``gc.callbacks`` hook runs under
+        whatever lock the interrupted thread holds, this hub's included,
+        so it takes none: ``defer(function, *args)`` must run the
+        recording later and elsewhere (a server passes its loop's
+        ``call_soon_threadsafe``).
+        """
+        started = 0.0
+
+        def record(generation: int, seconds: float) -> None:
+            self.metrics.histogram(
+                "repro_gc_pause_seconds", "Collector pauses, by generation collected"
+            ).observe(seconds, generation=generation)
+            if seconds >= GC_PAUSE_EVENT_SECONDS:
+                self.events.publish("gc-pause", generation=generation, seconds=seconds)
+
+        def on_gc(phase: str, info: dict) -> None:
+            nonlocal started
+            if not self.enabled:
+                return
+            if phase == "start":
+                started = _now()
+            else:
+                try:
+                    defer(record, info["generation"], _now() - started)
+                except RuntimeError:  # a closed loop: its server never stopped
+                    stop()
+
+        def stop() -> None:
+            if on_gc in gc.callbacks:
+                gc.callbacks.remove(on_gc)
+
+        gc.callbacks.append(on_gc)
+        return stop
 
     def _on_slow(self, trace: Trace) -> None:
         attributes = trace.root.attributes

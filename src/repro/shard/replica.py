@@ -21,7 +21,8 @@ the same shard surface, for read scale-out past one engine per shard:
   read;
 * **reads fan out to one replica** — a pluggable
   :class:`ReadPicker` (:data:`READ_PICKERS`: round-robin,
-  least-loaded, sticky) chooses which replica executes each query, and
+  least-loaded, sticky) chooses which replica executes each query —
+  never the one a write is updating while another is live — and
   per-replica read counters make the fan-out observable;
 * **costs merge through the one aggregation path** —
   :meth:`ReplicatedShard.stats_snapshot` folds every replica's
@@ -55,6 +56,7 @@ without caring whether one engine or a replica set answers.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import zlib
 from dataclasses import dataclass
@@ -245,6 +247,7 @@ class Shard:
             "suspect": 0,
             "dead": 0,
             "reads_retried": 0,
+            "reads_rerouted": 0,
             "replicas_failed": 0,
             "replicas_revived": 0,
         }
@@ -504,8 +507,12 @@ class ReplicatedShard:
         self.replica_reads = [0] * replicas
         self._health = [ReplicaHealth() for _ in range(replicas)]
         self._reads_since_probe = 0
+        #: The slot whose service lock write-through holds right now
+        #: (:meth:`_maintain`), or ``None``.
+        self._maintaining: Optional[int] = None
         #: Failover activity counters (``reads_retried`` /
-        #: ``replicas_failed`` / ``replicas_revived``), merged into
+        #: ``reads_rerouted`` / ``replicas_failed`` /
+        #: ``replicas_revived``), merged into
         #: :meth:`stats_snapshot` next to the replicas' cost counters.
         self.ops_stats = StatsCollector()
         #: Counters of replicas retired by :meth:`revive`, folded in so
@@ -630,20 +637,25 @@ class ReplicatedShard:
         replicas serve as a degraded fallback — dead replicas are never
         eligible.  Every ``probe_interval``-th read is instead routed
         to the first suspect replica so suspects see enough traffic to
-        redeem or die.  Raises when every replica is quarantined or
-        already attempted.
+        redeem or die.  The slot under maintenance (:meth:`_maintain`)
+        is no candidate for either while another live one remains (a
+        read sent there waits out the write; counted in
+        ``reads_rerouted``).  Raises when every replica is quarantined
+        or already attempted.
         """
         with self._read_lock:
+            live = [
+                slot
+                for slot, health in enumerate(self._health)
+                if health.state != REPLICA_DEAD and slot not in exclude
+            ]
+            if self._maintaining in live and len(live) > 1:
+                live.remove(self._maintaining)
+                self.ops_stats.reads_rerouted += 1
             healthy = [
-                slot
-                for slot, health in enumerate(self._health)
-                if health.state == REPLICA_HEALTHY and slot not in exclude
+                slot for slot in live if self._health[slot].state == REPLICA_HEALTHY
             ]
-            suspect = [
-                slot
-                for slot, health in enumerate(self._health)
-                if health.state == REPLICA_SUSPECT and slot not in exclude
-            ]
+            suspect = [slot for slot in live if slot not in healthy]
             choice: Optional[int] = None
             if healthy and suspect:
                 self._reads_since_probe += 1
@@ -740,6 +752,31 @@ class ReplicatedShard:
     # ------------------------------------------------------------------
     # Writes: through to every replica
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _maintain(self, slot: int):
+        """Mark ``slot`` as the one replica this write is updating.
+
+        Write-through is staggered, so one replica at a time holds its
+        service lock, and :meth:`_pick_replica` routes reads around it.
+        The outer mark comes back on exit: a write marks the primary for
+        its whole fan-out and each secondary inside that, so no instant
+        between halves is unmarked and a 2-replica set answers pre-write
+        (secondary) up to the hand-over, post-write (primary) after.
+        """
+        outer, self._maintaining = self._maintaining, slot
+        try:
+            yield
+        finally:
+            self._maintaining = outer
+
+    def _live_secondaries(self) -> list[tuple[int, Shard]]:
+        """The secondaries still in the write fan-out, with their slots."""
+        return [
+            (slot, replica)
+            for slot, replica in enumerate(self.replicas)
+            if slot and not self._is_dead(slot)
+        ]
+
     def add_document(self, document: Document) -> Document:
         """Write one document through to every live replica.
 
@@ -754,17 +791,17 @@ class ReplicatedShard:
         entirely; they catch up on revive.
         """
         with self.add_lock:
-            added = self.primary.add_document(document)
-            self._oplog.append(("add", document.clone()))
-            for position, replica in enumerate(self.replicas):
-                if position == 0 or self._is_dead(position):
-                    continue
-                try:
-                    replica.add_document(document.clone())
-                except Exception as error:  # repro-lint: ignore[RPR005] -- the primary write already landed; a failing secondary is quarantined for revive, not unwound
-                    self._quarantine(
-                        position, f"write-through add failed: {error!r}"
-                    )
+            with self._maintain(0):
+                added = self.primary.add_document(document)
+                self._oplog.append(("add", document.clone()))
+                for position, replica in self._live_secondaries():
+                    with self._maintain(position):
+                        try:
+                            replica.add_document(document.clone())
+                        except Exception as error:  # repro-lint: ignore[RPR005] -- the primary write already landed; a failing secondary is quarantined for revive, not unwound
+                            self._quarantine(
+                                position, f"write-through add failed: {error!r}"
+                            )
             self._check_alignment()
             self._maybe_compact_oplog()
             return added
@@ -779,37 +816,36 @@ class ReplicatedShard:
         with self.add_lock:
             primary_doc = self.primary.db.resolve_document(ref)
             span_start = primary_doc.first_id
-            removed = self.primary.remove_document(primary_doc)
-            self._oplog.append(("remove", span_start))
-            for position, replica in enumerate(self.replicas):
-                if position == 0 or self._is_dead(position):
-                    continue
-                try:
-                    replica.remove_document(replica.document_at(span_start))
-                except Exception as error:  # repro-lint: ignore[RPR005] -- the primary removal already landed; a failing secondary is quarantined for revive, not unwound
-                    self._quarantine(
-                        position, f"write-through remove failed: {error!r}"
-                    )
+            with self._maintain(0):
+                removed = self.primary.remove_document(primary_doc)
+                self._oplog.append(("remove", span_start))
+                for position, replica in self._live_secondaries():
+                    with self._maintain(position):
+                        try:
+                            replica.remove_document(replica.document_at(span_start))
+                        except Exception as error:  # repro-lint: ignore[RPR005] -- the primary removal already landed; a failing secondary is quarantined for revive, not unwound
+                            self._quarantine(
+                                position, f"write-through remove failed: {error!r}"
+                            )
             self._check_alignment()
             self._maybe_compact_oplog()
             return removed
 
     def build_index(self, name: str, **options):
         """Build one index on every live replica (dead ones rebuild on revive)."""
-        with self.add_lock:
+        with self.add_lock, self._maintain(0):
             built = self.primary.build_index(name, **options)
-            for position, replica in enumerate(self.replicas):
-                if position == 0 or self._is_dead(position):
-                    continue
-                replica.build_index(name, **options)
+            for position, replica in self._live_secondaries():
+                with self._maintain(position):
+                    replica.build_index(name, **options)
             return built
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
-        with self.add_lock:
-            for position, replica in enumerate(self.replicas):
-                if position != 0 and self._is_dead(position):
-                    continue
-                replica.ensure_indexes_for(strategy_name)
+        with self.add_lock, self._maintain(0):
+            self.primary.ensure_indexes_for(strategy_name)
+            for position, replica in self._live_secondaries():
+                with self._maintain(position):
+                    replica.ensure_indexes_for(strategy_name)
 
     def invalidate(self, rebuilt: bool = True) -> None:
         """Invalidate every replica's caches, atomically with writes.
@@ -876,9 +912,7 @@ class ReplicatedShard:
         containment instead of failing the write that detected it.
         """
         reference = self.primary.watermark
-        for position, replica in enumerate(self.replicas):
-            if position == 0 or self._is_dead(position):
-                continue
+        for position, replica in self._live_secondaries():
             watermark = replica.watermark
             if watermark != reference:
                 self._quarantine(
@@ -1046,6 +1080,7 @@ class ReplicatedShard:
                 "suspect": states.count(REPLICA_SUSPECT),
                 "dead": states.count(REPLICA_DEAD),
                 "reads_retried": self.ops_stats.reads_retried,
+                "reads_rerouted": self.ops_stats.reads_rerouted,
                 "replicas_failed": self.ops_stats.replicas_failed,
                 "replicas_revived": self.ops_stats.replicas_revived,
                 "detail": detail,

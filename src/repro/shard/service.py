@@ -643,6 +643,7 @@ class ShardedQueryService(ServingFacade):
         return {
             "per_shard": per_shard,
             "reads_retried": sum(r["reads_retried"] for r in per_shard),
+            "reads_rerouted": sum(r["reads_rerouted"] for r in per_shard),
             "replicas_failed": sum(r["replicas_failed"] for r in per_shard),
             "replicas_revived": sum(r["replicas_revived"] for r in per_shard),
         }

@@ -49,6 +49,7 @@ PAGE_WRITE_WEIGHT = 10
 ACTIVITY_COUNTERS = (
     "documents_moved",
     "reads_retried",
+    "reads_rerouted",
     "replicas_failed",
     "replicas_revived",
     "auto_rebalances",
@@ -142,6 +143,7 @@ class StatsCollector:
     #: here means failover and auto-rebalance activity flows through
     #: the same snapshot / merge / diff machinery as everything else.
     reads_retried: int = 0
+    reads_rerouted: int = 0
     replicas_failed: int = 0
     replicas_revived: int = 0
     auto_rebalances: int = 0

@@ -29,6 +29,7 @@ The instrumentation contract of ``repro.obs`` (``docs/OBSERVABILITY.md``):
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
@@ -286,6 +287,48 @@ def test_record_query_feeds_the_standard_families():
     latency = telemetry.metrics.histogram("repro_query_latency_seconds")
     assert latency.quantile(0.5, tier="engine") > 0.0
     assert latency.quantile(0.5, tier="sharded") > 0.0
+
+
+def test_watch_gc_times_collections_by_generation_until_stopped(monkeypatch):
+    def run_now(function, *args):
+        function(*args)
+
+    def full_collections(telemetry) -> int:
+        family = telemetry.metrics.histogram("repro_gc_pause_seconds").snapshot()
+        return sum(
+            series["count"]
+            for series in family["series"]
+            if series["labels"] == {"generation": 2}
+        )
+
+    telemetry = Telemetry()
+    hooks = len(gc.callbacks)
+    stop = telemetry.watch_gc(run_now)
+    monkeypatch.setattr("repro.obs.telemetry.GC_PAUSE_EVENT_SECONDS", 3600.0)
+    gc.collect()  # observed, and too short to be an event
+    assert telemetry.events.events(kind="gc-pause") == []
+    monkeypatch.setattr("repro.obs.telemetry.GC_PAUSE_EVENT_SECONDS", 0.0)
+    gc.collect()  # observed, and an event
+    telemetry.enabled = False
+    gc.collect()  # a disabled hub records nothing
+    telemetry.enabled = True
+    stop()
+    gc.collect()  # nor does a stopped watch
+    assert len(gc.callbacks) == hooks
+    assert full_collections(telemetry) == 2
+    events = telemetry.events.events(kind="gc-pause")
+    (full,) = [e for e in events if e.attributes["generation"] == 2]
+    assert full.attributes["seconds"] > 0
+
+    # A server nobody stopped: its closed loop refuses the sample, and
+    # the hook takes itself out instead of failing inside the collector.
+    def closed_loop(function, *args):
+        raise RuntimeError("Event loop is closed")
+
+    Telemetry().watch_gc(closed_loop)
+    assert len(gc.callbacks) == hooks + 1
+    gc.collect()
+    assert len(gc.callbacks) == hooks
 
 
 # ----------------------------------------------------------------------
