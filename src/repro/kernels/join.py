@@ -256,22 +256,23 @@ class CompiledJoin:
 
 
 class CompiledBranch:
-    """Per-branch compiled state: needed positions and the extractor."""
+    """Per-branch compiled state: needed positions and the extractor.
+
+    Holds no twig node and no value -- the executing plan's analysis
+    path carries those -- so one instance serves every twig of a shape.
+    """
 
     __slots__ = (
-        "path",
         "columns",
         "needed_positions",
         "pattern",
         "exact",
-        "value",
         "trailing",
         "extractor",
     )
 
     def __init__(self, analysis, path, bound: bool) -> None:
         query = path.query
-        self.path = path
         self.columns = tuple(analysis.column_name(n) for n in path.needed_nodes)
         self.needed_positions = tuple(
             query.position_of(node) for node in path.needed_nodes
@@ -279,7 +280,6 @@ class CompiledBranch:
         pattern = query.pattern
         self.pattern = pattern
         self.exact = pattern.is_single_segment and pattern.anchored
-        self.value = query.value
         self.trailing = pattern.trailing_segment
         self.extractor = BranchExtractor(
             pattern, self.needed_positions, self.exact, bound=bound
@@ -291,12 +291,15 @@ class CompiledTwig:
 
     Holds the :class:`~repro.planner.analysis.TwigAnalysis` (passed in
     by the strategy so this module stays independent of the planner
-    package), one :class:`CompiledBranch` per root-to-leaf path and the
-    :class:`CompiledJoin` over their column layouts.  The twig object
-    keeps one instance per payload flavour (``bound``) and every
+    package), one :class:`CompiledBranch` per path of the analysis and
+    the :class:`CompiledJoin` over their column layouts.  The twig
+    object keeps one instance per payload flavour (``bound``) and every
     strategy instance of every shard and replica runs it; nothing here
     depends on the document set, the indexes or the strategy that asked
-    first.
+    first.  Only :attr:`analysis` knows the twig's nodes and values: a
+    twig bound from a shape runs the shape's branches (with their warm
+    placement memos), join and INL probe layouts under its own analysis
+    (:meth:`bound_to`).
     """
 
     def __init__(self, analysis, bound: bool = False) -> None:
@@ -307,11 +310,21 @@ class CompiledTwig:
         self.join = CompiledJoin(
             analysis,
             [branch.columns for branch in self.branches],
-            [branch.path.query.describe() for branch in self.branches],
+            [path.query.describe() for path in analysis.paths],
         )
         #: Index-nested-loop probe specs, filled lazily by the
         #: DATAPATHS strategy per chosen outer branch.
         self.inl_plans: dict[int, object] = {}
+
+    def bound_to(self, analysis) -> "CompiledTwig":
+        """This plan under ``analysis``: this plan's analysis re-pointed
+        at a twig of the same shape."""
+        plan = object.__new__(CompiledTwig)
+        plan.analysis = analysis
+        plan.branches = self.branches
+        plan.join = self.join
+        plan.inl_plans = self.inl_plans
+        return plan
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import QueryNotSupportedError
 from ..query.ast import Axis, TwigNode
 from ..query.twig import PathQuery, TwigPattern
 
@@ -47,7 +48,10 @@ class TwigAnalysis:
         """The twig's own analysis, built on first use and kept on it.
 
         The optimizer and every strategy instance of every shard read
-        this one object.  Two threads that both find the slot empty
+        this one object.  A twig bound from a
+        :class:`~repro.query.twig.TwigShape` gets its shape's analysis
+        re-pointed at its own nodes (:meth:`_bound_to`) instead of a
+        fresh derivation.  Two threads that both find the slot empty
         build equal analyses and one assignment wins; a
         :class:`~repro.kernels.join.CompiledTwig` keeps the analysis it
         was compiled from, so the loser is still consistent with
@@ -55,51 +59,84 @@ class TwigAnalysis:
         """
         analysis = twig.analysis
         if analysis is None:
-            analysis = twig.analysis = cls(twig)
+            if twig.bound is None:
+                analysis = cls(twig)
+            else:
+                shape, nodes = twig.bound
+                analysis = cls.of(shape.template)._bound_to(twig, nodes)
+            twig.analysis = analysis
         return analysis
 
     def __init__(self, twig: TwigPattern) -> None:
+        nodes = list(twig.iter_nodes())
+        order = {id(node): index for index, node in enumerate(nodes)}
+        trunk = [order[id(node)] for node in twig.output_path()]
+        depth = {position: level for level, position in enumerate(trunk)}
+        paths = []
+        for query in twig.path_queries():
+            on_path = [order[id(node)] for node in query.nodes]
+            # The deepest trunk node on the path (the root is on both).
+            join_point = max((p for p in on_path if p in depth), key=depth.get)
+            if query.leaf.children and join_point != on_path[-1]:
+                # The grammar only puts ``[. = v]`` on trunk steps; a
+                # hand-built twig that does otherwise would be joined
+                # above the valued step and answer too widely.
+                raise QueryNotSupportedError(
+                    f"value condition on the off-trunk inner step "
+                    f"{query.describe()!r} is not supported"
+                )
+            paths.append((query.pattern, on_path, join_point))
+        needed = {join_point for _, _, join_point in paths} | {trunk[-1]}
+        #: The whole analysis as pre-order positions: what every twig of
+        #: this shape shares, each materialising it over its own nodes.
+        self._layout = (
+            trunk,
+            [
+                (
+                    pattern,
+                    on_path,
+                    join_point,
+                    [p for p in on_path if p in needed],
+                    trunk[-1] in on_path,
+                )
+                for pattern, on_path, join_point in paths
+            ],
+        )
+        self._point_at(twig, nodes)
+
+    def _point_at(self, twig: TwigPattern, nodes: list[TwigNode]) -> None:
+        """Materialise the layout over ``nodes``, ``twig``'s in pre-order.
+
+        Each path takes its value from its own last node; the
+        :class:`~repro.paths.schema_paths.PathPattern` objects are the
+        layout's.
+        """
+        trunk, paths = self._layout
         self.twig = twig
-        self.trunk: list[TwigNode] = twig.output_path()
+        self.trunk: list[TwigNode] = [nodes[p] for p in trunk]
         self._trunk_depth = {id(node): depth for depth, node in enumerate(self.trunk)}
         self.node_order: dict[int, int] = {
-            id(node): index for index, node in enumerate(twig.iter_nodes())
+            id(node): index for index, node in enumerate(nodes)
         }
-        self.paths: list[AnalyzedPath] = self._analyze()
-
-    # ------------------------------------------------------------------
-    def _analyze(self) -> list[AnalyzedPath]:
-        queries = self.twig.path_queries()
-        join_points = []
-        for query in queries:
-            join_points.append(self._deepest_trunk_node(query))
-        join_point_ids = {id(node) for node in join_points}
-        analyzed = []
-        for query, join_point in zip(queries, join_points):
-            needed = tuple(
-                node
-                for node in query.nodes
-                if id(node) in join_point_ids or node is self.twig.output
-            )
-            analyzed.append(
+        self.paths: list[AnalyzedPath] = []
+        for pattern, on_path, join_point, needed, contains_output in paths:
+            path_nodes = tuple([nodes[p] for p in on_path])
+            self.paths.append(
                 AnalyzedPath(
-                    query=query,
-                    join_point=join_point,
-                    needed_nodes=needed,
-                    contains_output=any(n is self.twig.output for n in query.nodes),
+                    query=PathQuery(pattern, path_nodes[-1].value, path_nodes),
+                    join_point=nodes[join_point],
+                    needed_nodes=tuple([nodes[p] for p in needed]),
+                    contains_output=contains_output,
                 )
             )
-        return analyzed
 
-    def _deepest_trunk_node(self, query: PathQuery) -> TwigNode:
-        deepest = query.nodes[0]
-        best_depth = -1
-        for node in query.nodes:
-            depth = self._trunk_depth.get(id(node))
-            if depth is not None and depth > best_depth:
-                best_depth = depth
-                deepest = node
-        return deepest
+    def _bound_to(self, twig: TwigPattern, nodes: list[TwigNode]) -> "TwigAnalysis":
+        """This analysis for ``twig``, which has this twig's structure
+        node for node (``nodes`` in pre-order) and its own values."""
+        bound = object.__new__(type(self))
+        bound._layout = self._layout
+        bound._point_at(twig, nodes)
+        return bound
 
     # ------------------------------------------------------------------
     def column_name(self, node: TwigNode) -> str:

@@ -76,9 +76,15 @@ def choose_datapaths_plan(
     index,
     force: Optional[str] = None,
     probe_cost: float = PROBE_COST,
+    estimates: Optional[tuple[int, ...]] = None,
 ) -> DataPathsPlanChoice:
-    """Choose merge vs index-nested-loop for a DATAPATHS evaluation."""
-    estimates = estimate_branch_cardinalities(analysis, index)
+    """Choose merge vs index-nested-loop for a DATAPATHS evaluation.
+
+    ``estimates`` are ``index``'s branch cardinalities when the caller
+    has already read them.
+    """
+    if estimates is None:
+        estimates = estimate_branch_cardinalities(analysis, index)
     if not estimates:
         return DataPathsPlanChoice("merge", 0, (), 0.0, 0.0)
     outer_index = min(range(len(estimates)), key=lambda i: estimates[i])
@@ -180,7 +186,7 @@ def estimate_strategy_costs(
         elif name == "datapaths":
             descent = _descent_cost(indexes, "datapaths")
             datapaths_plan = choose_datapaths_plan(
-                analysis, catalog, probe_cost=descent
+                analysis, catalog, probe_cost=descent, estimates=estimates
             )
             if datapaths_plan.plan == "inl" and not analysis.is_single_path:
                 # One descent for the outer branch lookup; the probes per

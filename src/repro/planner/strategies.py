@@ -81,21 +81,28 @@ class EvaluationStrategy(abc.ABC):
     def evaluate(self, twig: TwigPattern) -> list[int]:
         """Sorted ids of database nodes matching the twig's output node."""
         if self.use_kernels:
-            plan = self._twig_plan(twig)
-            rows = [self._kernel_branch_rows(plan, branch) for branch in plan.branches]
-            return plan.join.run(rows, self.stats)
-        analysis = TwigAnalysis.of(twig)
-        relations = []
-        for path in analysis.paths:
-            rows = self._branch_rows(analysis, path)
-            relations.append(
-                BranchRelation(
-                    analysis,
-                    path.needed_nodes,
-                    rows,
-                    label=path.query.describe(),
-                )
+            return self._kernel_merge(self._twig_plan(twig))
+        return self._legacy_merge(TwigAnalysis.of(twig))
+
+    def _kernel_merge(self, plan: CompiledTwig) -> list[int]:
+        """Every branch's rows through the compiled join."""
+        rows = [
+            self._kernel_branch_rows(plan, branch, path)
+            for branch, path in zip(plan.branches, plan.analysis.paths)
+        ]
+        return plan.join.run(rows, self.stats)
+
+    def _legacy_merge(self, analysis: TwigAnalysis) -> list[int]:
+        """Every branch's rows through the operator-pipeline joiner."""
+        relations = [
+            BranchRelation(
+                analysis,
+                path.needed_nodes,
+                self._branch_rows(analysis, path),
+                label=path.query.describe(),
             )
+            for path in analysis.paths
+        ]
         return join_branches(analysis, relations, stats=self.stats)
 
     # ------------------------------------------------------------------
@@ -107,26 +114,31 @@ class EvaluationStrategy(abc.ABC):
         Compiled on first use and kept on the twig object, so every
         strategy instance of every shard and replica handed the same
         twig runs the same compiled plan, and it lives exactly as long
-        as the twig does.  Like :meth:`TwigAnalysis.of`, a racing
-        first use compiles twice and one assignment wins.
+        as the twig does; a twig bound from a shape runs the plan of its
+        shape's template.  Like :meth:`TwigAnalysis.of`, a racing first
+        use compiles twice and one assignment wins.
         """
         plan = twig.compiled.get(self.bound_payloads)
         if plan is None:
-            plan = twig.compiled[self.bound_payloads] = CompiledTwig(
-                TwigAnalysis.of(twig), bound=self.bound_payloads
-            )
+            analysis = TwigAnalysis.of(twig)
+            if twig.bound is None:
+                plan = CompiledTwig(analysis, bound=self.bound_payloads)
+            else:
+                plan = self._twig_plan(twig.bound[0].template).bound_to(analysis)
+            twig.compiled[self.bound_payloads] = plan
         return plan
 
     def _kernel_branch_rows(
-        self, plan: CompiledTwig, branch: CompiledBranch
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
         """Kernel-path row production; defaults to the legacy producer.
 
+        ``path`` carries the value, ``branch`` its compiled layout.
         Strategies whose indexes expose batch payload lookups override
         this; the rest keep their row production and still gain the
         compiled join.
         """
-        return self._branch_rows(plan.analysis, branch.path)
+        return self._branch_rows(plan.analysis, path)
 
     @abc.abstractmethod
     def _branch_rows(
@@ -194,10 +206,10 @@ class RootPathsStrategy(EvaluationStrategy):
         )
 
     def _kernel_branch_rows(
-        self, plan: CompiledTwig, branch: CompiledBranch
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
         payloads = self.index.lookup_payloads(
-            branch.trailing, branch.value, anchored=branch.exact
+            branch.trailing, path.query.value, anchored=branch.exact
         )
         return branch.extractor.rows(payloads)
 
@@ -232,29 +244,25 @@ class DataPathsStrategy(EvaluationStrategy):
 
     # -- plan selection -------------------------------------------------
     def evaluate(self, twig: TwigPattern) -> list[int]:
+        analysis = TwigAnalysis.of(twig)
+        choice = self.last_plan = choose_datapaths_plan(
+            analysis, self.index, force=self.force_plan
+        )
+        inl = choice.plan == "inl" and not analysis.is_single_path
         if self.use_kernels:
             plan = self._twig_plan(twig)
-            analysis = plan.analysis
-            choice = choose_datapaths_plan(
-                analysis, self.index, force=self.force_plan
-            )
-            self.last_plan = choice
-            if choice.plan == "inl" and not analysis.is_single_path:
+            if inl:
                 return self._kernel_inl(plan, choice)
-            rows = [self._kernel_branch_rows(plan, branch) for branch in plan.branches]
-            return plan.join.run(rows, self.stats)
-        analysis = TwigAnalysis.of(twig)
-        choice = choose_datapaths_plan(analysis, self.index, force=self.force_plan)
-        self.last_plan = choice
-        if choice.plan == "inl" and not analysis.is_single_path:
+            return self._kernel_merge(plan)
+        if inl:
             return self._evaluate_inl(analysis, choice)
-        return self._evaluate_merge(analysis)
+        return self._legacy_merge(analysis)
 
     def _kernel_branch_rows(
-        self, plan: CompiledTwig, branch: CompiledBranch
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
         payloads = self.index.free_lookup_payloads(
-            branch.trailing, branch.value, anchored=branch.exact
+            branch.trailing, path.query.value, anchored=branch.exact
         )
         return branch.extractor.rows(payloads)
 
@@ -265,26 +273,30 @@ class DataPathsStrategy(EvaluationStrategy):
 
         The per-outer-branch probe layout — head-column positions, probe
         patterns, placement caches — is compiled once and stashed on the
-        twig plan (shared like the plan itself: a function of the twig
-        and the outer branch alone); each execution is the same probe
-        sequence with the same ``join_probes`` charge points as the
-        legacy loop.
+        twig plan (shared like the plan itself: a function of the twig's
+        shape and the outer branch alone; values come from the executing
+        plan's analysis); each execution is the same probe sequence with
+        the same ``join_probes`` charge points as the legacy loop.
         """
         spec = plan.inl_plans.get(choice.outer_index)
         if spec is None:
             spec = _CompiledInl(plan.analysis, choice.outer_index)
             plan.inl_plans[choice.outer_index] = spec
-        outer_rows = self._kernel_branch_rows(plan, plan.branches[choice.outer_index])
+        paths = plan.analysis.paths
+        outer_rows = self._kernel_branch_rows(
+            plan, plan.branches[choice.outer_index], paths[choice.outer_index]
+        )
+        probed = [(other, paths[other.branch].query.value) for other in spec.others]
         index = self.index
         stats = self.stats
         results: set[int] = set()
         for row in outer_rows:
             satisfied = True
             output_candidates: Optional[set[int]] = None
-            for other in spec.others:
+            for other, value in probed:
                 head_id = row[other.head_pos]
                 stats.join_probes += 1
-                matches = other.probe.run(index, head_id)
+                matches = other.probe.run(index, head_id, value)
                 if not matches:
                     satisfied = False
                     break
@@ -309,7 +321,7 @@ class DataPathsStrategy(EvaluationStrategy):
                     results.add(head_id)
                     continue
                 stats.join_probes += 1
-                matches = spec.trunk_probe.run(index, head_id)
+                matches = spec.trunk_probe.run(index, head_id, None)
                 for payload, placement in matches:
                     labels, ids = payload[0], payload[1]
                     position = placement[spec.trunk_last] - (len(labels) - len(ids))
@@ -319,17 +331,6 @@ class DataPathsStrategy(EvaluationStrategy):
         return sorted(results)
 
     # -- merge plan ------------------------------------------------------
-    def _evaluate_merge(self, analysis: TwigAnalysis) -> list[int]:
-        relations = []
-        for path in analysis.paths:
-            rows = self._branch_rows(analysis, path)
-            relations.append(
-                BranchRelation(
-                    analysis, path.needed_nodes, rows, label=path.query.describe()
-                )
-            )
-        return join_branches(analysis, relations, stats=self.stats)
-
     def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
         query = path.query
         pattern = query.pattern
@@ -403,9 +404,13 @@ class DataPathsStrategy(EvaluationStrategy):
         self, head_id: int, query: PathQuery, head_node: TwigNode
     ) -> list[tuple[PathMatch, tuple[int, ...]]]:
         below = subpath_below(query.nodes, head_node)
-        if not below:
+        if below:
+            return self._probe_nodes_below(head_id, below, value=query.value)
+        if query.value is None:
             return [(PathMatch(labels=(head_node.label,), ids=(head_id,)), (0,))]
-        return self._probe_nodes_below(head_id, below, value=query.value)
+        # The branch ends at the head with a value: probe the head's own row.
+        own = self.index.bound_lookup(head_id, (), value=query.value, anchored=True)
+        return [(match, ()) for match in own]
 
     def _probe_nodes_below(
         self,
@@ -465,8 +470,8 @@ class DataPathsStrategy(EvaluationStrategy):
 # ----------------------------------------------------------------------
 # Compiled DATAPATHS INL probe layout (kernel path)
 # ----------------------------------------------------------------------
-#: Stand-in probe result for an empty below-chain: the head itself
-#: satisfies the branch, exactly like the legacy synthetic PathMatch.
+#: Stand-in probe result for an empty, valueless below-chain: the head
+#: itself satisfies the branch, exactly like the legacy synthetic PathMatch.
 #: Never hits the index and never feeds extraction (target is None).
 _SYNTHETIC_PROBE: list[tuple[tuple, tuple[int, ...]]] = [(((), (), None, None), (0,))]
 
@@ -480,16 +485,16 @@ class _ProbeSpec:
     labels, never on the probed head id).
     """
 
-    __slots__ = ("empty", "value", "exact", "trailing", "verify_pattern",
+    __slots__ = ("empty", "exact", "trailing", "verify_pattern",
                  "_placements", "_exact_placements")
 
-    def __init__(self, below: tuple[TwigNode, ...], value: Optional[str]) -> None:
+    def __init__(self, below: tuple[TwigNode, ...]) -> None:
         self.empty = not below
-        self.value = value
         self._placements: dict[tuple[str, ...], tuple[tuple[int, ...], ...]] = {}
         self._exact_placements: dict[int, tuple[int, ...]] = {}
         if self.empty:
-            self.exact = False
+            # With a value, an exact probe of the head's own row.
+            self.exact = True
             self.trailing: tuple[str, ...] = ()
             self.verify_pattern: Optional[PathPattern] = None
             return
@@ -500,11 +505,13 @@ class _ProbeSpec:
             None if self.exact else PathPattern(segments, anchored=anchored)
         )
 
-    def run(self, index: DataPathsIndex, head_id: int) -> list[tuple]:
-        if self.empty:
+    def run(
+        self, index: DataPathsIndex, head_id: int, value: Optional[str]
+    ) -> list[tuple]:
+        if self.empty and value is None:
             return _SYNTHETIC_PROBE
         payloads = index.bound_lookup_payloads(
-            head_id, self.trailing, value=self.value, anchored=self.exact
+            head_id, self.trailing, value=value, anchored=self.exact
         )
         results: list[tuple] = []
         if self.exact:
@@ -552,15 +559,17 @@ def _extract_probe_ids(
 class _InlOther:
     """One probed (non-outer) branch of a compiled INL plan."""
 
-    __slots__ = ("head_pos", "probe", "extract_output", "target_index")
+    __slots__ = ("branch", "head_pos", "probe", "extract_output", "target_index")
 
     def __init__(
         self,
+        branch: int,
         head_pos: int,
         probe: _ProbeSpec,
         extract_output: bool,
         target_index: Optional[int],
     ) -> None:
+        self.branch = branch
         self.head_pos = head_pos
         self.probe = probe
         self.extract_output = extract_output
@@ -568,7 +577,7 @@ class _InlOther:
 
 
 class _CompiledInl:
-    """Probe layout for one (twig, outer-branch) INL plan, built once."""
+    """Probe layout for one (twig shape, outer-branch) INL plan, built once."""
 
     __slots__ = ("others", "output_pos", "trunk_head_pos", "trunk_probe", "trunk_last")
 
@@ -586,7 +595,7 @@ class _CompiledInl:
                 outer.join_point, other.join_point
             )
             below = subpath_below(other.query.nodes, head_node)
-            probe = _ProbeSpec(below, other.query.value)
+            probe = _ProbeSpec(below)
             extract = other.contains_output and not output_on_outer
             target_index = None
             if extract:
@@ -594,9 +603,8 @@ class _CompiledInl:
                     if node is output:
                         target_index = position
                         break
-            others.append(
-                _InlOther(outer_columns[head_node], probe, extract, target_index)
-            )
+            head_pos = outer_columns[head_node]
+            others.append(_InlOther(index, head_pos, probe, extract, target_index))
         self.others = others
         self.trunk_head_pos = outer_columns[outer.join_point]
         trunk_below = tuple(
@@ -605,7 +613,7 @@ class _CompiledInl:
             )
         )
         self.trunk_last = len(trunk_below) - 1
-        self.trunk_probe = _ProbeSpec(trunk_below, None) if trunk_below else None
+        self.trunk_probe = _ProbeSpec(trunk_below) if trunk_below else None
 
 
 # ----------------------------------------------------------------------

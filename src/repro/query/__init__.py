@@ -7,7 +7,7 @@ PCsubpaths, and the FreeIndex / BoundIndex problems' query-side inputs.
 from .ast import Axis, TwigNode
 from .match import NaiveMatcher
 from .parser import normalize_xpath, parse_xpath
-from .twig import PathQuery, TwigPattern
+from .twig import PathQuery, TwigPattern, TwigShape
 
 __all__ = [
     "Axis",
@@ -15,6 +15,7 @@ __all__ = [
     "PathQuery",
     "TwigPattern",
     "TwigNode",
+    "TwigShape",
     "normalize_xpath",
     "parse_xpath",
 ]

@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..errors import QueryParseError
 from .ast import Axis, TwigNode
-from .twig import TwigPattern, normalize_xpath
+from .twig import TwigPattern, TwigShape, normalize_xpath
 
 _TOKEN_RE = re.compile(
     r"""
@@ -67,6 +67,8 @@ class _Parser:
         self.tokens = tokens
         self.position = 0
         self.text = text
+        #: The node each quoted literal landed on, in text order.
+        self.slots: list[TwigNode] = []
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Optional[tuple[str, str]]:
@@ -178,7 +180,7 @@ class _Parser:
     def _parse_condition(self, owner: TwigNode) -> None:
         if self.accept("dot") is not None:
             self.expect("eq")
-            owner.value = self._parse_literal()
+            self._parse_literal(owner)
             return
         # A relative path, optionally compared to a literal.
         node = owner
@@ -210,17 +212,32 @@ class _Parser:
             node = node.add_child(TwigNode(name, axis=axis, is_attribute=is_attribute))
             first = False
         if self.accept("eq") is not None:
-            node.value = self._parse_literal()
+            self._parse_literal(node)
 
-    def _parse_literal(self) -> str:
+    def _parse_literal(self, node: TwigNode) -> None:
         token = self.next()
-        if token[0] in ("string", "name", "number"):
-            return token[1]
-        raise QueryParseError(f"expected a literal but found {token[1]!r} in {self.text!r}")
+        if token[0] not in ("string", "name", "number"):
+            raise QueryParseError(f"expected a literal but found {token[1]!r} in {self.text!r}")
+        node.value = token[1]
+        if token[0] == "string":
+            self.slots.append(node)
 
 
-def parse_xpath(text: str) -> TwigPattern:
+#: A quoted literal — the only place the grammar admits a quote, so a
+#: split on it agrees with the tokenizer on every text that parses.
+_LITERAL_RE = re.compile(r"""('[^']*'|"[^"]*")""")
+
+
+def parse_xpath(text: str, shapes=None) -> TwigPattern:
     """Parse an XPath-subset string into a :class:`TwigPattern`.
+
+    *Lift*: the quoted literals come out of the normalised text in
+    order; the pieces between them are the shape key.  *Bind*: the
+    :class:`~repro.query.twig.TwigShape` — found in ``shapes`` (a
+    ``get``/``put`` cache such as a service's plan cache), else parsed
+    from this text — stamps out a twig of its own nodes carrying these
+    literals.  So tokenizing and parsing run once per shape; a bare
+    name or number literal stays part of its shape.
 
     Raises
     ------
@@ -228,9 +245,14 @@ def parse_xpath(text: str) -> TwigPattern:
         When the text is not in the supported fragment.
     """
     normalised = normalize_xpath(text)
-    if not normalised:
-        raise QueryParseError("empty query string")
-    tokens = _tokenize(normalised)
-    twig = _Parser(tokens, text).parse_query()
-    twig._source, twig._key = text, normalised
-    return twig
+    parts = _LITERAL_RE.split(normalised)
+    key = tuple(parts[::2])
+    shape = shapes.get(key) if shapes is not None else None
+    if shape is None:
+        if not normalised:
+            raise QueryParseError("empty query string")
+        parser = _Parser(_tokenize(normalised), text)
+        shape = TwigShape(parser.parse_query(), parser.slots)
+        if shapes is not None:
+            shapes.put(key, shape)
+    return shape.bind(text, normalised, [part[1:-1] for part in parts[1::2]])

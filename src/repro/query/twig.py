@@ -95,7 +95,8 @@ class TwigPattern:
     ``docs/ARCHITECTURE.md``, "Prepared plans"): it remembers the text
     it was parsed from and carries everything the planner derives from
     the pattern alone, so one twig object handed to every shard leg,
-    replica and strategy instance is analysed and join-compiled once.
+    replica and strategy instance is analysed and join-compiled once
+    (a twig bound from a :class:`TwigShape` takes both from its shape).
     None of that state depends on documents or indexes, and the pattern
     must not be edited once it has been planned.
     """
@@ -115,6 +116,10 @@ class TwigPattern:
         #: (``bound_payloads``), filled by the first strategy to ask.
         self.analysis = None
         self.compiled: dict[bool, object] = {}
+        #: ``(shape, this twig's nodes in pre-order)`` when the twig was
+        #: bound from a :class:`TwigShape`; the planner then re-points
+        #: the shape's analysis and compiled joins at these nodes.
+        self.bound: Optional[tuple[TwigShape, list[TwigNode]]] = None
 
     @property
     def source(self) -> str:
@@ -178,8 +183,16 @@ class TwigPattern:
         return [leaf.path_from_root() for leaf in self.leaves()]
 
     def path_queries(self) -> list[PathQuery]:
-        """One :class:`PathQuery` per root-to-leaf twig path."""
-        return [self.path_query_for(path) for path in self.root_to_leaf_paths()]
+        """One :class:`PathQuery` per root-to-leaf twig path, plus one
+        per valued inner step (``a`` in ``/r/a[. = 'x']/b``): a query
+        holds the condition of its last node only, so such a step gets
+        its own root-to-step path, joined to the paths through it.
+        """
+        return [
+            self.path_query_for(node.path_from_root())
+            for node in self.iter_nodes()
+            if node.is_leaf or node.value is not None
+        ]
 
     def path_query_for(self, nodes: Sequence[TwigNode]) -> PathQuery:
         """Build the :class:`PathQuery` for a path of twig nodes.
@@ -214,3 +227,43 @@ class TwigPattern:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TwigPattern({self.to_xpath()!r})"
+
+
+class TwigShape:
+    """What every query differing only in its quoted literals shares.
+
+    The *template* is the twig parsed from the shape's first text (no
+    reader looks at the literals it keeps).  It is never handed out: it
+    owns the analysis and compiled-join memos that every twig stamped
+    out by :meth:`bind` re-points at its own nodes, by pre-order
+    position.  Nothing here depends on documents or indexes or is
+    written after construction: a shape needs no generation and no lock.
+    """
+
+    __slots__ = ("template", "_layout", "_slots", "_output")
+
+    def __init__(self, template: TwigPattern, slots: Sequence[TwigNode]) -> None:
+        self.template = template
+        nodes = list(template.iter_nodes())
+        position = {id(node): index for index, node in enumerate(nodes)}
+        #: Per node: its fields and its parent's position (none: -1).
+        self._layout = [
+            (n.label, n.axis, n.value, n.is_attribute, position.get(id(n.parent), -1))
+            for n in nodes
+        ]
+        self._slots = [position[id(node)] for node in slots]
+        self._output = position[id(template.output)]
+
+    def bind(self, source: str, key: str, literals: Sequence[str]) -> TwigPattern:
+        """A twig of fresh nodes carrying ``literals`` in the value slots."""
+        nodes: list[TwigNode] = []
+        for label, axis, value, is_attribute, parent in self._layout:
+            node = TwigNode(label, axis, value, is_attribute)
+            if parent >= 0:
+                nodes[parent].add_child(node)
+            nodes.append(node)
+        for slot, literal in zip(self._slots, literals):
+            nodes[slot].value = literal
+        twig = TwigPattern(nodes[0], nodes[self._output])
+        twig._source, twig._key, twig.bound = source, key, (self, nodes)
+        return twig

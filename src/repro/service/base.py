@@ -80,7 +80,7 @@ class ServingFacade:
     #: The shared observability hub; subclasses assign it in their
     #: constructors (and the sharded tier adopts its collection's).
     telemetry: Telemetry
-    #: Normalised query text -> parsed twig; subclasses size it.
+    #: Literal-lifted query text -> its shape; subclasses size it.
     plan_cache: LRUCache
     #: :meth:`answer_key` -> the whole answer of one ``execute``, as a
     #: hit reports it (``cached=True``).  The sharded tier sizes it; a
@@ -153,23 +153,21 @@ class ServingFacade:
     # Prepared plans (shared)
     # ------------------------------------------------------------------
     def plan(self, query: Union[str, TwigPattern]) -> TwigPattern:
-        """The prepared plan of a query: text through the plan cache.
+        """The prepared plan of a query: a shape lookup plus a bind.
 
-        A :class:`TwigPattern` is its own plan and passes through — it
-        carries its text, cache key, analysis and compiled joins (see
-        ``docs/ARCHITECTURE.md``, "Prepared plans").  A twig is complete
-        before it enters the cache; two threads that miss on the same
-        new text each parse it, both twigs are equally valid, and the
-        later ``put`` is the one the cache keeps.
+        The plan cache holds one :class:`~repro.query.twig.TwigShape`
+        per literal-lifted text; every call binds a twig of its own
+        from it (its own nodes, literals, text and cache key) whose
+        analysis and compiled joins are the shape's (see
+        ``docs/ARCHITECTURE.md``, "Prepared plans").  A
+        :class:`TwigPattern` is its own plan and passes through.  A
+        shape is complete before it enters the cache; two threads that
+        miss on the same new shape each parse it, both are equally
+        valid, and the later ``put`` is the one the cache keeps.
         """
         if isinstance(query, TwigPattern):
             return query
-        key = normalize_xpath(query)
-        twig = self.plan_cache.get(key)
-        if twig is None:
-            twig = parse_xpath(query)
-            self.plan_cache.put(key, twig)
-        return twig
+        return parse_xpath(query, self.plan_cache)
 
     # ------------------------------------------------------------------
     # Lifecycle (shared)

@@ -6,8 +6,8 @@ availability and instantiates a fresh strategy object.  Under a
 repeated-query serving workload all of that is pure overhead.
 :class:`QueryService` wraps an engine with the pieces a server needs:
 
-* an LRU **plan cache** of parsed :class:`~repro.query.twig.TwigPattern`
-  objects keyed on the normalised query text,
+* an LRU **plan cache** of :class:`~repro.query.twig.TwigShape` objects
+  keyed on the literal-lifted query text, bound per request,
 * **reusable strategy instances**, one per (strategy, options) pair,
   instead of a fresh object per query,
 * a ``strategy="auto"`` mode that asks the optimizer
@@ -92,8 +92,9 @@ class QueryService(ServingFacade):
         #: Off: ``execute`` here is already one lookup in ``result_cache``,
         #: so there is no gathered answer to keep above it.
         self.answer_cache = LRUCache(0)
-        #: Memoised StrategyChoice per normalized query; flushed with the
-        #: result cache (a choice depends on the built-index generation).
+        #: Memoised StrategyChoice per normalized query for :meth:`choose`
+        #: callers; flushed with the result cache (a choice depends on the
+        #: built-index generation), which is why execution goes around it.
         self.choice_cache = LRUCache(
             plan_cache_size, on_clear=self._cache_clear_listener("choice")
         )
@@ -322,15 +323,13 @@ class QueryService(ServingFacade):
         """
         with self._lock:
             self._check_generation()
-            return self._choose_cached(self.plan(query))
-
-    def _choose_cached(self, twig: TwigPattern) -> StrategyChoice:
-        choice = self.choice_cache.get(twig.key)
-        if choice is None:
-            choice = self._choose(twig)
-            self.choice_cache.put(twig.key, choice)
-        self.last_choice = choice
-        return choice
+            twig = self.plan(query)
+            choice = self.choice_cache.get(twig.key)
+            if choice is None:
+                choice = self._choose(twig)
+                self.choice_cache.put(twig.key, choice)
+            self.last_choice = choice
+            return choice
 
     def _choose(self, twig: TwigPattern) -> StrategyChoice:
         candidates = self._available_candidates()
@@ -458,7 +457,9 @@ class QueryService(ServingFacade):
     ) -> QueryResult:
         if strategy == AUTO_STRATEGY:
             with self.telemetry.span("choose") as chosen:
-                choice = self._choose_cached(twig)
+                # Not through ``choice_cache``: it is flushed with the
+                # result cache, so after a result miss it cannot hit.
+                choice = self.last_choice = self._choose(twig)
                 strategy = choice.strategy
                 chosen.annotate(strategy=strategy)
             self.auto_choice_counts[strategy] = (

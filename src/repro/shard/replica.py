@@ -598,7 +598,7 @@ class ReplicatedShard:
         attempted: set[int] = set()
         while True:
             choice = self._pick_replica(query_key, attempted)
-            result: Optional[QueryResult] = None
+            answered = False
             with self.telemetry.span(
                 "replica", shard=self.index, replica=choice
             ) as span:
@@ -623,12 +623,13 @@ class ReplicatedShard:
                         raise
                 else:
                     span.annotate(outcome="ok")
+                    answered = True
+                    self._record_read_success(choice)
+                    return result
                 finally:
-                    self._finish_read(choice)
-            if result is None:
-                continue
-            self._record_read_success(choice)
-            return result
+                    # Exactly one decrement per attempt, whatever it returned.
+                    if not answered:
+                        self._finish_read(choice)
 
     def _pick_replica(self, query_key: str, exclude: set[int]) -> int:
         """Choose (and charge) the replica slot for one read attempt.
@@ -686,12 +687,15 @@ class ReplicatedShard:
             return choice
 
     def _finish_read(self, choice: int) -> None:
+        """A read attempt that did not answer leaves its slot."""
         with self._read_lock:
             self._in_flight[choice] -= 1
 
     def _record_read_success(self, choice: int) -> None:
-        """Reset the failure streak; a success redeems a suspect."""
+        """Leave the slot and reset the failure streak (one lock entry);
+        a success redeems a suspect."""
         with self._read_lock:
+            self._in_flight[choice] -= 1
             health = self._health[choice]
             health.consecutive_failures = 0
             health.successes += 1

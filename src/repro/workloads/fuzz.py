@@ -155,8 +155,10 @@ def random_twig_xpath(
     nodes; the trunk follows (a sampled subsequence of) that path, with
     random child/descendant axes, and 0–2 branch predicates hang off
     trunk steps — each a short label path, optionally with a value
-    test.  Witness sampling only biases toward non-empty answers; axis
-    loosening and random predicates keep empty answers common too.
+    test — and sometimes a ``[. = v]`` test on a trunk step itself,
+    inner steps included.  Witness sampling only biases toward
+    non-empty answers; axis loosening and random predicates keep empty
+    answers common too.
     """
     document = rng.choice(list(documents))
     nodes = [n for n in document.root.iter_subtree() if n.is_structural]
@@ -198,9 +200,12 @@ def random_twig_xpath(
         if rng.random() < 0.5:
             predicate += f" = '{rng.choice(VALUES)}'"
         predicates.setdefault(anchor, []).append(predicate)
+    valued = rng.randrange(len(steps)) if rng.random() < 0.25 else None
     parts: list[str] = []
     for index, step in enumerate(steps):
         parts.append(step)
+        if index == valued:
+            parts.append(f"[. = '{rng.choice(VALUES)}']")
         for predicate in predicates.get(index, ()):
             parts.append(f"[{predicate}]")
     return "".join(parts)

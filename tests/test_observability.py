@@ -366,6 +366,7 @@ def test_maintenance_spans_and_cache_invalidation_events():
     db = TwigIndexDatabase.from_documents([_doc(0)])
     db.build_index("rootpaths")
     db.service.execute(XPATH, strategy="auto")  # populate caches
+    db.service.choose(XPATH)  # execution no longer fills the choose() memo
     db.add_document(_doc(1))
 
     maintain = [

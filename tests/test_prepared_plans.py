@@ -1,11 +1,13 @@
-"""Prepared plans: one parse, analysis and join compile per request.
+"""Prepared plans: one parse, analysis and join compile per shape.
 
 A sharded request resolves its text once through the tier's plan cache
-and hands every shard leg the same :class:`TwigPattern`, which carries
-its analysis and compiled joins.  Pinned here:
+— a shape lookup plus a bind — and hands every shard leg the same
+:class:`TwigPattern`, which re-points its shape's analysis and compiled
+joins at its own nodes.  Pinned here:
 
-* the work really happens once per request (call counts), and never
-  again for a repeat, whichever replica executes it;
+* the work really happens once per shape (call counts), and never
+  again for a repeat or for another text of the shape, whichever
+  replica executes it;
 * handing a leg the tier's twig, the query text, or a twig the caller
   parsed gives the same ids, cost counters and cache keys for every
   strategy, through document churn and an index rebuild with different
@@ -19,7 +21,6 @@ its analysis and compiled joins.  Pinned here:
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.errors import QueryParseError
 from repro.kernels.join import CompiledTwig
 from repro.planner import DEFAULT_STRATEGIES
 from repro.planner.analysis import TwigAnalysis
-from repro.query.parser import parse_xpath
+from repro.query.parser import _Parser, parse_xpath
 from repro.storage.stats import sum_snapshots
 from repro.workloads import (
     ALL_QUERIES,
@@ -61,21 +62,19 @@ def _tier(documents, replicas: int = 2) -> ShardedQueryService:
 
 
 # ----------------------------------------------------------------------
-# (a) once per request, never per leg
+# (a) once per shape, never per request or leg
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def prepare_counts(monkeypatch):
     """Counts of parses, analyses and join compiles, wherever called from."""
     counts = {"parse": 0, "analysis": 0, "compiled": []}
-    real_parse = parse_xpath  # this module's own name is patched too
+    real_parse = _Parser.parse_query
 
-    def counting_parse(text):
+    def counting_parse(self):
         counts["parse"] += 1
-        return real_parse(text)
+        return real_parse(self)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "parse_xpath", None) is real_parse:
-            monkeypatch.setattr(module, "parse_xpath", counting_parse)
+    monkeypatch.setattr(_Parser, "parse_query", counting_parse)
 
     analysis_init, compiled_init = TwigAnalysis.__init__, CompiledTwig.__init__
 
@@ -128,6 +127,15 @@ def test_cold_request_prepares_once_for_all_eight_replicas(prepare_counts):
         assert service.execute(xpath, use_result_cache=False).ids == first.ids
         assert (prepare_counts["parse"], prepare_counts["analysis"]) == (1, 1)
         assert flavours == settled
+
+        # Another text of the same shape is a cold request that prepares
+        # nothing: it binds its literals to the first text's shape.
+        other = xpath.replace("'2'", "'1'")
+        cold = service.execute(other)
+        assert not cold.cached and len(service.plan_cache) == 1
+        assert (prepare_counts["parse"], prepare_counts["analysis"]) == (1, 1)
+        assert len(set(flavours)) == len(flavours) <= 2
+        assert cold.ids == service.oracle(other) != first.ids
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +215,12 @@ def _differential(documents, queries, late_document):
             service.build_index("rootpaths", order=8)
             service.build_index("datapaths", order=8, differential_idlists=False)
         _assert_modes_agree(tiers, queries, "after rebuild with other options")
-        # Plans are data- and index-independent: same objects throughout.
+        # Shapes are data- and index-independent: same objects throughout,
+        # each bind a twig of its own.
         for xpath, plan in zip(queries, plans):
-            assert tiers["tier"].plan(xpath) is plan
+            again = tiers["tier"].plan(xpath)
+            assert again is not plan and again.bound[0] is plan.bound[0]
+            assert (again.key, again.to_xpath()) == (plan.key, plan.to_xpath())
     finally:
         for service in tiers.values():
             service.close()
@@ -257,7 +268,8 @@ def test_plan_cache_counters_count_requests_not_legs():
         service.execute("  " + CATALOG[0] + " ")  # same normalised key
         report = service.describe()
         plans = report["caches"]["plan_cache"]
-        assert (plans["hits"], plans["misses"], plans["size"]) == (11, 5, 5)
+        # Five texts of three shapes: only a shape's first text misses.
+        assert (plans["hits"], plans["misses"], plans["size"]) == (13, 3, 3)
         assert plans["hits"] + plans["misses"] == report["queries_executed"]
         assert all(
             shard["service"]["plan_cache"]["misses"] == 0
@@ -265,11 +277,11 @@ def test_plan_cache_counters_count_requests_not_legs():
         )
         # A write drops results, a rebuild drops the replicas' own
         # caches; neither can make a plan stale, so the tier keeps them.
-        twig = service.plan(CATALOG[0])
+        shape = service.plan(CATALOG[0]).bound[0]
         service.add_document(generate_xmark(scale=0.02, seed=398, name="late"))
         service.build_index("rootpaths", order=8)
         service.invalidate(rebuilt=True)
-        assert service.plan(CATALOG[0]) is twig
+        assert service.plan(CATALOG[0]).bound[0] is shape
         assert service.plan_cache.clears == 0
 
 
@@ -290,7 +302,8 @@ def test_text_callers_below_the_tier_prepare_for_themselves():
         replica.plan_cache.clear()
         misses = replica.plan_cache.misses
         twig = replica.plan(xpath)
-        assert replica.plan(xpath) is twig
+        again = replica.plan(xpath)
+        assert again is not twig and again.bound[0] is twig.bound[0]
         assert replica.plan_cache.misses == misses + 1
         assert (twig.source, twig.key) == (xpath, xpath)
         replica.choice_cache.clear()

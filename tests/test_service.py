@@ -54,7 +54,9 @@ def test_plan_cache_shares_parsed_twigs(service_db):
     service = service_db.service
     first = service.plan("/book/title")
     again = service.plan("  /book/title ")  # normalised to the same key
-    assert again is first
+    # One shape, bound twice: a twig of its own per call.
+    assert again is not first and again.bound[0] is first.bound[0]
+    assert (again.key, again.source) == ("/book/title", "  /book/title ")
     assert service.plan_cache.hits == 1 and service.plan_cache.misses == 1
 
 
@@ -210,10 +212,15 @@ def test_auto_ranking_without_catalog_raises(service_db):
 
 def test_auto_choices_are_memoised_per_generation(service_db):
     service = service_db.service
-    service.execute("/book/title", strategy=AUTO_STRATEGY, use_result_cache=False)
+    service_db.build_index("rootpaths")
+    first = service.choose("/book/title")
     assert service.choice_cache.misses == 1
-    service.execute("/book/title", strategy=AUTO_STRATEGY, use_result_cache=False)
+    assert service.choose("/book/title") is first
     assert service.choice_cache.hits == 1 and len(service.choice_cache) == 1
+    # Execution prices its own choice: with the result cache on the memo
+    # could never hit there (both are flushed together).
+    service.execute("/book/title", strategy=AUTO_STRATEGY, use_result_cache=False)
+    assert (service.choice_cache.hits, service.choice_cache.misses) == (1, 1)
     service_db.add_document(book_document())
     assert len(service.choice_cache) == 0  # flushed with the generation
 
@@ -231,7 +238,7 @@ def test_incremental_add_keeps_plans_and_strategies_drops_results(service_db):
 
     service_db.add_document(book_document(name="b2"))
     assert len(service.result_cache) == 0
-    assert service.plan("/book/title") is plan  # plan cache survived
+    assert service.plan("/book/title").bound[0] is plan.bound[0]  # shape survived
     assert service.strategy_instance("rootpaths") is runner
     assert service.result_invalidations == 1
     assert service.full_invalidations >= 1  # the explicit build above
@@ -248,7 +255,7 @@ def test_rebuild_invalidates_everything(service_db):
     service_db.build_index("rootpaths")
     assert len(service.result_cache) == 0
     assert len(service.plan_cache) == 0
-    assert service.plan("/book/title") is not plan
+    assert service.plan("/book/title").bound[0] is not plan.bound[0]
     assert service.strategy_instance("rootpaths") is not runner
     assert service.full_invalidations == full_before + 1
 
@@ -268,7 +275,7 @@ def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db)
     assert not result.cached
     assert result.ids == service_db.oracle("/book/title")
     assert len(result.ids) == 2
-    assert service.plan("/book/title") is plan
+    assert service.plan("/book/title").bound[0] is plan.bound[0]
     assert service.result_invalidations == result_before + 1
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import re
 import sys
 import threading
 
@@ -35,6 +36,7 @@ import pytest
 
 from repro import FrontDoor, QueryRequest, ShardedQueryService, TwigIndexDatabase
 from repro.datasets import generate_xmark
+from repro.query import normalize_xpath
 
 QUERIES = (
     "/site/people/person/name",
@@ -390,11 +392,11 @@ def test_concurrent_callers_share_one_prepared_plan_under_churn():
 
     Eight callers open on the same never-seen text at once (the barrier
     lines their first plan-cache miss up), eight more each bring a text
-    of their own, and all sixteen then run legs of the same twig objects
-    on different replicas, under different replica locks, beside the
-    add/remove writer.  Every answer must still be a consistent cut,
-    and afterwards the tier holds one plan per text — the object every
-    later request is handed.
+    of their own (two shapes between them), and all sixteen then run
+    legs of twigs bound from the same shapes on different replicas,
+    under different replica locks, beside the add/remove writer.  Every
+    answer must still be a consistent cut, and afterwards the tier holds
+    one plan per shape — the object every later request binds from.
     """
     shared = "/site/people/person[profile/education]/name"
     own = [
@@ -410,12 +412,22 @@ def test_concurrent_callers_share_one_prepared_plan_under_churn():
             [(shared, QUERIES[0])] * CHURN_CALLERS
             + [(xpath, QUERIES[1]) for xpath in own],
         )
-        assert sorted(service.plan_cache) == sorted({shared, *own, *QUERIES[:2]})
+        # Exactly the shape keys of the texts asked: each normalised text
+        # with its quoted literals lifted out (the callers' sixteen texts
+        # are two shapes).
+        assert set(service.plan_cache) == {
+            tuple(re.split(r"'[^']*'", normalize_xpath(text)))
+            for text in (shared, *own, *QUERIES[:2])
+        }
+        assert len(service.plan_cache) == 5
         plan = service.plan(shared)
-        assert service.plan(shared) is plan and plan.analysis is not None
-        for compiled in plan.compiled.values():
+        shape = plan.bound[0]
+        assert service.plan(shared).bound[0] is shape
+        assert shape.template.analysis is not None and plan.analysis is None
+        assert service.execute(plan).ids == service.oracle(shared)
+        for flavour, compiled in plan.compiled.items():
             assert compiled.analysis.twig is plan
-        assert service.execute(shared).ids == service.oracle(shared)
+            assert compiled.join is shape.template.compiled[flavour].join
 
 
 def test_front_door_answers_stay_consistent_cuts_under_full_churn():

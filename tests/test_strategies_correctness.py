@@ -11,9 +11,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import TwigIndexDatabase
+from repro import ShardedQueryService, TwigIndexDatabase
 from repro.datasets import FIGURE_1_QUERY, book_document
+from repro.errors import QueryNotSupportedError
 from repro.planner import DEFAULT_STRATEGIES
+from repro.query import NaiveMatcher, TwigNode, TwigPattern
 from repro.workloads import (
     branch_count_sweep,
     clone_document,
@@ -24,7 +26,7 @@ from repro.workloads import (
     random_twig_xpath,
     self_nested_chain,
 )
-from repro.xmltree import Document, Node, NodeKind
+from repro.xmltree import Document, Node, NodeKind, parse_string
 
 BOOK_QUERIES = [
     FIGURE_1_QUERY,
@@ -233,6 +235,63 @@ def test_fuzz_corpus_edge_cases_every_strategy_and_auto(case):
             assert result.ids == expected, (
                 f"{strategy} disagrees on {xpath} ({case})"
             )
+
+
+# ----------------------------------------------------------------------
+# A value condition on a step that also has children.
+#
+# A PathQuery carries its leaf's value only, so ``a[. = 'x']`` above
+# ``/b`` used to be dropped by every index strategy (ids for both
+# ``a``s).  It is now its own valued root-to-step path.
+# ----------------------------------------------------------------------
+INNER_VALUE_XML = "<r><a>x<b>1</b></a><a>y<b>2</b></a><a>x</a></r>"
+INNER_VALUE_QUERIES = {
+    "/r/a[. = 'x']/b": [4],
+    "/r/a[. = 'x'][b]": [2],
+    "//a[. = 'y']/b": [8],
+    "/r/a[. = 'y'][b = '2']/b": [8],
+    "/r/a[. = 'x'][b = '2']": [],
+    "/r[. = 'x']/a": [],
+    "/r[a = 'x']/a[. = 'y']/b[. = '2']": [8],
+}
+
+
+@pytest.mark.parametrize("xpath", sorted(INNER_VALUE_QUERIES))
+def test_value_on_an_inner_step_is_evaluated_not_dropped(xpath):
+    expected = INNER_VALUE_QUERIES[xpath]
+    database = TwigIndexDatabase.from_xml(INNER_VALUE_XML)
+    database.build_all_indexes()
+    assert NaiveMatcher(database.db).match_ids(database.parse(xpath)) == expected
+    for strategy in DEFAULT_STRATEGIES:
+        for use_kernels in (True, False):
+            result = database.query(xpath, strategy=strategy, use_kernels=use_kernels)
+            assert result.ids == expected, (strategy, use_kernels)
+    for force_plan in ("merge", "inl"):
+        forced = database.query(xpath, strategy="datapaths", force_plan=force_plan)
+        assert forced.ids == expected, force_plan
+    assert database.query(xpath, strategy="auto").ids == expected
+
+    # The sharded tier: the same document on two shards, global ids.
+    with ShardedQueryService(num_shards=2, replicas=2, placement="round_robin") as tier:
+        for name in ("one", "two"):
+            tier.add_document(parse_string(INNER_VALUE_XML, name=name))
+        tier.build_index("rootpaths")
+        tier.build_index("datapaths")
+        oracle = tier.oracle(xpath)
+        assert len(oracle) == 2 * len(expected)
+        for strategy in ("rootpaths", "datapaths", "auto"):
+            assert tier.execute(xpath, strategy=strategy).ids == oracle, strategy
+
+
+def test_value_on_an_off_trunk_inner_step_is_rejected_not_widened():
+    # The grammar cannot write it; a hand-built twig gets a typed error.
+    root = TwigNode("r")
+    inner = root.add_child(TwigNode("a", value="x"))
+    inner.add_child(TwigNode("b"))
+    twig = TwigPattern(root, output=root)
+    database = TwigIndexDatabase.from_xml(INNER_VALUE_XML)
+    with pytest.raises(QueryNotSupportedError, match="off-trunk"):
+        database.query(twig, strategy="rootpaths")
 
 
 # ----------------------------------------------------------------------
