@@ -4,9 +4,10 @@ Shanmugasundaram, Srivastava; ICDE 2005).
 
 The package implements the paper's family of XML path indices —
 including the novel ROOTPATHS and DATAPATHS structures — on top of a
-self-contained relational substrate (B+-trees, heap files, join
-operators), together with the datasets, workloads and benchmark harness
-needed to regenerate every table and figure of the paper's evaluation.
+self-contained relational substrate (B+-trees, heap files, a compiled
+hash join on branch-point ids), together with the datasets, workloads
+and benchmark harness needed to regenerate every table and figure of
+the paper's evaluation.
 
 Typical entry points:
 

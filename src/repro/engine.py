@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .obs import Telemetry, Trace
 from .planner.evaluator import DEFAULT_STRATEGIES, QueryResult, TwigQueryEngine
-from .query.match import ColumnarMatcher, NaiveMatcher
+from .query.match import NaiveMatcher
 from .query.parser import parse_xpath
 from .query.twig import TwigPattern
 from .service import AUTO_STRATEGY, BatchResult, QueryService
@@ -53,11 +53,10 @@ class TwigIndexDatabase:
         self,
         db: Optional[XmlDatabase] = None,
         telemetry: Optional[Telemetry] = None,
-        use_kernels: bool = True,
     ) -> None:
         self.db = db if db is not None else XmlDatabase()
         self.stats = StatsCollector()
-        self.engine = TwigQueryEngine(self.db, stats=self.stats, use_kernels=use_kernels)
+        self.engine = TwigQueryEngine(self.db, stats=self.stats)
         self.service = QueryService(self.engine, telemetry=telemetry)
         #: The stack's telemetry hub (shared with the service layer);
         #: ``docs/OBSERVABILITY.md`` documents the span taxonomy and
@@ -230,15 +229,12 @@ class TwigIndexDatabase:
         """Index-free ground truth (naive tree matching)."""
         return self.engine.oracle_ids(xpath)
 
-    def matcher(self, use_kernels: bool = False) -> NaiveMatcher:
-        """A matcher bound to this database.
+    def matcher(self) -> NaiveMatcher:
+        """The naive tree-walking matcher (the oracle) bound to this database.
 
-        The default is the naive tree-walking oracle;
-        ``use_kernels=True`` returns the columnar matcher (same
-        semantics, batch passes over the flattened node table).
+        :class:`~repro.query.match.ColumnarMatcher` is the same matcher
+        as batch passes over the flattened node table.
         """
-        if use_kernels:
-            return ColumnarMatcher(self.db)
         return NaiveMatcher(self.db)
 
     # ------------------------------------------------------------------

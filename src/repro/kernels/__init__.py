@@ -10,18 +10,20 @@ resumption.  This package re-encodes the hot path as columnar data:
   :class:`~repro.kernels.columns.PathInterner`), a batch delta codec
   (decompress-on-access), and the payload-to-row extractor that turns
   raw index payloads into join rows through a per-path placement cache.
-* :mod:`repro.kernels.join` — the compiled branch joiner (one pass of
-  dict-grouped hash joins that mirrors the legacy operator plan's
-  :class:`~repro.storage.stats.StatsCollector` charges exactly) and the
-  stack-based structural join over interval columns.
+* :mod:`repro.kernels.join` — the compiled branch join (one pass of
+  dict-grouped hash joins charging the
+  :class:`~repro.storage.stats.StatsCollector` exactly as a per-row
+  operator plan would) and the stack-based structural join over
+  interval columns.
 * :mod:`repro.kernels.filter` — predicate/level/containment filters as
   merge and gallop passes over sorted position arrays.
 
-Every strategy and the matcher route through these kernels when the
-engine's ``use_kernels`` flag is on (the default); the legacy per-row
-path is kept verbatim as the differential oracle.  Answers and cost
-counters are bit-identical either way — pinned by
-``tests/test_kernels.py`` and ``tests/test_differential_fuzz.py``.
+Every strategy evaluates through these kernels, and
+:class:`~repro.query.match.ColumnarMatcher` is the naive matcher's
+batch form.  The per-row evaluator they replaced lives on in
+``tests/oracle_legacy.py`` as the reference: answers and every cost
+counter must equal its own, pinned by ``tests/test_kernels.py`` and
+``tests/test_differential_fuzz.py``.
 """
 
 from .columns import (

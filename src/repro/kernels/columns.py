@@ -87,15 +87,17 @@ class BranchExtractor:
 
     A payload is the stored B+-tree value ``(schema_path, ids, ...)``
     (ROOTPATHS) or ``(schema_path, ids, value, head_id)`` (DATAPATHS
-    bound rows, ``bound=True``).  The extractor mirrors the legacy
-    ``EvaluationStrategy._rows_from_matches`` exactly — including the
-    ``None`` row-skip for pruned IdLists and the
-    :meth:`~repro.indexes.base.PathMatch.id_at` head offset — but runs
-    :func:`match_positions` once per distinct schema path: placements
-    are memoised per schema path as pre-mapped needed-position tuples.
-    The memo is a function of the pattern and the labels alone, so an
-    extractor shared by concurrent shard legs only ever sees a slot
-    filled with the value any other leg would have computed.
+    bound rows, ``bound=True``).  Every placement of the pattern in a
+    payload's schema path yields one row of the needed positions' ids —
+    skipping rows with a ``None`` from a pruned IdList and honouring the
+    :meth:`~repro.indexes.base.PathMatch.id_at` head offset, exactly as
+    the per-row ``PathMatch`` producer in ``tests/oracle_legacy.py`` —
+    but :func:`match_positions` runs once per distinct schema path:
+    placements are memoised per schema path as pre-mapped
+    needed-position tuples.  The memo is a function of the pattern and
+    the labels alone, so an extractor shared by concurrent shard legs
+    only ever sees a slot filled with the value any other leg would
+    have computed.
     """
 
     def __init__(

@@ -1,11 +1,13 @@
-"""Join kernels: the compiled branch joiner and the structural join.
+"""Join kernels: the compiled branch join and the structural join.
 
-:class:`CompiledJoin` replays the legacy operator plan of
-:func:`repro.planner.joiner.build_join_plan` — same relation order,
-same join/filter/projection structure, same
-:class:`~repro.storage.stats.StatsCollector` charges — as one batch
-pass per join step instead of a per-row iterator pipeline.  The charge
-mirror is exact by construction:
+:class:`CompiledJoin` is the hash-join plan every strategy joins its
+branch rows with — "extract the ids of the branch point from the
+IdLists, and do a join on the branch points" (Section 5.2.2) — run as
+one batch pass per join step.  Its relation order, join/filter/
+projection structure and :class:`~repro.storage.stats.StatsCollector`
+charges are those of the per-row iterator plan kept as the reference in
+``tests/oracle_legacy.py`` (``build_join_plan``), where every operator
+charges per row:
 
 * ``RowSource`` produces one tuple per row it feeds a consumer;
 * ``HashJoin`` charges one ``join_probes`` per left row and one
@@ -15,9 +17,9 @@ mirror is exact by construction:
 * each per-step ``Project``, the final output projection and the final
   ``Distinct`` charge one ``tuples_produced`` per row they pass.
 
-The kernel computes those counts from grouped dictionaries in bulk, so
-kernels-on and kernels-off runs report identical cost counters (pinned
-by ``tests/test_kernels.py``).
+The kernel computes those counts from grouped dictionaries in bulk;
+``tests/test_kernels.py`` and ``tests/test_differential_fuzz.py`` pin
+them equal to the reference's, every counter of every strategy.
 
 :class:`CompiledTwig` bundles everything derivable from a parsed twig
 alone — the analysis, per-branch needed positions and payload
@@ -63,13 +65,13 @@ class _Step:
 
 
 class CompiledJoin:
-    """The legacy join plan compiled to positional batch passes.
+    """The branch join plan compiled to positional batch passes.
 
     Compilation only reads column *names* (which are fully determined
     by the twig analysis), so one compiled join serves every execution
-    of its twig regardless of document churn.  Plan errors the legacy
-    path raises at join time are deferred to :meth:`run` so callers
-    observe identical behaviour.
+    of its twig regardless of document churn.  Plan errors are deferred
+    to :meth:`run`, so they surface when a twig executes, not when it
+    is compiled.
     """
 
     def __init__(

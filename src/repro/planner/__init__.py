@@ -1,4 +1,4 @@
-"""Twig evaluation plans: analysis, joining, strategies, plan choice, engine."""
+"""Twig evaluation plans: analysis, strategies, plan choice, engine."""
 
 from .analysis import AnalyzedPath, TwigAnalysis, split_segments, subpath_below
 from .evaluator import (
@@ -7,7 +7,6 @@ from .evaluator import (
     STRATEGY_TYPES,
     TwigQueryEngine,
 )
-from .joiner import BranchRelation, build_join_plan, join_branches
 from .optimizer import (
     AUTO_CANDIDATES,
     DataPathsPlanChoice,
@@ -33,7 +32,6 @@ __all__ = [
     "AUTO_CANDIDATES",
     "AccessSupportRelationsStrategy",
     "AnalyzedPath",
-    "BranchRelation",
     "DEFAULT_STRATEGIES",
     "DataGuidePlusEdgeStrategy",
     "DataPathsPlanChoice",
@@ -49,12 +47,10 @@ __all__ = [
     "StrategyChoice",
     "TwigAnalysis",
     "TwigQueryEngine",
-    "build_join_plan",
     "choose_datapaths_plan",
     "choose_strategy",
     "estimate_branch_cardinalities",
     "estimate_strategy_costs",
-    "join_branches",
     "split_segments",
     "subpath_below",
 ]

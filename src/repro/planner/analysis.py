@@ -12,8 +12,9 @@ Given a parsed :class:`~repro.query.twig.TwigPattern`, the
   path plus the output node when it is on the path — the columns its
   branch relation must produce for the final join.
 
-Strategies turn each path into a relation over its needed nodes and the
-generic joiner in :mod:`repro.planner.joiner` combines them.
+Strategies turn each path into rows over its needed nodes, and the
+twig's compiled join (:class:`~repro.kernels.join.CompiledJoin`) joins
+them on those columns.
 """
 
 from __future__ import annotations

@@ -43,6 +43,17 @@ STRATEGY_TYPES: dict[str, type[EvaluationStrategy]] = {
     JoinIndicesStrategy.name: JoinIndicesStrategy,
 }
 
+
+def strategy_class(name: str) -> type[EvaluationStrategy]:
+    """The strategy class registered under ``name``; PlanningError if none."""
+    try:
+        return STRATEGY_TYPES[name]
+    except KeyError:
+        raise PlanningError(
+            f"unknown strategy {name!r}; known: {sorted(STRATEGY_TYPES)}"
+        ) from None
+
+
 #: Strategy names in the order the paper's figures list them.
 DEFAULT_STRATEGIES = (
     "rootpaths",
@@ -91,13 +102,9 @@ class TwigQueryEngine:
         self,
         db: XmlDatabase,
         stats: Optional[StatsCollector] = None,
-        use_kernels: bool = True,
     ) -> None:
         self.db = db
         self.stats = stats if stats is not None else StatsCollector()
-        #: Default for the strategies' columnar-kernel fast path; any
-        #: :meth:`strategy` call can still override it per instance.
-        self.use_kernels = bool(use_kernels)
         self.indexes: dict[str, PathIndex] = {}
         #: Options used for the most recent build of each index, replayed
         #: when an evicted index is rebuilt on demand (so ablation
@@ -147,8 +154,7 @@ class TwigQueryEngine:
         Missing indices are (re)built with the options recorded by their
         last explicit :meth:`build_index` call, defaults otherwise.
         """
-        strategy_class = self._strategy_class(strategy_name)
-        for index_name in strategy_class.required_indexes:
+        for index_name in strategy_class(strategy_name).required_indexes:
             if index_name not in self.indexes:
                 self.build_index(index_name, **self.build_options.get(index_name, {}))
 
@@ -235,9 +241,7 @@ class TwigQueryEngine:
     def strategy(self, name: str, **options) -> EvaluationStrategy:
         """Instantiate a strategy, building its required indices if needed."""
         self.ensure_indexes_for(name)
-        strategy_class = self._strategy_class(name)
-        options.setdefault("use_kernels", self.use_kernels)
-        return strategy_class(self.db, self.indexes, stats=self.stats, **options)
+        return strategy_class(name)(self.db, self.indexes, stats=self.stats, **options)
 
     def execute(
         self,
@@ -292,13 +296,3 @@ class TwigQueryEngine:
         """Ground-truth answer from the naive matcher (no index involved)."""
         twig = parse_xpath(query) if isinstance(query, str) else query
         return NaiveMatcher(self.db).match_ids(twig)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _strategy_class(name: str) -> type[EvaluationStrategy]:
-        try:
-            return STRATEGY_TYPES[name]
-        except KeyError:
-            raise PlanningError(
-                f"unknown strategy {name!r}; known: {sorted(STRATEGY_TYPES)}"
-            ) from None

@@ -1,11 +1,13 @@
 """Twig evaluation strategies, one per index structure.
 
 Each strategy turns a parsed twig pattern into sorted output-node ids
-using only its index's lookup primitives plus the relational join
-operators — the plans of Section 5:
+using only its index's lookup primitives: every root-to-leaf path
+becomes rows of branch-point ids, and the twig's compiled hash join
+(:class:`~repro.kernels.join.CompiledJoin`) joins them on the branch
+points — the plans of Section 5:
 
 * :class:`RootPathsStrategy` — one ROOTPATHS lookup per root-to-leaf
-  path, branch-point ids extracted from IdLists, hash/merge join.
+  path, branch-point ids extracted from IdLists, hash join.
 * :class:`DataPathsStrategy` — same merge plan via FreeIndex probes,
   or the index-nested-loop plan built on BoundIndex probes when the
   optimizer decides one branch is selective enough (Section 5.2.3).
@@ -22,17 +24,19 @@ operators — the plans of Section 5:
 * :class:`JoinIndicesStrategy` — per-schema-path binary join indices,
   composed with joins to recover intermediate branch points.
 
-All strategies are verified against the naive matcher in the tests.
+All strategies are verified against the naive matcher in the tests,
+and their answers and cost counters against the per-row operator
+evaluator kept as the reference in ``tests/oracle_legacy.py``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from ..errors import PlanningError
 from ..indexes.asr import AccessSupportRelationsIndex
-from ..indexes.base import PathIndex, PathMatch
+from ..indexes.base import PathIndex
 from ..kernels.join import CompiledBranch, CompiledTwig
 from ..indexes.dataguide import DataGuideIndex
 from ..indexes.datapaths import DataPathsIndex
@@ -46,7 +50,6 @@ from ..query.twig import PathQuery, TwigPattern
 from ..storage.stats import GLOBAL_STATS, StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
 from .analysis import AnalyzedPath, TwigAnalysis, split_segments, subpath_below
-from .joiner import BranchRelation, join_branches
 from .optimizer import DataPathsPlanChoice, choose_datapaths_plan
 
 
@@ -57,6 +60,9 @@ class EvaluationStrategy(abc.ABC):
     name: str = "abstract"
     #: Index names (keys into the engine's index dict) this strategy needs.
     required_indexes: tuple[str, ...] = ()
+    #: Per-request options the constructor takes after ``stats``; the
+    #: serving layer refuses anything else with a :class:`PlanningError`.
+    options: tuple[str, ...] = ()
     #: DATAPATHS payloads carry a bound head id the extractors must read.
     bound_payloads: bool = False
 
@@ -65,12 +71,10 @@ class EvaluationStrategy(abc.ABC):
         db: XmlDatabase,
         indexes: dict[str, PathIndex],
         stats: Optional[StatsCollector] = None,
-        use_kernels: bool = True,
     ) -> None:
         self.db = db
         self.indexes = indexes
         self.stats = stats if stats is not None else GLOBAL_STATS
-        self.use_kernels = bool(use_kernels)
         for required in self.required_indexes:
             if required not in indexes:
                 raise PlanningError(
@@ -80,34 +84,16 @@ class EvaluationStrategy(abc.ABC):
     # ------------------------------------------------------------------
     def evaluate(self, twig: TwigPattern) -> list[int]:
         """Sorted ids of database nodes matching the twig's output node."""
-        if self.use_kernels:
-            return self._kernel_merge(self._twig_plan(twig))
-        return self._legacy_merge(TwigAnalysis.of(twig))
+        return self._merge(self._twig_plan(twig))
 
-    def _kernel_merge(self, plan: CompiledTwig) -> list[int]:
+    def _merge(self, plan: CompiledTwig) -> list[int]:
         """Every branch's rows through the compiled join."""
         rows = [
-            self._kernel_branch_rows(plan, branch, path)
+            self._branch_rows(plan, branch, path)
             for branch, path in zip(plan.branches, plan.analysis.paths)
         ]
         return plan.join.run(rows, self.stats)
 
-    def _legacy_merge(self, analysis: TwigAnalysis) -> list[int]:
-        """Every branch's rows through the operator-pipeline joiner."""
-        relations = [
-            BranchRelation(
-                analysis,
-                path.needed_nodes,
-                self._branch_rows(analysis, path),
-                label=path.query.describe(),
-            )
-            for path in analysis.paths
-        ]
-        return join_branches(analysis, relations, stats=self.stats)
-
-    # ------------------------------------------------------------------
-    # Columnar kernel path
-    # ------------------------------------------------------------------
     def _twig_plan(self, twig: TwigPattern) -> CompiledTwig:
         """The twig's own :class:`CompiledTwig` for this payload flavour.
 
@@ -128,54 +114,15 @@ class EvaluationStrategy(abc.ABC):
             twig.compiled[self.bound_payloads] = plan
         return plan
 
-    def _kernel_branch_rows(
-        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
-    ) -> list[tuple]:
-        """Kernel-path row production; defaults to the legacy producer.
-
-        ``path`` carries the value, ``branch`` its compiled layout.
-        Strategies whose indexes expose batch payload lookups override
-        this; the rest keep their row production and still gain the
-        compiled join.
-        """
-        return self._branch_rows(plan.analysis, path)
-
     @abc.abstractmethod
     def _branch_rows(
-        self, analysis: TwigAnalysis, path: AnalyzedPath
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
-        """Rows of ids for the path's needed nodes."""
+        """Rows of ids for the path's needed nodes.
 
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _rows_from_matches(
-        matches: Iterable[PathMatch],
-        pattern: PathPattern,
-        needed_positions: Sequence[int],
-        already_exact: bool = False,
-    ) -> list[tuple]:
-        """Map index matches to needed-node id rows.
-
-        Each match's schema path is checked against the full pattern
-        (placements); every placement contributes one row built from the
-        IdList positions of the needed nodes.
+        ``path`` (from ``plan.analysis``) carries the value, ``branch``
+        its compiled layout.
         """
-        rows: list[tuple] = []
-        for match in matches:
-            if already_exact:
-                placements = [tuple(range(len(match.labels)))]
-            else:
-                placements = match_positions(pattern, match.labels)
-            for placement in placements:
-                row = tuple(
-                    match.id_at(placement[position]) for position in needed_positions
-                )
-                if any(value is None for value in row):
-                    continue
-                rows.append(row)
-        return rows
 
     def _needed_positions(self, path: AnalyzedPath) -> list[int]:
         return [path.query.position_of(node) for node in path.needed_nodes]
@@ -194,18 +141,7 @@ class RootPathsStrategy(EvaluationStrategy):
     def index(self) -> RootPathsIndex:
         return self.indexes["rootpaths"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
-        query = path.query
-        pattern = query.pattern
-        exact = pattern.is_single_segment and pattern.anchored
-        matches = self.index.lookup(
-            pattern.trailing_segment, query.value, anchored=exact
-        )
-        return self._rows_from_matches(
-            matches, pattern, self._needed_positions(path), already_exact=exact
-        )
-
-    def _kernel_branch_rows(
+    def _branch_rows(
         self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
         payloads = self.index.lookup_payloads(
@@ -222,6 +158,7 @@ class DataPathsStrategy(EvaluationStrategy):
 
     name = "datapaths"
     required_indexes = ("datapaths",)
+    options = ("force_plan",)
     bound_payloads = True
 
     def __init__(
@@ -230,9 +167,8 @@ class DataPathsStrategy(EvaluationStrategy):
         indexes: dict[str, PathIndex],
         stats: Optional[StatsCollector] = None,
         force_plan: Optional[str] = None,
-        use_kernels: bool = True,
     ) -> None:
-        super().__init__(db, indexes, stats, use_kernels=use_kernels)
+        super().__init__(db, indexes, stats)
         if force_plan not in (None, "merge", "inl"):
             raise PlanningError(f"unknown DATAPATHS plan {force_plan!r}")
         self.force_plan = force_plan
@@ -248,17 +184,13 @@ class DataPathsStrategy(EvaluationStrategy):
         choice = self.last_plan = choose_datapaths_plan(
             analysis, self.index, force=self.force_plan
         )
-        inl = choice.plan == "inl" and not analysis.is_single_path
-        if self.use_kernels:
-            plan = self._twig_plan(twig)
-            if inl:
-                return self._kernel_inl(plan, choice)
-            return self._kernel_merge(plan)
-        if inl:
-            return self._evaluate_inl(analysis, choice)
-        return self._legacy_merge(analysis)
+        plan = self._twig_plan(twig)
+        if choice.plan == "inl" and not analysis.is_single_path:
+            return self._inl(plan, choice)
+        return self._merge(plan)
 
-    def _kernel_branch_rows(
+    # -- merge plan ------------------------------------------------------
+    def _branch_rows(
         self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
     ) -> list[tuple]:
         payloads = self.index.free_lookup_payloads(
@@ -266,24 +198,23 @@ class DataPathsStrategy(EvaluationStrategy):
         )
         return branch.extractor.rows(payloads)
 
-    def _kernel_inl(
-        self, plan: CompiledTwig, choice: DataPathsPlanChoice
-    ) -> list[int]:
-        """Compiled index-nested-loop plan (mirrors :meth:`_evaluate_inl`).
+    # -- index-nested-loop plan -------------------------------------------
+    def _inl(self, plan: CompiledTwig, choice: DataPathsPlanChoice) -> list[int]:
+        """The index-nested-loop plan: one BoundIndex probe per outer row
+        and probed branch, charged one ``join_probes`` each.
 
         The per-outer-branch probe layout — head-column positions, probe
         patterns, placement caches — is compiled once and stashed on the
         twig plan (shared like the plan itself: a function of the twig's
         shape and the outer branch alone; values come from the executing
-        plan's analysis); each execution is the same probe sequence with
-        the same ``join_probes`` charge points as the legacy loop.
+        plan's analysis).
         """
         spec = plan.inl_plans.get(choice.outer_index)
         if spec is None:
             spec = _CompiledInl(plan.analysis, choice.outer_index)
             plan.inl_plans[choice.outer_index] = spec
         paths = plan.analysis.paths
-        outer_rows = self._kernel_branch_rows(
+        outer_rows = self._branch_rows(
             plan, plan.branches[choice.outer_index], paths[choice.outer_index]
         )
         probed = [(other, paths[other.branch].query.value) for other in spec.others]
@@ -330,159 +261,23 @@ class DataPathsStrategy(EvaluationStrategy):
                         results.add(identifier)
         return sorted(results)
 
-    # -- merge plan ------------------------------------------------------
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
-        query = path.query
-        pattern = query.pattern
-        exact = pattern.is_single_segment and pattern.anchored
-        matches = self.index.free_lookup(
-            pattern.trailing_segment, query.value, anchored=exact
-        )
-        return self._rows_from_matches(
-            matches, pattern, self._needed_positions(path), already_exact=exact
-        )
-
-    # -- index-nested-loop plan -------------------------------------------
-    def _evaluate_inl(
-        self, analysis: TwigAnalysis, choice: DataPathsPlanChoice
-    ) -> list[int]:
-        outer = analysis.paths[choice.outer_index]
-        others = [p for i, p in enumerate(analysis.paths) if i != choice.outer_index]
-        outer_rows = self._branch_rows(analysis, outer)
-        outer_columns = {node: i for i, node in enumerate(outer.needed_nodes)}
-        output = analysis.output
-        output_on_outer = output in outer_columns
-
-        results: set[int] = set()
-        for row in outer_rows:
-            satisfied = True
-            output_candidates: Optional[set[int]] = None
-            for other in others:
-                head_node = analysis.trunk_common_node(outer.join_point, other.join_point)
-                head_id = row[outer_columns[head_node]]
-                self.stats.join_probes += 1
-                matches = self._probe_below(head_id, other.query, head_node)
-                if not matches:
-                    satisfied = False
-                    break
-                if other.contains_output and not output_on_outer:
-                    extracted = self._extract_node_ids(matches, other.query, head_node, output)
-                    if output_candidates is None:
-                        output_candidates = extracted
-                    else:
-                        output_candidates &= extracted
-                    if not output_candidates:
-                        satisfied = False
-                        break
-            if not satisfied:
-                continue
-            if output_on_outer:
-                results.add(row[outer_columns[output]])
-            elif output_candidates is not None:
-                results.update(output_candidates)
-            else:
-                # The output lies on the trunk below every probed branch's
-                # attachment point; fetch it with one more BoundIndex probe
-                # down the trunk from the deepest trunk node we hold.
-                head_node = outer.join_point
-                head_id = row[outer_columns[head_node]]
-                trunk_below = tuple(
-                    analysis.trunk_nodes_between(head_node, output, inclusive_lower=True)
-                )
-                if not trunk_below:
-                    results.add(head_id)
-                    continue
-                self.stats.join_probes += 1
-                matches = self._probe_nodes_below(head_id, trunk_below, value=None)
-                for match, placement in matches:
-                    identifier = match.id_at(placement[len(trunk_below) - 1])
-                    if identifier is not None:
-                        results.add(identifier)
-        return sorted(results)
-
-    def _probe_below(
-        self, head_id: int, query: PathQuery, head_node: TwigNode
-    ) -> list[tuple[PathMatch, tuple[int, ...]]]:
-        below = subpath_below(query.nodes, head_node)
-        if below:
-            return self._probe_nodes_below(head_id, below, value=query.value)
-        if query.value is None:
-            return [(PathMatch(labels=(head_node.label,), ids=(head_id,)), (0,))]
-        # The branch ends at the head with a value: probe the head's own row.
-        own = self.index.bound_lookup(head_id, (), value=query.value, anchored=True)
-        return [(match, ()) for match in own]
-
-    def _probe_nodes_below(
-        self,
-        head_id: int,
-        below: tuple[TwigNode, ...],
-        value: Optional[str],
-    ) -> list[tuple[PathMatch, tuple[int, ...]]]:
-        """BoundIndex probe for a chain of twig nodes below a head node.
-
-        Returns ``(match, placement)`` pairs where the placement maps the
-        below-node positions onto the match's label positions (the head
-        label occupies position 0 of the match labels).
-        """
-        segments, anchored = split_segments(below)
-        pattern = PathPattern(segments, anchored=False)
-        trailing = segments[-1]
-        exact = len(segments) == 1 and anchored
-        matches = self.index.bound_lookup(head_id, pattern.labels if exact else trailing,
-                                          value=value, anchored=exact)
-        results: list[tuple[PathMatch, tuple[int, ...]]] = []
-        for match in matches:
-            if exact:
-                placement = tuple(range(1, len(match.labels)))
-                results.append((match, placement))
-                continue
-            # Verify the full below-pattern against the labels under the head.
-            sub_labels = match.labels[1:]
-            verify_pattern = PathPattern(segments, anchored=anchored)
-            for placement in match_positions(verify_pattern, sub_labels):
-                shifted = tuple(position + 1 for position in placement)
-                results.append((match, shifted))
-        return results
-
-    def _extract_node_ids(
-        self,
-        matches: list[tuple[PathMatch, tuple[int, ...]]],
-        query: PathQuery,
-        head_node: TwigNode,
-        target: TwigNode,
-    ) -> set[int]:
-        below = subpath_below(query.nodes, head_node)
-        target_index = None
-        for index, node in enumerate(below):
-            if node is target:
-                target_index = index
-                break
-        if target_index is None:
-            return set()
-        extracted: set[int] = set()
-        for match, placement in matches:
-            identifier = match.id_at(placement[target_index])
-            if identifier is not None:
-                extracted.add(identifier)
-        return extracted
-
 
 # ----------------------------------------------------------------------
-# Compiled DATAPATHS INL probe layout (kernel path)
+# Compiled DATAPATHS INL probe layout
 # ----------------------------------------------------------------------
 #: Stand-in probe result for an empty, valueless below-chain: the head
-#: itself satisfies the branch, exactly like the legacy synthetic PathMatch.
-#: Never hits the index and never feeds extraction (target is None).
+#: itself satisfies the branch.  Never hits the index and never feeds
+#: extraction (target is None).
 _SYNTHETIC_PROBE: list[tuple[tuple, tuple[int, ...]]] = [(((), (), None, None), (0,))]
 
 
 class _ProbeSpec:
     """One compiled BoundIndex probe below a fixed trunk attachment.
 
-    Mirrors :meth:`DataPathsStrategy._probe_nodes_below` over raw
-    ``(schema_path, ids, leaf_value, head_id)`` payloads, with placement
-    verification memoised per schema path (placements depend only on
-    labels, never on the probed head id).
+    Probes over raw ``(schema_path, ids, leaf_value, head_id)`` payloads
+    and verifies the below-pattern against the labels under the head
+    (position 0), with placements memoised per schema path (they depend
+    only on labels, never on the probed head id).
     """
 
     __slots__ = ("empty", "exact", "trailing", "verify_pattern",
@@ -543,7 +338,7 @@ class _ProbeSpec:
 def _extract_probe_ids(
     matches: list[tuple], target_index: Optional[int]
 ) -> set[int]:
-    """Ids at the target below-position (payload mirror of ``id_at``)."""
+    """Ids at the target below-position (the payload form of ``id_at``)."""
     if target_index is None:
         return set()
     extracted: set[int] = set()
@@ -629,7 +424,9 @@ class EdgeStrategy(EvaluationStrategy):
     def index(self) -> EdgeIndex:
         return self.indexes["edge"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _branch_rows(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         query = path.query
         leaf = query.leaf
         if query.value is not None:
@@ -698,7 +495,9 @@ class DataGuidePlusEdgeStrategy(EvaluationStrategy):
     def edge(self) -> EdgeIndex:
         return self.indexes["edge"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _branch_rows(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         query = path.query
         needed_positions = self._needed_positions(path)
         rows: list[tuple] = []
@@ -754,13 +553,15 @@ class IndexFabricPlusEdgeStrategy(DataGuidePlusEdgeStrategy):
     def edge(self) -> EdgeIndex:
         return self.indexes["edge"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _branch_rows(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         query = path.query
         needed_positions = self._needed_positions(path)
         if query.value is None:
             # The fabric only stores root-to-leaf paths with values; fall
             # back to the Edge-style evaluation for structural branches.
-            return self._edge_fallback(analysis, path)
+            return self._edge_fallback(plan, branch, path)
         rows: list[tuple] = []
         for schema_path in self.fabric.paths_matching(query.pattern):
             candidates = self.fabric.lookup(schema_path, query.value)
@@ -773,9 +574,11 @@ class IndexFabricPlusEdgeStrategy(DataGuidePlusEdgeStrategy):
                     rows.append(tuple(ids[placement[p]] for p in needed_positions))
         return rows
 
-    def _edge_fallback(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _edge_fallback(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         edge_strategy = EdgeStrategy(self.db, {"edge": self.edge}, stats=self.stats)
-        return edge_strategy._branch_rows(analysis, path)
+        return edge_strategy._branch_rows(plan, branch, path)
 
 
 # ----------------------------------------------------------------------
@@ -791,7 +594,9 @@ class AccessSupportRelationsStrategy(EvaluationStrategy):
     def index(self) -> AccessSupportRelationsIndex:
         return self.indexes["asr"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _branch_rows(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         query = path.query
         needed_positions = self._needed_positions(path)
         rows: list[tuple] = []
@@ -821,7 +626,9 @@ class JoinIndicesStrategy(EvaluationStrategy):
     def index(self) -> JoinIndicesIndex:
         return self.indexes["join_index"]  # type: ignore[return-value]
 
-    def _branch_rows(self, analysis: TwigAnalysis, path: AnalyzedPath) -> list[tuple]:
+    def _branch_rows(
+        self, plan: CompiledTwig, branch: CompiledBranch, path: AnalyzedPath
+    ) -> list[tuple]:
         query = path.query
         needed = list(path.needed_nodes)
         # Anchor chain: root element, each needed node, and the leaf.

@@ -30,7 +30,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..obs import Telemetry, Trace
 from ..obs.clock import now as _now
-from ..planner.evaluator import QueryResult
+from ..errors import PlanningError
+from ..planner.evaluator import QueryResult, strategy_class
+from ..planner.optimizer import AUTO_CANDIDATES
 from ..query.parser import normalize_xpath, parse_xpath
 from ..query.twig import TwigPattern
 from ..storage.stats import weighted_cost
@@ -88,6 +90,9 @@ class ServingFacade:
     #: off with ``LRUCache(0)``.  The front door reads it on the event
     #: loop, so nothing but the cache's own lock may guard it.
     answer_cache: LRUCache
+    #: The strategies ``auto`` may pick; the single-engine service takes
+    #: its own at construction.
+    auto_candidates: tuple[str, ...] = AUTO_CANDIDATES
 
     # ------------------------------------------------------------------
     # Hooks subclasses implement
@@ -329,8 +334,30 @@ class ServingFacade:
         return self.telemetry.slow_queries(last=last)
 
     # ------------------------------------------------------------------
-    # Cache key and copy helpers (shared)
+    # Request checks, cache keys and copies (shared)
     # ------------------------------------------------------------------
+    def _check_options(self, strategy: str, strategy_options: Mapping) -> None:
+        """Refuse an option the strategy does not take, before any work.
+
+        A fixed strategy accepts its class's ``options``; ``auto``
+        accepts what any of its candidates does (and forwards each
+        option only to the candidate that takes it).  Anything else is
+        a :class:`PlanningError`: the caller's mistake, answered as a
+        typed query error -- never a bare ``TypeError`` from a strategy
+        constructor, which the replicated tier would count against the
+        replica that happened to serve it.
+        """
+        if not strategy_options:
+            return
+        names = self.auto_candidates if strategy == AUTO_STRATEGY else (strategy,)
+        accepted = {option for name in names for option in strategy_class(name).options}
+        unknown = sorted(set(strategy_options) - accepted)
+        if unknown:
+            raise PlanningError(
+                f"strategy {strategy!r} takes no option(s) {unknown}; "
+                f"it accepts {sorted(accepted)}"
+            )
+
     @staticmethod
     def _options_key(name: str, options: Mapping) -> Optional[tuple]:
         try:

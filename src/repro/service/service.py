@@ -294,9 +294,6 @@ class QueryService(ServingFacade):
         """A reusable strategy instance (required indexes built on demand)."""
         with self._lock:
             self.engine.ensure_indexes_for(name)
-            # Pin the engine's kernel default into the options so cached
-            # instances are keyed by the kernel flag they run with.
-            strategy_options.setdefault("use_kernels", self.engine.use_kernels)
             key = self._options_key(name, strategy_options)
             if key is None:
                 return self.engine.strategy(name, **strategy_options)
@@ -395,8 +392,10 @@ class QueryService(ServingFacade):
         answers come back with ``cached=True`` and the cost counters of
         the execution that produced them.  ``query_id`` (optional)
         names the request in the query's trace and slow-query entries;
-        it never enters a cache key.
+        it never enters a cache key.  An option the strategy does not
+        take is a :class:`PlanningError` (:meth:`_check_options`).
         """
+        self._check_options(strategy, strategy_options)
         attributes = {"tier": "engine"}
         if isinstance(query, str):
             attributes["xpath"] = query
@@ -465,6 +464,14 @@ class QueryService(ServingFacade):
             self.auto_choice_counts[strategy] = (
                 self.auto_choice_counts.get(strategy, 0) + 1
             )
+            if strategy_options:
+                # Each option goes only to the candidate that takes it.
+                accepted = STRATEGY_TYPES[strategy].options
+                strategy_options = {
+                    name: value
+                    for name, value in strategy_options.items()
+                    if name in accepted
+                }
             if (
                 strategy == "datapaths"
                 and choice.datapaths_plan is not None

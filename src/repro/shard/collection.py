@@ -111,7 +111,6 @@ class ShardedCollection:
         result_cache_size: int = 1024,
         result_cache_ttl: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
-        use_kernels: bool = True,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
@@ -128,7 +127,6 @@ class ShardedCollection:
             result_cache_size=result_cache_size,
             result_cache_ttl=result_cache_ttl,
             telemetry=self.telemetry,
-            use_kernels=use_kernels,
         )
         if replicas == 1:
             self.shards: list[Union[Shard, ReplicatedShard]] = [

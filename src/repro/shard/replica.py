@@ -108,12 +108,11 @@ class Shard:
         result_cache_size: int = 1024,
         result_cache_ttl: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
-        use_kernels: bool = True,
     ) -> None:
         self.index = index
         self.db = XmlDatabase()
         self.stats = StatsCollector()
-        self.engine = TwigQueryEngine(self.db, stats=self.stats, use_kernels=use_kernels)
+        self.engine = TwigQueryEngine(self.db, stats=self.stats)
         self.service = QueryService(
             self.engine,
             plan_cache_size=plan_cache_size,
@@ -463,7 +462,6 @@ class ReplicatedShard:
         dead_after: int = 3,
         probe_interval: int = 16,
         telemetry: Optional[Telemetry] = None,
-        use_kernels: bool = True,
     ) -> None:
         if replicas < 1:
             raise ValueError(f"need at least one replica, got {replicas}")
@@ -485,7 +483,6 @@ class ReplicatedShard:
             result_cache_size=result_cache_size,
             result_cache_ttl=result_cache_ttl,
             telemetry=self.telemetry,
-            use_kernels=use_kernels,
         )
         self.replicas = [
             Shard(index, **self._shard_options) for _ in range(replicas)

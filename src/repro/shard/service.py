@@ -113,7 +113,6 @@ class ShardedQueryService(ServingFacade):
         rebalance_min_documents: Optional[int] = None,
         rebalance_background: bool = True,
         telemetry: Optional[Telemetry] = None,
-        use_kernels: bool = True,
     ) -> None:
         if collection is None:
             collection = ShardedCollection(
@@ -125,7 +124,6 @@ class ShardedQueryService(ServingFacade):
                 result_cache_size=result_cache_size,
                 result_cache_ttl=result_cache_ttl,
                 telemetry=telemetry,
-                use_kernels=use_kernels,
             )
         self.collection = collection
         #: Adopt the collection's hub: shards, replicas and per-replica
@@ -336,8 +334,11 @@ class ShardedQueryService(ServingFacade):
         statistics price cheapest.  ``query_id`` names the request in
         the query's trace (and in every shard's and replica's child
         spans), so batch items and slow-query entries attribute back to
-        it.
+        it.  An option the strategy does not take is a
+        :class:`~repro.errors.PlanningError` raised before any replica is
+        read (:meth:`_check_options`).
         """
+        self._check_options(strategy, strategy_options)
         started = _now()
         xpath = query if isinstance(query, str) else query.source
         attributes = {"tier": "sharded", "xpath": xpath}

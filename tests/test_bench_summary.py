@@ -22,15 +22,15 @@ class TestHeadlineFor:
         assert (metric, value) == ("speedup", 2.5)
 
     def test_nested_override_path(self):
-        summary = {"sections": {"fig12_mixed": {"speedup": 5.0, "other": 1}}}
-        metric, value = headline_for("kernels", summary)
-        assert (metric, value) == ("sections/fig12_mixed/speedup", 5.0)
+        summary = {"skew_recovery": {"cost_ratio": 0.6, "other": 1}}
+        metric, value = headline_for("rebalance", summary)
+        assert (metric, value) == ("skew_recovery/cost_ratio", 0.6)
 
     def test_override_miss_falls_back_to_scan(self):
-        # A kernels artifact without the expected section still yields a
-        # deterministic headline from the ratio-named leaves.
-        metric, value = headline_for("kernels", {"legacy_speedup": 4.0})
-        assert (metric, value) == ("legacy_speedup", 4.0)
+        # A rebalance artifact without the expected section still yields
+        # a deterministic headline from the ratio-named leaves.
+        metric, value = headline_for("rebalance", {"read_speedup": 1.5})
+        assert (metric, value) == ("read_speedup", 1.5)
 
     def test_fallback_prefers_shallowest_then_alphabetical(self):
         summary = {

@@ -7,10 +7,12 @@ is answered by a panel of independent systems that must all agree with
 the naive tree-matching oracle:
 
 * the columnar matcher (kernel passes over the flattened node table);
-* every fixed strategy, kernels **on** and kernels **off**;
+* every fixed strategy, plus DATAPATHS forced to its merge and its
+  index-nested-loop plan, each also checked against the per-row
+  reference evaluator (``tests/oracle_legacy.py``) for its ids *and*
+  its full cost dict;
 * the optimizer-driven ``auto`` mode through the service layer;
-* a 2-shard collection (kernels off) and a 4-shard, 2-replica
-  collection (kernels on).
+* a 2-shard collection and a 4-shard, 2-replica collection.
 
 Each seed replays ``CORPORA x STAGES x QUERIES_PER_STAGE`` cases
 (>= 200 by default); churn runs between stages through every system's
@@ -33,7 +35,6 @@ from typing import Optional, Sequence
 import pytest
 
 from repro import ShardedQueryService, TwigIndexDatabase
-from repro.planner import DEFAULT_STRATEGIES
 from repro.query.match import ColumnarMatcher, NaiveMatcher
 from repro.query.parser import parse_xpath
 from repro.workloads import (
@@ -44,6 +45,8 @@ from repro.workloads import (
     random_twig_xpath,
 )
 from repro.xmltree import Document
+
+from oracle_legacy import REFERENCE_RUNS, reference_execute
 
 SEEDS = [int(token) for token in os.environ.get("FUZZ_SEEDS", "0,1,2").split(",")]
 
@@ -78,11 +81,15 @@ def _apply_op(
 
 
 class _Single:
-    """A single-engine TwigIndexDatabase, kernels on or off."""
+    """A single-engine TwigIndexDatabase, checked against the reference.
 
-    def __init__(self, label: str, use_kernels: bool) -> None:
+    A fixed run whose ids or cost dict differ from the reference's
+    answers with both, so the harness reports it like a wrong answer.
+    """
+
+    def __init__(self, label: str) -> None:
         self.label = label
-        self.db = TwigIndexDatabase(use_kernels=use_kernels)
+        self.db = TwigIndexDatabase()
 
     def load(self, documents: Sequence[Document]) -> None:
         for document in documents:
@@ -91,12 +98,18 @@ class _Single:
     def apply(self, op: str, name: str, document: Optional[Document]) -> None:
         _apply_op(self.db, op, name, document)
 
-    def answers(self, xpath: str) -> dict[str, list[int]]:
-        out = {}
-        for strategy in DEFAULT_STRATEGIES:
-            out[f"{self.label}/{strategy}"] = self.db.query(
-                xpath, strategy=strategy
-            ).ids
+    def answers(self, xpath: str) -> dict[str, object]:
+        out: dict[str, object] = {}
+        for strategy, options in REFERENCE_RUNS:
+            result = self.db.query(xpath, strategy=strategy, **options)
+            reference = reference_execute(self.db, xpath, strategy, **options)
+            kernel = (result.ids, result.cost)
+            label = "-".join((strategy, *options.values()))
+            out[f"{self.label}/{label}"] = (
+                result.ids
+                if kernel == reference
+                else {"kernel": kernel, "reference": reference}
+            )
         out[f"{self.label}/auto"] = self.db.service.execute(
             xpath, strategy="auto"
         ).ids
@@ -109,13 +122,9 @@ class _Single:
 class _Sharded:
     """A sharded (optionally replicated) collection behind the facade."""
 
-    def __init__(
-        self, label: str, num_shards: int, replicas: int, use_kernels: bool
-    ) -> None:
+    def __init__(self, label: str, num_shards: int, replicas: int) -> None:
         self.label = label
-        self.service = ShardedQueryService(
-            num_shards=num_shards, replicas=replicas, use_kernels=use_kernels
-        )
+        self.service = ShardedQueryService(num_shards=num_shards, replicas=replicas)
         for strategy in SHARDED_STRATEGIES:
             if strategy != "auto":
                 self.service.ensure_indexes_for(strategy)
@@ -140,14 +149,9 @@ class _Sharded:
 
 
 _SYSTEM_FACTORIES = {
-    "single-kernels": lambda: _Single("single-kernels", use_kernels=True),
-    "single-legacy": lambda: _Single("single-legacy", use_kernels=False),
-    "shard2-legacy": lambda: _Sharded(
-        "shard2-legacy", num_shards=2, replicas=1, use_kernels=False
-    ),
-    "shard4x2-kernels": lambda: _Sharded(
-        "shard4x2-kernels", num_shards=4, replicas=2, use_kernels=True
-    ),
+    "single": lambda: _Single("single"),
+    "shard2": lambda: _Sharded("shard2", num_shards=2, replicas=1),
+    "shard4x2": lambda: _Sharded("shard4x2", num_shards=4, replicas=2),
 }
 
 
@@ -219,7 +223,7 @@ def _report(
     xpath: str,
     answer_key: str,
     expected: list[int],
-    got: list[int],
+    got: object,
 ) -> str:
     shrunk = _shrink(documents, xpath, answer_key)
     lines = [

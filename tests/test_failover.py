@@ -34,7 +34,7 @@ import pytest
 
 from repro import ShardedQueryService, TwigIndexDatabase
 from repro.datasets import generate_xmark
-from repro.errors import DocumentError, QueryParseError
+from repro.errors import DocumentError, PlanningError, QueryParseError
 from repro.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -225,6 +225,48 @@ def test_query_errors_do_not_demote_health_or_retry():
     assert report["replicas_failed"] == 0
     # Valid reads still serve afterwards.
     assert shard.execute(XPATH, strategy="rootpaths").ids == expected
+
+
+def test_unknown_strategy_options_are_refused_before_any_replica():
+    # An option the strategy's constructor does not take used to escape
+    # as a bare TypeError: counted as a replica fault, six of them left
+    # a shard with no live replica.  It is a PlanningError now, raised
+    # before any replica is read.
+    bad = [
+        ("rootpaths", {"bogus": 1}),
+        ("rootpaths", {"force_plan": "inl"}),
+        ("rootpaths", {"stale": False}),
+        ("datapaths", {"bogus": 1}),
+        ("datapaths", {"stale": True}),
+        ("edge", {"force_plan": "merge"}),
+        ("join_index", {"stale": []}),
+        ("auto", {"bogus": 1}),
+        ("auto", {"stale": False}),
+        ("auto", {"force_plan": "merge", "bogus": 1}),
+    ]
+    with ShardedQueryService.from_documents(
+        [_doc(i) for i in range(4)], num_shards=2, replicas=2, placement="round_robin"
+    ) as service:
+        service.build_index("rootpaths")
+        service.build_index("datapaths")
+        for strategy, options in bad:
+            with pytest.raises(PlanningError):
+                service.execute(XPATH, strategy=strategy, use_result_cache=False, **options)
+        for shard in service.collection.shards:
+            assert shard.replica_reads == [0, 0]
+            assert shard.health_report()["states"] == [REPLICA_HEALTHY] * 2
+        expected = service.oracle(XPATH)
+        assert service.execute(XPATH).ids == expected
+        # Under auto, force_plan goes only to DATAPATHS: where auto picks
+        # ROOTPATHS it is dropped, not passed to a constructor without it.
+        chosen = service.execute(XPATH, strategy="auto", force_plan="merge")
+        assert chosen.strategy == "rootpaths" and chosen.ids == expected
+    # The single-engine service runs the same check.
+    database = TwigIndexDatabase.from_documents([_doc(0)])
+    with pytest.raises(PlanningError):
+        database.service.execute(XPATH, strategy="rootpaths", stale=False)
+    with pytest.raises(PlanningError):
+        database.query(XPATH, strategy="auto", bogus=1)
 
 
 def test_divergent_secondary_is_quarantined_by_the_alignment_check():

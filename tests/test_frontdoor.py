@@ -43,6 +43,7 @@ from repro import (
     TwigIndexDatabase,
 )
 from repro.datasets import generate_xmark
+from repro.errors import PlanningError
 from repro.frontdoor import (
     AdmissionController,
     BadRequestError,
@@ -498,6 +499,11 @@ def test_http_server_end_to_end(service):
             checks["parse_error"] = _http(
                 "POST", f"{base}/query", {"xpath": "///"}
             )
+            checks["bad_option"] = _http(
+                "POST",
+                f"{base}/query",
+                {"xpath": XPATH, "options": {"use_kernels": False}},
+            )
             checks["get_query"] = _http("GET", f"{base}/query")
             checks["not_found"] = _http("GET", f"{base}/nope")
             checks["healthz"] = _http("GET", f"{base}/healthz")
@@ -536,6 +542,9 @@ def test_http_server_end_to_end(service):
         400,
         checks["parse_error"][1],
     ) and checks["parse_error"][1]["error"] == "query-error"
+    # An option no strategy takes is the query's fault, not the server's.
+    assert checks["bad_option"][0] == 400
+    assert checks["bad_option"][1]["error"] == "query-error"
     assert checks["get_query"][0] == 405
     assert checks["not_found"][0] == 404
     assert checks["healthz"] == (200, checks["healthz"][1])
@@ -594,6 +603,26 @@ def test_stop_ends_every_connection_handler(service):
     assert all(line.startswith(b"HTTP/1.1 200") for line in statuses)
     assert rest == b""
     assert leaked == []
+
+
+def test_unknown_option_is_a_query_error_not_an_internal_one(service):
+    async def main():
+        with FrontDoor(service) as door:
+            for options in ({"bogus": 1}, {"force_plan": "merge"}):
+                with pytest.raises(PlanningError):
+                    await door.handle(
+                        QueryRequest(xpath=XPATH, strategy="rootpaths", options=options)
+                    )
+            served = await door.handle(QueryRequest(xpath=XPATH))
+            return door.requests_served, served
+
+    requests_served, response = asyncio.run(main())
+    assert requests_served == 1
+    assert response.ids == tuple(service.oracle(XPATH))
+    events = service.telemetry.events
+    assert events.events(kind="internal-error") == []
+    for shard in service.collection.shards:
+        assert shard.health_report()["states"] == ["healthy"]
 
 
 def test_http_documents_scope_rejected_on_single_engine():

@@ -7,9 +7,10 @@ Three pins:
 * the path interner hands out stable ids, and a twig's compiled plan
   (its placement memos included) survives index rebuilds and document
   churn;
-* kernels-on and kernels-off executions return bit-identical answers
-  *and* bit-identical cost counters for every strategy — the kernels
-  are a pure encoding change, not a cost-model change.
+* every strategy's kernel execution returns the answers *and* the
+  cost counters of the per-row reference evaluator
+  (``tests/oracle_legacy.py``) — the kernels are a pure encoding
+  change, not a cost-model change.
 """
 
 import random
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import TwigIndexDatabase
+from repro.datasets import FIGURE_1_QUERY, book_document
 from repro.kernels.columns import (
     NodeColumns,
     PathInterner,
@@ -29,8 +31,7 @@ from repro.kernels.filter import (
     gallop_leftmost,
     intersect_sorted,
 )
-from repro.kernels.join import structural_join
-from repro.planner import DEFAULT_STRATEGIES
+from repro.kernels.join import CompiledJoin, structural_join
 from repro.query.match import ColumnarMatcher, NaiveMatcher
 from repro.workloads import (
     max_fanout_star,
@@ -39,6 +40,8 @@ from repro.workloads import (
     random_twig_xpath,
     self_nested_chain,
 )
+
+from oracle_legacy import REFERENCE_RUNS, reference_execute
 
 
 # ----------------------------------------------------------------------
@@ -180,31 +183,44 @@ def test_compiled_twig_survives_rebuild_and_churn():
 
 
 # ----------------------------------------------------------------------
-# Kernels on/off: identical answers AND identical cost counters
+# Kernels vs the per-row reference: identical answers AND cost counters
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [101, 202, 303])
-def test_kernels_toggle_is_invisible_to_answers_and_counters(seed):
+def test_kernels_match_the_reference_answers_and_counters(seed):
     rng = random.Random(seed)
     corpus = random_corpus(rng, documents=2)
-    on = TwigIndexDatabase(use_kernels=True)
-    off = TwigIndexDatabase(use_kernels=False)
+    database = TwigIndexDatabase()
     for document in corpus:
-        on.add_document(document)
-    for document in corpus:
-        off.add_document(document)
+        database.add_document(document)
     queries = [random_twig_xpath(rng, corpus) for _ in range(15)]
-    for strategy in DEFAULT_STRATEGIES:
+    for strategy, options in REFERENCE_RUNS:
         for xpath in queries:
-            a = on.query(xpath, strategy=strategy)
-            b = off.query(xpath, strategy=strategy)
-            assert a.ids == b.ids, f"{strategy} ids differ on {xpath}"
-            assert a.cost == b.cost, f"{strategy} cost differs on {xpath}"
-    for force in ("merge", "inl"):
-        for xpath in queries:
-            a = on.query(xpath, strategy="datapaths", force_plan=force)
-            b = off.query(xpath, strategy="datapaths", force_plan=force)
-            assert a.ids == b.ids
-            assert a.cost == b.cost
+            result = database.query(xpath, strategy=strategy, **options)
+            reference = reference_execute(database, xpath, strategy, **options)
+            assert (result.ids, result.cost) == reference, (strategy, options, xpath)
+
+
+def test_reference_check_catches_a_planted_counter_regression(monkeypatch):
+    # One extra tuples_produced charge in the compiled join leaves every
+    # answer right: only the cost-dict half of the check can see it.
+    database = TwigIndexDatabase.from_documents([book_document()])
+    xpath = FIGURE_1_QUERY
+    for strategy in ("rootpaths", "edge"):
+        result = database.query(xpath, strategy=strategy)
+        assert (result.ids, result.cost) == reference_execute(database, xpath, strategy)
+    real_run = CompiledJoin.run
+
+    def overcharging_run(self, rows_by_relation, stats):
+        ids = real_run(self, rows_by_relation, stats)
+        stats.tuples_produced += 1
+        return ids
+
+    monkeypatch.setattr(CompiledJoin, "run", overcharging_run)
+    for strategy in ("rootpaths", "edge"):
+        result = database.query(xpath, strategy=strategy)
+        ids, cost = reference_execute(database, xpath, strategy)
+        assert result.ids == ids, strategy
+        assert result.cost["tuples_produced"] == cost["tuples_produced"] + 1, strategy
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +234,7 @@ def test_columnar_matcher_agrees_with_naive(seed):
         db.add_document(document)
     db.add_document(max_fanout_star(12, name="star-2"))
     naive = NaiveMatcher(db.db)
-    columnar = db.matcher(use_kernels=True)
-    assert isinstance(columnar, ColumnarMatcher)
+    columnar = ColumnarMatcher(db.db)
     for _ in range(40):
         twig = db.parse(random_twig_xpath(rng, db.db.documents))
         assert columnar.match_ids(twig) == naive.match_ids(twig)

@@ -8,8 +8,9 @@ as a shape and binding the literals to the shape's template
   catalog queries and a sample of the benchmark's cold pool, a twig
   bound from a shape that *another text* built equals the twig the
   parser builds from the text itself: same rendering, keys, analysis
-  and compiled branches, and -- through a 2x2 tier and one engine,
-  kernels on and off -- the same ids and bit-identical cost counters.
+  and compiled branches, and -- through a 2x2 tier and one engine --
+  the same ids and bit-identical cost counters, which on the engine
+  are also the per-row reference evaluator's (``tests/oracle_legacy.py``).
 * **edge literals** lift and bind like any other.
 * **isolation.**  Concurrent binds of one shape never see each other's
   values, a bound twig's nodes are its own, and a shape evicted
@@ -40,6 +41,8 @@ from repro.query import parser as parser_module
 from repro.query.parser import normalize_xpath, parse_xpath
 from repro.service.cache import LRUCache
 from repro.workloads import ALL_QUERIES, clone_document, random_corpus, random_twig_xpath
+
+from oracle_legacy import reference_execute
 
 SEEDS = [int(token) for token in os.environ.get("FUZZ_SEEDS", "0,1,2").split(",")]
 CATALOG = [q.xpath for q in ALL_QUERIES if q.dataset == "xmark"]
@@ -184,27 +187,26 @@ class _Systems:
         self.tier.close()
 
     def assert_same_execution(self, xpath: str) -> None:
-        """Text (lookup + bind) and the built twig: same ids, same costs."""
+        """Text (lookup + bind) and the built twig: same ids, same costs,
+        and on the engine the reference's for every fixed strategy."""
         for service in (self.tier, self.engine.service):
             # Warm the shape from a sibling, so the text below binds.
             service.plan(_sibling(xpath))
             oracle = service.oracle(xpath) if service is self.tier else self.engine.oracle(xpath)
             for strategy, options in RUNS:
-                for use_kernels in (True, False):
-                    runs = [
-                        service.execute(
-                            query,
-                            strategy=strategy,
-                            use_result_cache=False,
-                            use_kernels=use_kernels,
-                            **options,
-                        )
-                        for query in (xpath, _built(xpath))
-                    ]
-                    context = (xpath, strategy, options, use_kernels)
-                    assert runs[0].ids == runs[1].ids == oracle, context
-                    assert runs[0].cost == runs[1].cost, context
-                    assert runs[0].strategy == runs[1].strategy, context
+                runs = [
+                    service.execute(
+                        query, strategy=strategy, use_result_cache=False, **options
+                    )
+                    for query in (xpath, _built(xpath))
+                ]
+                context = (xpath, strategy, options)
+                assert runs[0].ids == runs[1].ids == oracle, context
+                assert runs[0].cost == runs[1].cost, context
+                assert runs[0].strategy == runs[1].strategy, context
+                if service is not self.tier and strategy != "auto":
+                    reference = reference_execute(self.engine, xpath, strategy, **options)
+                    assert (runs[0].ids, runs[0].cost) == reference, context
 
 
 @pytest.mark.parametrize("seed", SEEDS)

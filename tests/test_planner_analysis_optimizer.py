@@ -1,20 +1,21 @@
-"""Tests for twig analysis, the branch joiner and the DATAPATHS plan choice."""
+"""Tests for twig analysis, the branch join and the DATAPATHS plan choice."""
 
 import pytest
 
 from repro.errors import PlanningError
 from repro.indexes import DataPathsIndex
+from repro.kernels.join import CompiledJoin, CompiledTwig
 from repro.planner import (
-    BranchRelation,
     TwigAnalysis,
     choose_datapaths_plan,
     estimate_branch_cardinalities,
-    join_branches,
     split_segments,
     subpath_below,
 )
 from repro.query import parse_xpath
 from repro.storage import StatsCollector
+
+from oracle_legacy import BranchRelation, join_branches
 
 
 def test_analysis_join_points_and_needed_nodes():
@@ -59,11 +60,18 @@ def test_split_segments_and_subpath_below():
 def test_join_branches_small_example():
     twig = parse_xpath("/r[a='1']/b")
     analysis = TwigAnalysis(twig)
-    stats = StatsCollector()
-    path_a, path_b = analysis.paths if analysis.paths[0].leaf.label == "a" else analysis.paths[::-1]
-    rel_a = BranchRelation(analysis, path_a.needed_nodes, [(100,)], label="a")
-    rel_b = BranchRelation(analysis, path_b.needed_nodes, [(100, 200), (999, 201)], label="b")
-    assert join_branches(analysis, [rel_a, rel_b], stats=stats) == [200]
+    rows = {"a": [(100,)], "b": [(100, 200), (999, 201)]}
+    rows_by_path = [rows[path.leaf.label] for path in analysis.paths]
+    # The compiled join answers and charges like the reference's plan.
+    compiled, reference = StatsCollector(), StatsCollector()
+    plan = CompiledTwig(analysis)
+    assert plan.join.run(rows_by_path, compiled) == [200]
+    relations = [
+        BranchRelation(analysis, path.needed_nodes, path_rows, label=path.leaf.label)
+        for path, path_rows in zip(analysis.paths, rows_by_path)
+    ]
+    assert join_branches(analysis, relations, stats=reference) == [200]
+    assert compiled.snapshot() == reference.snapshot()
 
 
 def test_join_branches_requires_output_column():
@@ -73,6 +81,9 @@ def test_join_branches_requires_output_column():
     lonely = BranchRelation(analysis, path_a.needed_nodes, [(1,)], label="a")
     with pytest.raises(PlanningError):
         join_branches(analysis, [lonely, lonely])
+    join = CompiledJoin(analysis, [lonely.columns] * 2, ["a", "a"])
+    with pytest.raises(PlanningError):
+        join.run([lonely.rows] * 2, StatsCollector())
 
 
 class _StubStatistics:

@@ -1,71 +1,33 @@
-"""Unit and property tests for the join operators."""
+"""Unit and property tests for the reference evaluator's hash join."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import (
-    HashJoin,
-    IndexNestedLoopJoin,
-    MergeJoin,
-    RowSource,
-    SemiJoin,
-    intersect_id_lists,
-)
 from repro.storage import StatsCollector
+
+from oracle_legacy import HashJoin, RowSource
 
 
 def src(columns, rows):
     return RowSource(columns, rows, stats=StatsCollector())
 
 
-def test_merge_join_basic():
-    left = src(("id", "l"), [(1, "a"), (2, "b"), (2, "c")])
-    right = src(("id", "r"), [(2, "x"), (3, "y")])
-    joined = MergeJoin(left, right, "id", "id").rows()
-    assert sorted(joined) == [(2, "b", 2, "x"), (2, "c", 2, "x")]
-
-
-def test_hash_join_matches_merge_join():
-    left = src(("id", "l"), [(i % 5, i) for i in range(20)])
-    right = src(("id", "r"), [(i % 3, i) for i in range(9)])
-    merge = sorted(MergeJoin(left, right, "id", "id").rows())
-    left2 = src(("id", "l"), [(i % 5, i) for i in range(20)])
-    right2 = src(("id", "r"), [(i % 3, i) for i in range(9)])
-    hashed = sorted(HashJoin(left2, right2, "id", "id").rows())
-    assert merge == hashed
-
-
-def test_index_nested_loop_join_probes_per_outer_row():
-    stats = StatsCollector()
-    outer = RowSource(("id",), [(1,), (2,), (3,)], stats=stats)
-    lookup = {1: [("one",)], 3: [("three",), ("III",)]}
-    join = IndexNestedLoopJoin(outer, lambda key: lookup.get(key, ()), "id", ("name",))
-    rows = join.rows()
-    assert rows == [(1, "one"), (3, "three"), (3, "III")]
-    assert stats.join_probes == 3
-
-
-def test_semi_join_and_anti_semi_join():
-    left = src(("id", "l"), [(1, "a"), (2, "b"), (3, "c")])
-    right = src(("id",), [(2,), (9,)])
-    assert SemiJoin(left, right, "id", "id").rows() == [(2, "b")]
-    left2 = src(("id", "l"), [(1, "a"), (2, "b"), (3, "c")])
-    right2 = src(("id",), [(2,), (9,)])
-    assert SemiJoin(left2, right2, "id", "id", anti=True).rows() == [(1, "a"), (3, "c")]
-
-
-def test_intersect_id_lists():
-    stats = StatsCollector()
-    assert intersect_id_lists([[1, 2, 3], [3, 2, 9], [2, 3, 4]], stats) == [2, 3]
-    assert intersect_id_lists([], stats) == []
-    assert intersect_id_lists([[1], []]) == []
-    assert stats.join_comparisons > 0
-
-
 def test_joins_handle_heterogeneous_and_null_keys():
     left = src(("id", "l"), [(None, "n"), ("x", "s"), (1, "i")])
     right = src(("id",), [(None,), ("x",), (2,)])
-    joined = sorted(MergeJoin(left, right, "id", "id").rows(), key=str)
-    assert (None, "n", None) in joined and ("x", "s", "x") in joined
+    joined = sorted(HashJoin(left, right, "id", "id").rows(), key=str)
+    assert joined == [("x", "s", "x"), (None, "n", None)]
+
+
+def test_hash_join_charges_a_probe_per_left_row_and_a_tuple_per_match():
+    # The compiled join's counters are checked against these charges.
+    stats = StatsCollector()
+    left = RowSource(("id", "l"), [(1, "a"), (2, "b"), (3, "c")], stats=stats)
+    right = RowSource(("id", "r"), [(1, "x"), (1, "y"), (9, "z")], stats=stats)
+    rows = HashJoin(left, right, "id", "id").rows()
+    assert rows == [(1, "a", 1, "x"), (1, "a", 1, "y")]
+    assert stats.join_probes == 3
+    # Three rows from each RowSource, two emitted by the join.
+    assert stats.tuples_produced == 3 + 3 + 2
 
 
 rows_strategy = st.lists(
@@ -76,18 +38,14 @@ rows_strategy = st.lists(
 
 @settings(max_examples=50, deadline=None)
 @given(rows_strategy, rows_strategy)
-def test_property_merge_equals_hash_equals_nested_loop(left_rows, right_rows):
+def test_property_hash_join_equals_nested_loop(left_rows, right_rows):
     expected = sorted(
         lhs + rhs
         for lhs in left_rows
         for rhs in right_rows
         if lhs[0] == rhs[0]
     )
-    merge = sorted(
-        MergeJoin(src(("k", "l"), left_rows), src(("k", "r"), right_rows), "k", "k").rows()
-    )
     hashed = sorted(
         HashJoin(src(("k", "l"), left_rows), src(("k", "r"), right_rows), "k", "k").rows()
     )
-    assert merge == expected
     assert hashed == expected

@@ -1,21 +1,11 @@
-"""Unit tests for relational plan operators."""
+"""Unit tests for the reference evaluator's relational plan operators."""
 
 import pytest
 
 from repro.errors import PlanningError
-from repro.relational import (
-    Distinct,
-    Filter,
-    HeapScan,
-    Limit,
-    Materialize,
-    Project,
-    RowSchema,
-    RowSource,
-    Sort,
-    column_equals,
-)
-from repro.storage import HeapFile, StatsCollector
+from repro.storage import StatsCollector
+
+from oracle_legacy import Distinct, Filter, Project, RowSchema, RowSource
 
 
 def source(rows, columns=("a", "b")):
@@ -46,35 +36,15 @@ def test_row_source_and_project():
     assert plan.rows() == [("x",), ("y",)]
 
 
-def test_filter_and_column_equals():
+def test_filter_keeps_rows_matching_the_predicate():
     rows = [(1, "x"), (2, "y"), (2, "z")]
-    base = source(rows)
-    plan = Filter(base, column_equals(base.schema, "a", 2))
+    plan = Filter(source(rows), lambda row: row[0] == 2)
     assert plan.rows() == [(2, "y"), (2, "z")]
 
 
 def test_distinct_preserves_first_seen_order():
     plan = Distinct(source([(1, "x"), (1, "x"), (2, "y"), (1, "x")]))
     assert plan.rows() == [(1, "x"), (2, "y")]
-
-
-def test_sort_and_limit():
-    rows = [(3, "c"), (1, "a"), (2, "b")]
-    plan = Limit(Sort(source(rows), ["a"]), 2)
-    assert plan.rows() == [(1, "a"), (2, "b")]
-
-
-def test_materialize_evaluates_child_once():
-    heap = HeapFile(stats=StatsCollector())
-    heap.extend([(i,) for i in range(5)])
-    stats = StatsCollector()
-    scan = HeapScan(heap, ("v",), stats=stats)
-    plan = Materialize(scan)
-    first = plan.rows()
-    pages_after_first = heap.stats.heap_page_reads
-    second = plan.rows()
-    assert first == second == [(i,) for i in range(5)]
-    assert heap.stats.heap_page_reads == pages_after_first
 
 
 def test_explain_mentions_every_operator():
@@ -88,3 +58,13 @@ def test_tuples_produced_counter():
     plan = RowSource(("a",), [(1,), (2,)], stats=stats)
     list(plan)
     assert stats.tuples_produced == 2
+
+
+def test_filter_project_and_distinct_charge_one_tuple_per_row_passed():
+    stats = StatsCollector()
+    rows = [(1, "x"), (2, "y"), (2, "y"), (3, "z")]
+    base = RowSource(("a", "b"), rows, stats=stats)
+    plan = Distinct(Project(Filter(base, lambda row: row[0] >= 2), ["b"]))
+    assert plan.rows() == [("y",), ("z",)]
+    # 4 scanned + 3 filtered + 3 projected + 2 distinct.
+    assert stats.tuples_produced == 4 + 3 + 3 + 2

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro import TwigIndexDatabase
 from repro.datasets import book_document
 from repro.errors import PlanningError
 from repro.planner import DEFAULT_STRATEGIES
+from repro.planner.evaluator import strategy_class
+from repro.planner.strategies import EvaluationStrategy
 from repro.service import LRUCache, QueryService
 from repro.service.service import AUTO_STRATEGY
 
@@ -120,6 +124,51 @@ def test_auto_executes_the_costed_datapaths_plan(service_db):
     assert runner.last_plan is not None
     assert runner.last_plan.plan == choice.datapaths_plan.plan
     assert result.ids == service_db.oracle(xpath)
+
+
+def test_unknown_options_are_a_planning_error_and_file_nothing(service_db):
+    service = service_db.service
+    expected = service.execute("/book/title", strategy="rootpaths").ids
+    filed = len(service.result_cache)
+    for strategy, options in (
+        ("rootpaths", {"stale": False}),
+        ("rootpaths", {"force_plan": "merge"}),
+        ("datapaths", {"bogus": 1}),
+        (AUTO_STRATEGY, {"bogus": 1}),
+    ):
+        with pytest.raises(PlanningError, match="takes no option"):
+            service.execute("/book/author", strategy=strategy, **options)
+    assert len(service.result_cache) == filed
+    assert service.execute("/book/title", strategy="rootpaths").ids == expected
+
+
+def test_strategy_classes_declare_the_options_their_constructors_take():
+    # The option check trusts these declarations: each must name exactly
+    # the constructor's keywords beyond (db, indexes, stats).
+    assert EvaluationStrategy.options == ()
+    for name in DEFAULT_STRATEGIES:
+        cls = strategy_class(name)
+        expected = ("force_plan",) if name == "datapaths" else ()
+        assert cls.options == expected, name
+        keywords = tuple(inspect.signature(cls).parameters)[3:]
+        assert keywords == cls.options, name
+
+
+def test_auto_forwards_force_plan_only_to_datapaths(service_db):
+    service = service_db.service
+    xpath = "/book[title='XML']//author[fn='jane']"
+    # Nothing built: auto runs ROOTPATHS, which takes no force_plan.
+    result = service.execute(xpath, strategy=AUTO_STRATEGY, force_plan="inl")
+    assert result.strategy == "rootpaths"
+    assert result.ids == service_db.oracle(xpath)
+    # DATAPATHS alone: auto picks it and runs the forced plan.
+    database = TwigIndexDatabase.from_documents([book_document()])
+    database.build_index("datapaths")
+    service = database.service
+    result = service.execute(xpath, strategy=AUTO_STRATEGY, force_plan="inl")
+    assert result.strategy == "datapaths"
+    assert service.strategy_instance("datapaths", force_plan="inl").last_plan.plan == "inl"
+    assert result.ids == database.oracle(xpath)
 
 
 def test_result_cache_can_be_bypassed(service_db):

@@ -10,7 +10,7 @@ import pytest
 
 from repro import ShardedCollection, ShardedQueryService, TwigIndexDatabase
 from repro.datasets import book_document, generate_xmark
-from repro.errors import DocumentError
+from repro.errors import DocumentError, PlanningError
 from repro.shard import (
     HashPlacement,
     PLACEMENT_POLICIES,
@@ -352,11 +352,16 @@ def test_cache_flag_scope_and_options_key_landed_answers_apart():
         assert service.answer_cache.hits + service.answer_cache.misses == lookups
         assert len(service.answer_cache) == 3
 
-        # Unhashable options (here a falsy list: the legacy evaluation
-        # path, same answers) cannot key anything: they run every time.
-        for _ in range(2):
-            odd = service.execute(XPATH, strategy="rootpaths", use_kernels=[])
-            assert not odd.cached and odd.ids == full.ids
+        # No strategy takes an unhashable option: an unknown one and a
+        # known one with an unhashable value are both refused, and
+        # nothing is filed for either.
+        for strategy, options in (
+            ("rootpaths", {"stale": []}),
+            ("datapaths", {"force_plan": []}),
+        ):
+            for _ in range(2):
+                with pytest.raises(PlanningError):
+                    service.execute(XPATH, strategy=strategy, **options)
         assert len(service.answer_cache) == 3
 
 

@@ -28,6 +28,8 @@ from repro.workloads import (
 )
 from repro.xmltree import Document, Node, NodeKind, parse_string
 
+from oracle_legacy import REFERENCE_RUNS, reference_execute
+
 BOOK_QUERIES = [
     FIGURE_1_QUERY,
     "/book/title",
@@ -262,13 +264,11 @@ def test_value_on_an_inner_step_is_evaluated_not_dropped(xpath):
     database = TwigIndexDatabase.from_xml(INNER_VALUE_XML)
     database.build_all_indexes()
     assert NaiveMatcher(database.db).match_ids(database.parse(xpath)) == expected
-    for strategy in DEFAULT_STRATEGIES:
-        for use_kernels in (True, False):
-            result = database.query(xpath, strategy=strategy, use_kernels=use_kernels)
-            assert result.ids == expected, (strategy, use_kernels)
-    for force_plan in ("merge", "inl"):
-        forced = database.query(xpath, strategy="datapaths", force_plan=force_plan)
-        assert forced.ids == expected, force_plan
+    for strategy, options in REFERENCE_RUNS:
+        result = database.query(xpath, strategy=strategy, **options)
+        assert result.ids == expected, (strategy, options)
+        reference = reference_execute(database, xpath, strategy, **options)
+        assert (result.ids, result.cost) == reference, (strategy, options)
     assert database.query(xpath, strategy="auto").ids == expected
 
     # The sharded tier: the same document on two shards, global ids.

@@ -36,7 +36,6 @@ HEADLINES = {
     "failover": "throughput_ratio",
     "frontdoor": "coalesce_qps_ratio",
     "incremental_update": "cost_ratio",
-    "kernels": "sections/fig12_mixed/speedup",
     "observability": "overhead_us_per_query",
     "rebalance": "skew_recovery/cost_ratio",
     "remove_replace": "cost_ratio",
