@@ -27,6 +27,8 @@ ROOTPATHS, DATAPATHS and DataGuide map a set of documents to one *entry
 batch* — the ``(key, payload, stat_key)`` list of their rows, keys ending
 in a :class:`KeySuffixMemo` suffix — and hand it to
 ``BPlusTree.insert_many`` (build, update) or ``delete_many`` (remove).
+A DATAPATHS removal batches only its virtual-root rows: the rest are one
+HeadId key range, cut with ``BPlusTree.delete_range``.
 
 See ``docs/ARCHITECTURE.md`` ("Indexes") for how the maintenance family
 fits the serving stack.

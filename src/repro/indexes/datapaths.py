@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
 from ..paths.compression import HeadIdPruner, SchemaPathDictionary
-from ..paths.fourary import iter_datapaths_rows
+from ..paths.fourary import PathRow, iter_datapaths_rows, iter_rootpaths_rows
 from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..storage.btree import BPlusTree
 from ..storage.keys import encode_component, encode_key
@@ -96,15 +96,30 @@ class DataPathsIndex(PathIndex):
     def _remove(self, db: XmlDatabase, document) -> None:
         """Incremental deletion of one removed document's subpath rows.
 
-        Re-enumerates the rows the detached document contributed (it
-        keeps its node ids) and deletes their batch in one finger pass;
-        pruned rows come off the pruning counter instead, and the
-        counters drop by the entries actually found — to what a
-        from-scratch build over the remaining documents would count.
+        Ids are preorder and never reused, so the detached document
+        (which keeps its ids) owns the id span ``[first_id, end_id)``
+        alone, and every row headed inside it sits in one ``HeadId`` key
+        range: those go in one :meth:`~BPlusTree.delete_range` slice.
+        Only the virtual-root rows are scattered through the tree; they
+        are enumerated and deleted as an entry batch.  Each one's schema
+        path lists the labels of the document's real heads above and at
+        its node, so the rows head pruning dropped are counted off those
+        labels in the same pass.  The counters end where a from-scratch
+        build over the remaining documents would start.
         """
         assert self._tree is not None
-        batch, pruned = self._entry_batch(db, (document,))
+        pruner = self.head_pruner
+        batch = []
+        pruned = 0
+        for row in iter_rootpaths_rows(db, documents=(document,)):
+            batch.append(self._entry(row))
+            if pruner is not None:
+                pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
         self.pruned_count -= pruned
+        self.entry_count -= self._tree.delete_range(
+            (encode_component(document.first_id),),
+            (encode_component(document.end_id),),
+        )
         self._count_entries(self._tree.delete_many(batch), -1)
 
     def _insert_documents(self, db: XmlDatabase, documents) -> None:
@@ -125,39 +140,41 @@ class DataPathsIndex(PathIndex):
         )
 
     def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
-        """``documents``' rows as ``(key, payload, stat_key)`` entries,
-        and how many rows head pruning dropped.
+        """``documents``' rows as :meth:`_entry` entries, and how many
+        rows head pruning dropped.
 
-        The one row-to-entry mapping build, insert and delete share.
-        The head's label is read from the schema path itself (its first
-        component) rather than via ``db.node`` — a removed document's
-        head ids are no longer resolvable in the database, but its rows
-        must map to exactly the entries they produced at insert time.
-        ``stat_key`` is set on virtual-root rows only.  Entries come in
-        row order; the tree applies a batch in stable key order, which
-        keeps equal keys in row order.
+        Build and insert enumerate every row; removal only the
+        virtual-root ones.  Entries come in row order; the tree applies
+        a batch in stable key order, which keeps equal keys in row order.
         """
-        suffixes = self._key_suffixes
+        entry = self._entry
         pruner = self.head_pruner
         batch = []
         pruned = 0
-        for head_id, schema_path, leaf_value, id_list in iter_datapaths_rows(
-            db, documents=documents
-        ):
-            stat_key = None
-            if head_id == VIRTUAL_ROOT_ID:
-                stat_key = (schema_path[-1], leaf_value)
-            elif pruner is not None and not pruner.keeps_label(schema_path[0]):
+        for row in iter_datapaths_rows(db, documents=documents):
+            if (
+                pruner is not None
+                and row.head_id != VIRTUAL_ROOT_ID
+                and not pruner.keeps_label(row.schema_path[0])
+            ):
                 pruned += 1
                 continue
-            key = (
-                encode_component(head_id),
-                encode_component(leaf_value),
-            ) + suffixes[schema_path]
-            batch.append(
-                (key, (schema_path, id_list, leaf_value, head_id), stat_key)
-            )
+            batch.append(entry(row))
         return batch, pruned
+
+    def _entry(self, row: PathRow) -> tuple:
+        """One row's ``(key, payload, stat_key)`` entry.
+
+        The one row-to-entry mapping build, insert and removal share.
+        ``stat_key`` is set on virtual-root rows only.
+        """
+        head_id, schema_path, leaf_value, id_list = row
+        key = (
+            encode_component(head_id),
+            encode_component(leaf_value),
+        ) + self._key_suffixes[schema_path]
+        stat_key = (schema_path[-1], leaf_value) if head_id == VIRTUAL_ROOT_ID else None
+        return (key, (schema_path, id_list, leaf_value, head_id), stat_key)
 
     # ------------------------------------------------------------------
     # FreeIndex lookups

@@ -10,7 +10,8 @@ adaptations (using B+-trees)").  The tree supports:
 * **prefix scans** over composite keys — the operation that lets a
   reversed SchemaPath answer ``//`` (suffix) queries with a single
   lookup (Section 3.2),
-* deletion of individual entries (used by the update extension),
+* deletion of individual entries and of key ranges (used by the
+  update extension),
 * logical-I/O accounting via :class:`~repro.storage.stats.StatsCollector`,
 * an on-disk size estimate with optional key prefix compression,
   mirroring the paper's note that DB2 prefix-compresses index keys.
@@ -319,6 +320,35 @@ class BPlusTree:
         self._size -= len(removed)
         self.stats.btree_deletes += max(len(batch), len(removed))
         self.stats.btree_page_writes += len(removed)  # each removed entry's leaf
+        return removed
+
+    def delete_range(self, low: EncodedKey, high: EncodedKey) -> int:
+        """Delete every entry with ``low <= key < high``; return how many.
+
+        One descent to ``low``'s leaf, then one slice per leaf along the
+        chain until a key reaches ``high``.  Leaves the tree that
+        :meth:`delete_many` over exactly those entries leaves — emptied
+        leaves stay in the chain, separators and height are untouched,
+        nothing is rebalanced — and charges what it charges: one
+        ``btree_deletes`` and one leaf ``btree_page_writes`` per removed
+        entry, nothing for an empty range.
+        """
+        removed = 0
+        leaf: Optional[_Leaf] = self._find_leaf(low, count=False) if low < high else None
+        while leaf is not None:
+            keys = leaf.keys
+            start = bisect.bisect_left(keys, low)
+            end = bisect.bisect_left(keys, high, start)
+            if end > start:
+                del keys[start:end]
+                del leaf.values[start:end]
+                removed += end - start
+            if start < len(keys):  # what is left from ``start`` on is >= high
+                break
+            leaf = leaf.next
+        self._size -= removed
+        self.stats.btree_deletes += removed
+        self.stats.btree_page_writes += removed  # each removed entry's leaf
         return removed
 
     def _run_start_leaf(self, key: EncodedKey, finger: Optional[_Leaf]) -> _Leaf:

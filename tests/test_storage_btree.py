@@ -188,7 +188,8 @@ def _check_invariants(tree: BPlusTree, oracle: dict) -> None:
     st.integers(min_value=4, max_value=16),
 )
 def test_churn_against_sorted_dict_oracle(seed, order):
-    """Random insert/delete/scan_prefix churn preserves all invariants."""
+    """Random insert/delete/delete_range/scan_prefix churn preserves all
+    invariants."""
     rng = random.Random(seed)
     tree = BPlusTree(order=order, stats=StatsCollector())
     oracle: dict = {}
@@ -200,15 +201,23 @@ def test_churn_against_sorted_dict_oracle(seed, order):
             value = (first, second, step)
             tree.insert(key, value)
             oracle.setdefault(key, []).append(value)
-        elif roll < 0.7:
+        elif roll < 0.65:
             victims = oracle.get(key, [])
             expected = len(victims)
             assert tree.delete(key) == expected
             oracle[key] = []
-        elif roll < 0.8 and oracle.get(key):
+        elif roll < 0.75 and oracle.get(key):
             victim = rng.choice(oracle[key])
             assert tree.delete(key, value=victim) == 1
             oracle[key].remove(victim)
+        elif roll < 0.82:
+            # A whole-head slice, as a document removal cuts its id span.
+            low = encode_key((first,))
+            high = encode_key((first + rng.randrange(0, 4),))
+            in_range = [k for k in oracle if low <= k < high]
+            assert tree.delete_range(low, high) == sum(len(oracle[k]) for k in in_range)
+            for k in in_range:
+                oracle[k] = []
         else:
             prefix = encode_key((first,))
             expected = sorted(
@@ -390,6 +399,90 @@ def _write_counters(tree: BPlusTree) -> dict:
     }
 
 
+def _entries(tree: BPlusTree) -> list[tuple]:
+    """Every ``(key, value)`` in chain order, read without charging."""
+    return [
+        entry for leaf in _leaf_chain(tree) for entry in zip(leaf.keys, leaf.values)
+    ]
+
+
+def _range_key(first):
+    return encode_key((first,))
+
+
+def _inside_one_leaf(tree):
+    leaf = next(leaf for leaf in _leaf_chain(tree) if len(set(leaf.keys)) >= 3)
+    return [(leaf.keys[1], leaf.keys[-1])]
+
+
+#: ``delete_range`` cases: a function of the loaded tree giving the
+#: ``(low, high)`` bounds to apply one after another.  Tree keys are
+#: ``(k, 0 | 1)`` with 1 + k % 7 entries under each ``k`` (so every
+#: one-component bound is absent from the tree and every run of
+#: duplicates holds up to four entries).
+RANGE_CASES = {
+    "empty": lambda tree: [
+        (_range_key(50), _range_key(50)),
+        (_range_key(60), _range_key(40)),
+        (encode_key((70, 0)), encode_key((70, 0))),
+    ],
+    "inside-one-leaf": _inside_one_leaf,
+    "many-leaves": lambda tree: [(_range_key(40), _range_key(300))],
+    "right-edge": lambda tree: [(_range_key(350), _range_key(10**6))],
+    "duplicate-runs-at-both-bounds": lambda tree: [
+        (encode_key((6, 0)), encode_key((13, 1))),
+        (encode_key((20, 1)), encode_key((27, 0))),
+    ],
+    "absent-bounds": lambda tree: [
+        (_range_key(-5), _range_key(3)),
+        (encode_key((100, 7)), encode_key((150, -1))),
+        (_range_key(10**6), _range_key(10**7)),
+    ],
+    "over-emptied-leaves": lambda tree: [
+        (_range_key(40), _range_key(300)),
+        (_range_key(20), _range_key(320)),
+        (_range_key(0), _range_key(10**6)),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+@pytest.mark.parametrize("order", [4, 128])
+def test_delete_range_is_delete_many_over_the_range(case, order):
+    """Same leaf chain (emptied leaves kept, no rebalancing), height,
+    size and write charges as ``delete_many`` over exactly the entries
+    in ``[low, high)``."""
+    rng = random.Random(order)
+    entries = [
+        (encode_key((first, copy % 2)), (first, copy))
+        for first in range(400)
+        for copy in range(1 + first % 7)
+    ]
+    rng.shuffle(entries)
+    sliced = BPlusTree(order=order, stats=StatsCollector())
+    batched = BPlusTree(order=order, stats=StatsCollector())
+    for tree in (sliced, batched):
+        for key, value in entries:
+            tree.insert(key, value)
+    assert _shape(sliced) == _shape(batched)
+    for low, high in RANGE_CASES[case](sliced):
+        doomed = [entry for entry in _entries(sliced) if low <= entry[0] < high]
+        assert sliced.delete_range(low, high) == len(doomed)
+        assert len(batched.delete_many(doomed)) == len(doomed)
+        assert _shape(sliced) == _shape(batched)
+        assert _write_counters(sliced) == _write_counters(batched)
+        assert all(not low <= key < high for key, _value in _entries(sliced))
+    if case == "empty":
+        assert len(sliced) == len(entries)
+        assert _write_counters(sliced)["btree_deletes"] == 0
+    else:
+        assert len(sliced) < len(entries)
+    # The sliced tree stays a working tree.
+    key = encode_key((999, 0))
+    sliced.insert(key, "fresh")
+    assert sliced.search(key) == ["fresh"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**30),
@@ -424,10 +517,22 @@ def test_batch_mutators_match_the_per_entry_loop(seed, order):
             oracle[key] = []
     assert _shape(batched) == _shape(looped)
 
+    bounds = [encode_key((first,)) for first in range(7)] + [
+        encode_key((first, second)) for first in range(7) for second in range(4)
+    ]
     for _wave in range(10):
         live = live_entries()
         roll = rng.random()
-        if roll < 0.5 or not live:
+        if roll < 0.15:
+            # delete_range: bounds present, absent or prefix-only, and
+            # sometimes inverted (an empty range).
+            low, high = rng.choice(bounds), rng.choice(bounds)
+            doomed = [entry for entry in _entries(batched) if low <= entry[0] < high]
+            assert batched.delete_range(low, high) == len(doomed)
+            for key, value in doomed:
+                assert looped.delete(key, value=value) == 1
+                oracle[key].remove(value)
+        elif roll < 0.55 or not live:
             batch = []
             for _ in range(rng.randrange(0, 40)):
                 batch.append((random_key(), ("v", next_id), "rides along"))

@@ -13,9 +13,9 @@ fixpoint, so ``BPlusTree._insert`` (which mutates node pages but leaves
 the accounting to ``_split_leaf`` and its public caller) is not a false
 positive, while a genuinely uncharged mutation still is.
 
-Batch mutators (``insert_many`` / ``delete_many``) edit pages in a loop,
-count locally and charge once after it; that is a charging method like
-any other.  What the rule must not let through is the same method
+Batch mutators (``insert_many`` / ``delete_many`` / ``delete_range``)
+edit pages in a loop, count locally and charge once after it; that is a
+charging method like any other.  What the rule must not let through is the same method
 leaving early: a ``return`` that follows a mutation with no charge
 anywhere before it drops the writes made so far, and is reported.
 "Before" is by line number, not by control flow: a charge in an
@@ -50,6 +50,7 @@ CHARGING_DELEGATES = frozenset(
         "delete",
         "insert_many",
         "delete_many",
+        "delete_range",
         "append",
         "extend",
         "delete_where",
