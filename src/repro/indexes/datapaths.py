@@ -117,8 +117,7 @@ class DataPathsIndex(PathIndex):
                 pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
         self.pruned_count -= pruned
         self.entry_count -= self._tree.delete_range(
-            (encode_component(document.first_id),),
-            (encode_component(document.end_id),),
+            encode_component(document.first_id), encode_component(document.end_id)
         )
         self._count_entries(self._tree.delete_many(batch), -1)
 
@@ -170,9 +169,10 @@ class DataPathsIndex(PathIndex):
         """
         head_id, schema_path, leaf_value, id_list = row
         key = (
-            encode_component(head_id),
-            encode_component(leaf_value),
-        ) + self._key_suffixes[schema_path]
+            encode_component(head_id)
+            + encode_component(leaf_value)
+            + self._key_suffixes[schema_path]
+        )
         stat_key = (schema_path[-1], leaf_value) if head_id == VIRTUAL_ROOT_ID else None
         return (key, (schema_path, id_list, leaf_value, head_id), stat_key)
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from ..paths.fourary import iter_datapaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
 from ..storage.btree import BPlusTree
-from ..storage.keys import encode_key
+from ..storage.keys import decode_key, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
 from .base import FamilyDescriptor, PathIndex
@@ -58,14 +58,14 @@ class JoinIndexRelation:
         ``value=None`` returns the structural pairs (no value condition).
         """
         return [
-            (head_id, key[1][1])
+            (head_id, decode_key(key)[1])
             for key, head_id in self.backward.scan_prefix(encode_key((value,)))
         ]
 
     def all_pairs(self) -> list[tuple[int, int, Optional[str]]]:
         """Every ``(head, tail, value)`` pair (full scan of the forward tree)."""
         return [
-            (key[0][1], tail, value)
+            (decode_key(key)[0], tail, value)
             for key, (tail, value) in self.forward.scan_all()
         ]
 

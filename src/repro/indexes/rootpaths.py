@@ -142,7 +142,7 @@ class RootPathsIndex(PathIndex):
         for _head, schema_path, leaf_value, id_list in iter_rootpaths_rows(
             db, documents=documents
         ):
-            key = (encode_component(leaf_value),) + suffixes[schema_path]
+            key = encode_component(leaf_value) + suffixes[schema_path]
             ids = id_list if full else id_list[-1:]
             batch.append(
                 (key, (schema_path, ids, leaf_value), (schema_path[-1], leaf_value))

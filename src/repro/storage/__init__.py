@@ -18,6 +18,7 @@ from .keys import (
     encode_key,
     is_prefix,
     key_byte_size,
+    split_key,
 )
 from .stats import GLOBAL_STATS, StatsCollector, sum_snapshots
 
@@ -34,5 +35,6 @@ __all__ = [
     "encode_key",
     "is_prefix",
     "key_byte_size",
+    "split_key",
     "sum_snapshots",
 ]

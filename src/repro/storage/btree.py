@@ -16,9 +16,11 @@ adaptations (using B+-trees)").  The tree supports:
 * an on-disk size estimate with optional key prefix compression,
   mirroring the paper's note that DB2 prefix-compresses index keys.
 
-Keys handed to the tree must already be encoded with
-:func:`repro.storage.keys.encode_key`; values are arbitrary Python
-objects (the library stores tuple row-ids or packed IdLists).
+Keys handed to the tree are ``bytes`` built by
+:func:`repro.storage.keys.encode_key`, whose byte order is component
+order, so the tree only ever compares, bisects and slices them; values
+are arbitrary Python objects (the library stores tuple row-ids or
+packed IdLists).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import operator
 from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import StorageError
-from .keys import EncodedKey, is_prefix
+from .keys import EncodedKey, is_prefix, split_key
 from .stats import GLOBAL_STATS, StatsCollector
 
 __all__ = ["BPlusTree"]
@@ -506,8 +508,10 @@ class BPlusTree:
         Parameters
         ----------
         key_size_of / value_size_of:
-            Callables mapping an entry's key / value to a byte count.
-            Defaults assume 8 bytes per key component and per value.
+            Callables mapping an entry's key components (the
+            :func:`~repro.storage.keys.split_key` tuples) / value to a
+            byte count.  Defaults assume 8 bytes per key component and
+            per value.
         prefix_compression:
             When true, a key is charged only for the components in which
             it differs from the previous key in order, modelling the
@@ -520,7 +524,7 @@ class BPlusTree:
             value_size_of = lambda value: 8  # noqa: E731
 
         total = 0
-        previous_key: Optional[EncodedKey] = None
+        previous_key: Optional[tuple] = None
         node = self._root
         while isinstance(node, _Internal):
             node = node.children[0]
@@ -528,7 +532,8 @@ class BPlusTree:
         leaves = 0
         while leaf is not None:
             leaves += 1
-            for key, value in zip(leaf.keys, leaf.values):
+            for encoded, value in zip(leaf.keys, leaf.values):
+                key = split_key(encoded)
                 if prefix_compression and previous_key is not None:
                     common = 0
                     for a, b in zip(previous_key, key):

@@ -1,63 +1,156 @@
-"""Sortable key encoding for composite B+-tree keys.
+"""Order-preserving byte encoding for composite B+-tree keys.
 
 Index keys in this library are composites such as
 ``LeafValue · ReverseSchemaPath`` (ROOTPATHS, Section 3.2) or
 ``HeadId · LeafValue · ReverseSchemaPath`` (DATAPATHS, Section 3.3).
-Components can be integers (node ids, tag ids), strings (leaf values)
-or ``None`` (no leaf value).  Python cannot order values of mixed types,
-so every component is wrapped in a small tagged tuple that makes the
-composite keys totally ordered:
+Components can be integers (node ids, tag ids, path ids), strings (leaf
+values) or ``None`` (no leaf value).  Each component is encoded as a
+self-delimiting byte string and a key is their concatenation:
 
-* ``None``            → ``(0,)``
-* ``int`` / ``float`` → ``(1, value)``
-* ``str``             → ``(2, value)``
+* ``None`` → ``00``
+* ``int``  → ``01`` + 8-byte big-endian ``value + 2**63`` (signed 64-bit range)
+* ``str``  → ``02`` + UTF-8 (``surrogatepass``) with every ``00`` byte
+  escaped as ``00 FF``, then the terminator ``00 01``
 
-Because the reverse schema path is the *last* part of every composite
-key (exactly why the paper places it last), keys are variable length
-and prefix scans over the encoded tuples implement the paper's
-"B+-trees are very efficient for prefix matches" observation directly.
+Three properties follow, and the tree relies on nothing else:
+
+* **memcmp order is component order.**  Comparing two encoded keys as
+  bytes gives the same answer as comparing their components left to
+  right — ``None`` < ints < strings, ints by value, strings by code
+  point, a key before every longer key it prefixes — so sorting,
+  bisecting and range slicing run as one C-level ``memcmp`` per
+  comparison instead of a walk over nested tuples.
+* **Byte prefix is component prefix.**  No component's encoding is a
+  prefix of another's, so ``key.startswith(prefix)`` is exactly "the key
+  begins with these components".  Because the reverse schema path is
+  the *last* part of every composite key (exactly why the paper places
+  it last), a prefix scan implements the paper's "B+-trees are very
+  efficient for prefix matches" observation directly.
+* **One flat object per key.**  A key is one ``bytes`` object rather
+  than a tuple of tuples, and its layout is position-independent, so a
+  leaf's keys could later be packed into, or mapped from, a file.
+
+This module is the only code that knows the layout: indexes build keys
+with :func:`encode_key` / :func:`encode_component` and read them back
+with :func:`decode_key` or :func:`split_key`.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Sequence, Union
 
 from ..errors import KeyEncodingError
 
-KeyComponent = Union[None, int, float, str]
-EncodedComponent = tuple
-EncodedKey = tuple
+KeyComponent = Union[None, int, str]
+EncodedComponent = bytes
+EncodedKey = bytes
+
+_INT = struct.Struct(">BQ")
+_pack_int = _INT.pack
+_unpack_int = _INT.unpack_from
+_INT_OFFSET = 1 << 63
+_NONE = b"\x00"
+_STR_TAG = b"\x02"
+_STR_END = b"\x00\x01"
+_ZERO = b"\x00"
+_ZERO_ESCAPED = b"\x00\xff"
 
 
 def encode_component(value: KeyComponent) -> EncodedComponent:
-    """Encode one key component into a sortable tagged tuple."""
+    """Encode one key component into its order-preserving bytes."""
+    kind = type(value)
+    if kind is int:
+        try:
+            return _pack_int(1, value + _INT_OFFSET)
+        except struct.error:
+            raise KeyEncodingError(
+                f"integer key component {value} is outside the signed 64-bit range"
+            ) from None
+    if kind is str:
+        data = value.encode("utf-8", "surrogatepass")
+        if 0 in data:  # an int probe is a memchr; a bytes probe is not
+            data = data.replace(_ZERO, _ZERO_ESCAPED)
+        return _STR_TAG + data + _STR_END
     if value is None:
-        return (0,)
+        return _NONE
     if isinstance(value, bool):
         # bool is an int subclass but is almost certainly a caller bug.
         raise KeyEncodingError("boolean key components are not supported")
-    if isinstance(value, (int, float)):
-        return (1, value)
+    if isinstance(value, int):
+        return encode_component(int(value))
     if isinstance(value, str):
-        return (2, value)
+        return encode_component(str(value))
     raise KeyEncodingError(f"cannot encode key component of type {type(value)!r}")
 
 
 def encode_key(components: Iterable[KeyComponent]) -> EncodedKey:
-    """Encode a sequence of components into one sortable composite key."""
-    return tuple(encode_component(c) for c in components)
+    """Encode a sequence of components into one sortable composite key.
+
+    Integers — tag ids, path ids and node ids, most of every probe —
+    are packed inline; everything else goes through
+    :func:`encode_component`.
+    """
+    key = b""
+    try:
+        for value in components:
+            if type(value) is int:
+                key += _pack_int(1, value + _INT_OFFSET)
+            else:
+                key += encode_component(value)
+    except struct.error:
+        raise KeyEncodingError(
+            "integer key component is outside the signed 64-bit range"
+        ) from None
+    return key
 
 
-def decode_component(component: EncodedComponent) -> KeyComponent:
-    """Invert :func:`encode_component`."""
-    if component[0] == 0:
-        return None
-    return component[1]
+def split_key(key: EncodedKey) -> tuple[tuple, ...]:
+    """The components of ``key`` as tagged tuples, in key order.
+
+    Each component comes back as ``(0,)`` for ``None``, ``(1, int)`` or
+    ``(2, str)`` — the shape the indexes' per-component space models
+    (``key_size_of`` callbacks of
+    :meth:`~repro.storage.btree.BPlusTree.estimated_size_bytes`) read.
+    """
+    out = []
+    append = out.append
+    position = 0
+    end = len(key)
+    try:
+        while position < end:
+            tag = key[position]
+            if tag == 1:
+                append((1, _unpack_int(key, position)[1] - _INT_OFFSET))
+                position += 9
+            elif tag == 2:
+                stop = key.find(_STR_END, position + 1)
+                if stop < 0:
+                    raise KeyEncodingError("unterminated string key component")
+                data = key[position + 1 : stop].replace(_ZERO_ESCAPED, _ZERO)
+                append((2, data.decode("utf-8", "surrogatepass")))
+                position = stop + 2
+            elif tag == 0:
+                append((0,))
+                position += 1
+            else:
+                raise KeyEncodingError(f"unknown key component tag {tag}")
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise KeyEncodingError(f"malformed key {key!r}: {exc}") from None
+    return tuple(out)
 
 
 def decode_key(key: EncodedKey) -> tuple[KeyComponent, ...]:
     """Invert :func:`encode_key`."""
-    return tuple(decode_component(c) for c in key)
+    return tuple(part[1] if part[0] else None for part in split_key(key))
+
+
+def decode_component(component: EncodedComponent) -> KeyComponent:
+    """Invert :func:`encode_component`."""
+    values = decode_key(component)
+    if len(values) != 1:
+        raise KeyEncodingError(f"expected one key component, found {len(values)}")
+    return values[0]
 
 
 def is_prefix(prefix: EncodedKey, key: EncodedKey) -> bool:

@@ -44,7 +44,7 @@ from repro.indexes import DataGuideIndex, DataPathsIndex, RootPathsIndex
 from repro.paths import HeadIdPruner
 from repro.planner import DEFAULT_STRATEGIES
 from repro.service.service import AUTO_STRATEGY
-from repro.storage import StatsCollector
+from repro.storage import StatsCollector, split_key
 from repro.storage.stats import maintenance_cost
 from repro.workloads import random_churn_ops, random_corpus
 from repro.xmltree import XmlDatabase
@@ -465,7 +465,8 @@ def _entry_multiset(index) -> Counter:
     """
     dictionary = getattr(index, "_path_dictionary", None)
     entries: Counter = Counter()
-    for key, payload in index._tree.scan_all():
+    for encoded, payload in index._tree.scan_all():
+        key = split_key(encoded)
         if dictionary is not None:
             key = key[:-1] + (dictionary.path_of(key[-1][1]),)
         entries[(key, payload)] += 1

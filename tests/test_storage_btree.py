@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
-from repro.storage import BPlusTree, StatsCollector, encode_key
+from repro.storage import BPlusTree, StatsCollector, decode_key, encode_key
 from repro.storage.btree import _Internal, _Leaf
 
 
@@ -544,15 +544,15 @@ def test_batch_mutators_match_the_per_entry_loop(seed, order):
                 oracle.setdefault(key, []).append(value)
         else:
             if roll < 0.65:  # empty whole leaves: every entry under one head
-                head = rng.choice(live)[0][0]
-                batch = [entry for entry in live if entry[0][0] == head]
+                head = decode_key(rng.choice(live)[0])[0]
+                batch = [entry for entry in live if decode_key(entry[0])[0] == head]
             else:
                 batch = rng.sample(live, rng.randrange(1, len(live) + 1))
             # ... plus entries that must find nothing: an absent key, a live
             # value under another key, and a repeat of a batch entry.
             batch.append((encode_key((99, 0)), ("v", -1)))
             stray_key, stray_value = rng.choice(live)
-            batch.append((encode_key((stray_key[0][1], 7)), stray_value))
+            batch.append((encode_key((decode_key(stray_key)[0], 7)), stray_value))
             batch.append(batch[0])
             rng.shuffle(batch)
             removed = batched.delete_many(batch)
