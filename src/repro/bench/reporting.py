@@ -6,7 +6,7 @@ machine-readable ``BENCH_<name>.json`` artifact per benchmark run
 bench assembles), so the performance trajectory of the serving tier is
 trackable across PRs instead of living only in CI logs.  Artifacts
 land in ``benchmarks/artifacts/`` by default; set ``REPRO_BENCH_DIR``
-(or the older ``BENCH_REPORT_DIR``) to redirect them.
+to redirect them.
 """
 
 from __future__ import annotations
@@ -130,16 +130,13 @@ def write_bench_report(
     checkout) and interpreter — because wall-clock figures are only
     comparable across runs of the same environment and code, logical
     costs across any.  Returns the written path.  ``directory`` (or
-    the ``REPRO_BENCH_DIR`` environment variable, or its older alias
-    ``BENCH_REPORT_DIR``) overrides :data:`DEFAULT_REPORT_DIR`.
+    the ``REPRO_BENCH_DIR`` environment variable) overrides
+    :data:`DEFAULT_REPORT_DIR`.
     """
     target_dir = Path(
         directory
         if directory is not None
-        else os.environ.get(
-            "REPRO_BENCH_DIR",
-            os.environ.get("BENCH_REPORT_DIR", DEFAULT_REPORT_DIR),
-        )
+        else os.environ.get("REPRO_BENCH_DIR", DEFAULT_REPORT_DIR)
     )
     target_dir.mkdir(parents=True, exist_ok=True)
     report = {

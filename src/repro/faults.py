@@ -1,6 +1,6 @@
-"""Deterministic fault injection for the replicated shard tier.
+"""Deterministic fault injection for the shard tier's replica sets.
 
-The failover machinery of :class:`~repro.shard.replica.ReplicatedShard`
+The failover machinery of :class:`~repro.shard.replica.Shard`
 (health states, read retry, quarantine, revive) is only trustworthy if
 it can be exercised *on demand*: a replica must be killable at an exact
 point in a workload, reproducibly, from a test or a benchmark.  This
@@ -13,9 +13,9 @@ module provides that, with no wall-clock randomness anywhere:
   :meth:`FaultPlan.diverging_at`) or generated from a seed
   (:meth:`FaultPlan.seeded`) via :class:`random.Random` — the same seed
   always yields the same schedule;
-* a :class:`FaultInjector` wraps one shard/replica surface (anything
-  exposing ``execute`` and ``watermark``, in practice a
-  :class:`~repro.shard.replica.Shard`) and fires the plan's events:
+* a :class:`FaultInjector` wraps one replica (anything exposing
+  ``execute`` and ``watermark``, in practice a
+  :class:`~repro.shard.replica.Replica`) and fires the plan's events:
 
   - ``error`` events raise :class:`InjectedFault` out of ``execute``
     instead of running it — what drives the health state machine
@@ -27,9 +27,9 @@ module provides that, with no wall-clock randomness anywhere:
 
 The injector is a transparent proxy: every attribute it does not
 intercept delegates to the wrapped surface, so it can stand in for a
-replica inside ``ReplicatedShard.replicas`` (see :func:`inject`) and
-the collection above notices nothing until a fault fires.  Reviving a
-replica (:meth:`~repro.shard.replica.ReplicatedShard.revive`) replaces
+replica inside ``Shard.replicas`` (see :func:`inject`) and the
+collection above notices nothing until a fault fires.  Reviving a
+replica (:meth:`~repro.shard.replica.Shard.revive`) replaces
 the injector along with the faulty replica, which is exactly the
 recovery semantics a real replacement node would have.
 
@@ -201,15 +201,15 @@ class _InjectorState:
 
 
 class FaultInjector:
-    """A transparent proxy over one shard surface that fires a plan.
+    """A transparent proxy over one replica that fires a plan.
 
-    Wraps any object exposing the shard surface (``execute``,
+    Wraps any object exposing the replica surface (``execute``,
     ``watermark``, ``add_document``, ...) and intercepts exactly two
     things: ``execute`` (where ``error`` and ``slow`` events fire and
     the call counter advances) and ``watermark`` (where an armed
     ``diverge`` event's drift is added).  Everything else — locks,
     engines, stats, services — delegates to the wrapped surface, so a
-    :class:`~repro.shard.replica.ReplicatedShard` treats the injector
+    :class:`~repro.shard.replica.Shard` treats the injector
     exactly like the replica it wraps.
     """
 
@@ -291,12 +291,12 @@ class FaultInjector:
 
 
 def inject(shard, replica_index: int, plan: FaultPlan) -> FaultInjector:
-    """Wrap one replica of a :class:`~repro.shard.replica.ReplicatedShard`.
+    """Wrap one replica of a :class:`~repro.shard.replica.Shard`.
 
     Swaps ``shard.replicas[replica_index]`` for a
     :class:`FaultInjector` around it (under the shard's write lock, so
     the swap cannot interleave with a write-through) and returns the
-    injector.  :meth:`~repro.shard.replica.ReplicatedShard.revive`
+    injector.  :meth:`~repro.shard.replica.Shard.revive`
     later replaces the slot with a freshly re-synced replica, which
     removes the injector — recovery discards the faulty node.
     """

@@ -14,12 +14,13 @@ whether execution happens on one engine or is scattered across shards:
   :meth:`~ServingFacade.slow_queries`) over the
   :class:`~repro.obs.Telemetry` hub every service carries.
 
-Subclasses provide :meth:`~ServingFacade.execute` plus the two stats
-hooks (:meth:`~ServingFacade._stats_snapshot` /
-:meth:`~ServingFacade._stats_diff`), which is exactly where one engine
-and N shards differ: the sharded tier snapshots every shard's collector
-and sums the diffs through
-:func:`~repro.storage.stats.sum_snapshots`.
+Subclasses provide :meth:`~ServingFacade.execute` plus one counter
+hook (:meth:`~ServingFacade._counter_totals`), which is exactly where
+one engine and N shards differ: the sharded tier sums every shard's
+collector through :func:`~repro.storage.stats.sum_snapshots`.  A batch
+diffs two readings of it with
+:func:`~repro.storage.stats.diff_snapshots`, and the metrics scrape
+exports one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..planner.evaluator import QueryResult, strategy_class
 from ..planner.optimizer import AUTO_CANDIDATES
 from ..query.parser import normalize_xpath, parse_xpath
 from ..query.twig import TwigPattern
-from ..storage.stats import weighted_cost
+from ..storage.stats import diff_snapshots, weighted_cost
 from .cache import LRUCache
 
 #: The pseudo-strategy name that delegates plan choice to the optimizer.
@@ -107,17 +108,9 @@ class ServingFacade:
     ) -> QueryResult:
         raise NotImplementedError
 
-    def _stats_snapshot(self):
-        """An opaque stats checkpoint taken before a batch runs."""
+    def _counter_totals(self) -> dict[str, int]:
+        """Current counter totals: logical cost plus activity counters."""
         raise NotImplementedError
-
-    def _stats_diff(self, before) -> dict[str, int]:
-        """Counter deltas since a :meth:`_stats_snapshot` checkpoint."""
-        raise NotImplementedError
-
-    def _activity_counters(self) -> dict[str, int]:
-        """The full current stats snapshot, for the metrics scrape."""
-        return {}
 
     def _cache_reports(self) -> dict[str, dict[str, object]]:
         """Cache-name -> counter report, for the metrics scrape."""
@@ -241,7 +234,7 @@ class ServingFacade:
                 self.default_query_id(index, query)
                 for index, query in enumerate(queries)
             ]
-        before = self._stats_snapshot()
+        before = self._counter_totals()
         started = _now()
         results: list[QueryResult] = []
         hits = 0
@@ -263,7 +256,7 @@ class ServingFacade:
         return BatchResult(
             results=results,
             elapsed_seconds=elapsed,
-            cost=self._stats_diff(before),
+            cost=diff_snapshots(self._counter_totals(), before),
             cache_hits=hits,
             cache_misses=len(results) - hits,
             strategy_counts=strategy_counts,
@@ -286,14 +279,12 @@ class ServingFacade:
         if not self.telemetry.enabled:
             return
         metrics = self.telemetry.metrics
-        activity = self._activity_counters()
-        if activity:
-            stats_gauge = metrics.gauge(
-                "repro_stats",
-                "StatsCollector totals (logical cost and activity counters)",
-            )
-            for name, value in activity.items():
-                stats_gauge.set(value, counter=name)
+        stats_gauge = metrics.gauge(
+            "repro_stats",
+            "StatsCollector totals (logical cost and activity counters)",
+        )
+        for name, value in self._counter_totals().items():
+            stats_gauge.set(value, counter=name)
         reports = self._cache_reports()
         if reports:
             cache_gauge = metrics.gauge(

@@ -487,18 +487,9 @@ class QueryService(ServingFacade):
             return self.engine.execute_prepared(runner, twig, xpath=xpath)
 
     # ------------------------------------------------------------------
-    # Stats hooks for the shared batch loop
+    # Counter and scrape hooks
     # ------------------------------------------------------------------
-    def _stats_snapshot(self):
-        return self.engine.stats.snapshot()
-
-    def _stats_diff(self, before) -> dict[str, int]:
-        return self.engine.stats.diff(before)
-
-    # ------------------------------------------------------------------
-    # Observability scrape hooks
-    # ------------------------------------------------------------------
-    def _activity_counters(self) -> dict[str, int]:
+    def _counter_totals(self) -> dict[str, int]:
         return self.engine.stats.snapshot()
 
     def _cache_reports(self) -> dict[str, dict[str, object]]:

@@ -15,15 +15,16 @@ table of :class:`DocumentPlacement` records — which makes the topology
 document online and :meth:`ShardedCollection.rebalance` re-places a
 skewed corpus under a policy, both through the shards' incremental
 index maintenance, with global ids (and therefore answers) unchanged
-throughout.  :class:`ReplicatedShard` puts N identical engine
-instances behind one shard for read scale-out, with pluggable read
-pickers (:data:`READ_PICKERS`) and write-through maintenance.
+throughout.  Every :class:`Shard` is a replica set of N >= 1
+identical :class:`Replica` engines — one is the plain shard, more
+scale reads out — with pluggable read pickers (:data:`READ_PICKERS`)
+and write-through maintenance.
 
 The tier is *self-driving*: every replica carries a
 :class:`ReplicaHealth` state machine (healthy → suspect → dead) so
 failed reads retry on the next healthy replica,
-:meth:`ReplicatedShard.revive` re-syncs a quarantined replica from the
-shard's write log, and an :class:`AutoRebalancer` watches the
+:meth:`Shard.revive` re-syncs a quarantined replica from the
+primary's live documents, and an :class:`AutoRebalancer` watches the
 topology's skew ratio between queries and fires ``rebalance(policy)``
 through a hysteresis band.  The deterministic fault-injection module
 (:mod:`repro.faults`) exercises all of it from tests and benches.
@@ -57,8 +58,8 @@ from .replica import (
     REPLICA_STATES,
     REPLICA_SUSPECT,
     ReadPicker,
+    Replica,
     ReplicaHealth,
-    ReplicatedShard,
     RoundRobinPicker,
     StickyPicker,
     make_picker,
@@ -83,7 +84,7 @@ __all__ = [
     "ReplicaHealth",
     "RebalanceMove",
     "RebalanceReport",
-    "ReplicatedShard",
+    "Replica",
     "RoundRobinPicker",
     "RoundRobinPlacement",
     "Shard",

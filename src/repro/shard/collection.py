@@ -1,11 +1,10 @@
 """Horizontally partitioned document storage with a dynamic topology.
 
 A :class:`ShardedCollection` splits a document forest across N shards.
-Each shard is a fully independent vertical slice of the stack — see
-:class:`~repro.shard.replica.Shard` — or, with ``replicas > 1``, a
-:class:`~repro.shard.replica.ReplicatedShard` holding N identical
-engine instances for read scale-out.  That independence is what buys
-the serving tier its isolation properties: adding a document touches
+Each shard is a :class:`~repro.shard.replica.Shard`: a set of
+``replicas`` identical, fully independent vertical slices of the stack
+(one is the plain shard; more scale reads out).  That independence
+buys the serving tier its isolation properties: adding a document touches
 one shard's indexes and invalidates one shard's result cache, while
 the other shards keep serving cached answers.
 
@@ -61,7 +60,7 @@ from ..obs import Telemetry
 from ..storage.stats import StatsCollector, maintenance_cost, sum_snapshots
 from ..xmltree.document import Document
 from .placement import PlacementPolicy, make_placement
-from .replica import ReadPicker, ReplicatedShard, Shard
+from .replica import ReadPicker, Shard
 from .topology import DocumentPlacement, ShardTopology
 
 __all__ = [
@@ -114,8 +113,6 @@ class ShardedCollection:
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
-        if replicas < 1:
-            raise ValueError(f"need at least one replica, got {replicas}")
         self.placement = make_placement(placement)
         #: One observability hub for the whole collection — every shard,
         #: replica and per-replica service shares it, so one query's
@@ -128,17 +125,10 @@ class ShardedCollection:
             result_cache_ttl=result_cache_ttl,
             telemetry=self.telemetry,
         )
-        if replicas == 1:
-            self.shards: list[Union[Shard, ReplicatedShard]] = [
-                Shard(i, **cache_options) for i in range(num_shards)
-            ]
-        else:
-            self.shards = [
-                ReplicatedShard(
-                    i, replicas=replicas, read_picker=read_picker, **cache_options
-                )
-                for i in range(num_shards)
-            ]
+        self.shards = [
+            Shard(i, replicas=replicas, read_picker=read_picker, **cache_options)
+            for i in range(num_shards)
+        ]
         #: The routing table: placements, id translation, epochs.  Its
         #: lock guards only routing bookkeeping and is never held
         #: across a shard's engine work, so a slow write to one shard
@@ -161,7 +151,7 @@ class ShardedCollection:
 
     @property
     def replica_count(self) -> int:
-        """Replicas per shard (1 for plain shards)."""
+        """Replicas per shard."""
         return self.shards[0].replica_count
 
     @property
@@ -349,7 +339,7 @@ class ShardedCollection:
                     f"{target.watermark - local_start} ids on shard "
                     f"{target_shard} but its span reserved {moved.node_count}"
                 )
-            target.note_move()
+            target.stats.documents_moved += 1
         return moved
 
     def plan_rebalance(
@@ -471,12 +461,12 @@ class ShardedCollection:
     def index_sizes_mb(self) -> dict[str, float]:
         """Total size per index name, summed across shards.
 
-        Replicated shards report one replica's copy (the physical total
-        is that times the replica count).
+        Each shard reports its primary's copy (the physical total is
+        that times the replica count).
         """
         totals: dict[str, float] = {}
         for shard in self.shards:
-            for name, size in shard.index_sizes_mb().items():
+            for name, size in shard.engine.index_sizes_mb().items():
                 totals[name] = totals.get(name, 0.0) + size
         return totals
 

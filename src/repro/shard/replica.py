@@ -1,16 +1,15 @@
-"""Shards, replica sets and read pickers: the engine-holding tier.
+"""Shards as replica sets, and read pickers: the engine-holding tier.
 
 A :class:`Shard` is one partition of a
-:class:`~repro.shard.collection.ShardedCollection` — a fully
-independent vertical slice of the stack with its own
+:class:`~repro.shard.collection.ShardedCollection`: a set of N >= 1
+identical :class:`Replica` engine slices, each a fully independent
+vertical slice of the stack with its own
 :class:`~repro.xmltree.document.XmlDatabase`,
 :class:`~repro.storage.stats.StatsCollector`,
 :class:`~repro.planner.evaluator.TwigQueryEngine` (with its own index
 family) and :class:`~repro.service.QueryService` (with its own caches,
-lock and generation fingerprint).
-
-A :class:`ReplicatedShard` is N identical such engine instances behind
-the same shard surface, for read scale-out past one engine per shard:
+lock and generation fingerprint).  A set of one is the plain shard;
+more replicas scale reads out past one engine per shard:
 
 * **writes go through to every replica** — ``add_document`` adds the
   original to the primary and a :meth:`~repro.xmltree.document.Document.clone`
@@ -25,7 +24,7 @@ the same shard surface, for read scale-out past one engine per shard:
   never the one a write is updating while another is live — and
   per-replica read counters make the fan-out observable;
 * **costs merge through the one aggregation path** —
-  :meth:`ReplicatedShard.stats_snapshot` folds every replica's
+  :meth:`Shard.stats_snapshot` folds every replica's
   collector together via :meth:`~repro.storage.stats.StatsCollector.merge`,
   so the N-fold write amplification of replication is priced honestly
   in the same currency as everything else;
@@ -35,23 +34,18 @@ the same shard surface, for read scale-out past one engine per shard:
   query errors (:data:`QUERY_ERRORS`) fail identically on every
   replica, so they re-raise to the caller without demoting anything),
   reads that fail are retried on the
-  next healthy replica (:data:`~repro.storage.stats.StatsCollector`
+  next healthy replica (:class:`~repro.storage.stats.StatsCollector`
   counters ``reads_retried`` / ``replicas_failed`` /
   ``replicas_revived`` record the activity), pickers only see healthy
   candidates, a dead replica is quarantined out of both the read pool
-  and the write fan-out, and :meth:`ReplicatedShard.revive` re-syncs a
-  quarantined replica by replaying the shard's write log — the
-  primary's document sequence, adds *and* removals, so the rebuilt
+  and the write fan-out, and :meth:`Shard.revive` re-syncs a
+  quarantined replica from the primary's live documents, replayed in
+  first-id order across the id gaps removals left, so the rebuilt
   replica assigns exactly the primary's node ids.  Divergence (a
   replica whose watermark drifts from the primary's) is caught by the
   write-through alignment check and quarantined the same way.  The
   fault-injection module (:mod:`repro.faults`) exists to exercise all
   of this deterministically from tests and benches.
-
-Both classes expose the same surface (``execute`` / ``add_document`` /
-``remove_document`` / ``build_index`` / ``stats_snapshot`` / ...), so
-the collection and the scatter-gather service route through a shard
-without caring whether one engine or a replica set answers.
 """
 
 from __future__ import annotations
@@ -75,14 +69,14 @@ from ..query.match import NaiveMatcher
 from ..query.twig import TwigPattern
 from ..service.base import AUTO_STRATEGY
 from ..service.service import QueryService
-from ..storage.stats import StatsCollector
+from ..storage.stats import StatsCollector, diff_snapshots
 from ..xmltree.document import Document, XmlDatabase
 
 #: Deterministic, query-attributable error types.  Replicas hold the
 #: same documents with the same ids and the same indexes, so a query
 #: that raises one of these fails identically on *every* replica: the
 #: failure says nothing about the replica's health, and retrying it
-#: elsewhere cannot succeed.  :meth:`ReplicatedShard.execute` re-raises
+#: elsewhere cannot succeed.  :meth:`Shard.execute` re-raises
 #: them untouched — demoting on them would let one bad query, repeated
 #: ``dead_after`` times, walk the whole replica set (primary included)
 #: to dead and turn a caller mistake into a permanent shard read
@@ -98,8 +92,15 @@ QUERY_ERRORS = (
 )
 
 
-class Shard:
-    """One partition: a private database, engine, stats and service."""
+class Replica:
+    """One engine slice of a shard: a private database, engine, stats and service.
+
+    Holds no lock and makes no routing decision: the owning
+    :class:`Shard` serializes its writes and picks it for reads.
+    :meth:`execute` and :attr:`watermark` are the two calls a
+    :class:`~repro.faults.FaultInjector` intercepts; everything else the
+    set reaches through :attr:`service` and :attr:`engine` directly.
+    """
 
     def __init__(
         self,
@@ -120,87 +121,40 @@ class Shard:
             result_cache_ttl=result_cache_ttl,
             telemetry=telemetry,
         )
-        #: The stack-wide observability hub; the collection passes one
-        #: shared instance down, a standalone shard gets its service's.
         self.telemetry = self.service.telemetry
-        #: Serializes writes *to this shard* (watermark read + engine add
-        #: + span record must be atomic per shard), without making other
-        #: shards' reads or writes wait.
-        self.add_lock = threading.RLock()
         #: first node id -> live document, maintained by
         #: :meth:`add_document` / :meth:`remove_document` so
         #: :meth:`document_at` resolves in one dict probe instead of
         #: scanning ``db.documents`` on every move / remove-by-span.
         #: Ids are never reused, so a start id maps to at most one live
-        #: document; mutated only on the write path, which the caller
-        #: already serializes under :attr:`add_lock`.
+        #: document; mutated only on the write path, which the set
+        #: serializes under its ``add_lock``.
         self._by_first_id: dict[int, Document] = {}
 
     @property
     def watermark(self) -> int:
-        """The shard database's next unassigned node id."""
+        """The replica database's next unassigned node id."""
         return self.db.revision[1]
 
     @property
     def document_count(self) -> int:
         return len(self.db.documents)
 
-    @property
-    def replica_count(self) -> int:
-        """A plain shard is its own single replica."""
-        return 1
-
-    # ------------------------------------------------------------------
-    # The shard surface the collection and the scatter service route to
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: Union[str, TwigPattern],
-        strategy: str = AUTO_STRATEGY,
-        use_result_cache: bool = True,
-        query_id: Optional[str] = None,
-        **strategy_options,
-    ) -> QueryResult:
-        """One scattered query, through this shard's service."""
-        return self.service.execute(
-            query,
-            strategy=strategy,
-            use_result_cache=use_result_cache,
-            query_id=query_id,
-            **strategy_options,
-        )
+    def execute(self, query: Union[str, TwigPattern], **options) -> QueryResult:
+        """One read, through this replica's service."""
+        return self.service.execute(query, **options)
 
     def add_document(self, document: Document) -> Document:
-        """Add one routed document through the shard's service."""
+        """Add one document through the replica's service."""
         added = self.service.add_document(document)
         self._by_first_id[added.first_id] = added
         return added
 
     def remove_document(self, ref: Union[Document, str]) -> Document:
-        """Remove one document through the shard's service."""
+        """Remove one document through the replica's service."""
         removed = self.service.remove_document(ref)
         self._by_first_id.pop(removed.first_id, None)
         return removed
-
-    def build_index(self, name: str, **options):
-        return self.service.build_index(name, **options)
-
-    def ensure_indexes_for(self, strategy_name: str) -> None:
-        self.engine.ensure_indexes_for(strategy_name)
-
-    def invalidate(self, rebuilt: bool = True) -> None:
-        self.service.invalidate(rebuilt=rebuilt)
-
-    def generation(self) -> tuple:
-        """The shard service's change fingerprint (lock-free read)."""
-        return self.service.generation()
-
-    def index_sizes_mb(self) -> dict[str, float]:
-        return self.engine.index_sizes_mb()
-
-    def oracle_ids(self, twig: TwigPattern) -> list[int]:
-        """Index-free shard-local ground truth (differential testing)."""
-        return NaiveMatcher(self.db).match_ids(twig)
 
     def document_at(self, local_start: int) -> Document:
         """The live document whose id span begins at ``local_start``.
@@ -219,50 +173,8 @@ class Shard:
             f"shard {self.index} has no document starting at id {local_start}"
         )
 
-    def note_move(self) -> None:
-        """Charge one completed document move to this shard's collector."""
-        self.stats.documents_moved += 1
-
-    def stats_snapshot(self) -> dict[str, int]:
-        return self.stats.snapshot()
-
-    def stats_diff(self, before: dict[str, int]) -> dict[str, int]:
-        return self.stats.diff(before)
-
-    def service_report(self) -> dict[str, object]:
-        return self.service.describe()
-
-    def health_report(self) -> dict[str, object]:
-        """Degenerate health report: a plain shard is its one healthy replica.
-
-        Shaped like :meth:`ReplicatedShard.health_report` so the
-        operations tier aggregates over a mixed collection without a
-        replica case.
-        """
-        return {
-            "replicas": 1,
-            "states": [REPLICA_HEALTHY],
-            "healthy": 1,
-            "suspect": 0,
-            "dead": 0,
-            "reads_retried": 0,
-            "reads_rerouted": 0,
-            "replicas_failed": 0,
-            "replicas_revived": 0,
-        }
-
-    def describe(self) -> dict[str, object]:
-        """Shard-level size and cache counters."""
-        return {
-            "documents": self.document_count,
-            "node_watermark": self.watermark,
-            "indexes": sorted(self.engine.indexes),
-            "replicas": self.replica_count,
-            "service": self.service_report(),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Shard(index={self.index}, documents={self.document_count})"
+        return f"Replica(shard={self.index}, documents={self.document_count})"
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +184,7 @@ class ReadPicker:
     """Strategy interface: choose which replica serves one read.
 
     ``pick`` sees the in-flight read counts of the *eligible*
-    candidates — the replicated shard filters out quarantined replicas
+    candidates — the shard filters out quarantined replicas
     before calling, so a picker only ever chooses among healthy ones —
     and a stable key for the query (its normalized text), and returns
     an index **into that candidate list**.  ``slots`` optionally names
@@ -280,7 +192,7 @@ class ReadPicker:
     pickers use it to keep their rotation anchored to replicas rather
     than to positions in a candidate list whose membership shifts as
     replicas die, revive, or are excluded per-attempt.  Pickers may
-    keep state (the round-robin cursor); the replicated shard
+    keep state (the round-robin cursor); the shard
     serializes calls, so they need no locking of their own.
     """
 
@@ -409,8 +321,8 @@ class ReplicaHealth:
     failures demote healthy → suspect, ``dead_after`` demote suspect →
     dead (quarantine), and any success resets the streak and redeems a
     suspect back to healthy.  Dead is terminal until
-    :meth:`ReplicatedShard.revive` replaces the slot.  Guarded by the
-    replicated shard's read lock, like the in-flight counters.
+    :meth:`Shard.revive` replaces the slot.  Guarded by the
+    shard's read lock, like the in-flight counters.
     """
 
     state: str = REPLICA_HEALTHY
@@ -430,30 +342,21 @@ class ReplicaHealth:
 
 
 # ----------------------------------------------------------------------
-# Replica sets
+# Shards: replica sets of N >= 1
 # ----------------------------------------------------------------------
-class ReplicatedShard:
-    """N identical engine instances behind one shard surface.
+class Shard:
+    """One partition: N >= 1 identical :class:`Replica` engines.
 
-    Exposes the same surface as :class:`Shard`; ``db`` / ``engine`` /
-    ``stats`` / ``service`` refer to the primary replica (replica 0) so
-    code that introspects a shard keeps working — but reads should go
-    through :meth:`execute`, which is where the picker fans them out.
+    ``db`` / ``engine`` / ``stats`` / ``service`` refer to the primary
+    replica (replica 0) so code that introspects a shard keeps working
+    — but reads should go through :meth:`execute`, which is where the
+    picker fans them out.
     """
-
-    #: Never compact the write log below this many entries — small
-    #: shards never pay the compaction sweep.
-    OPLOG_COMPACT_MIN = 64
-    #: ... and only compact once the log exceeds this factor of the
-    #: live corpus: the compacted log is at most ``2 * live + 1``
-    #: entries, so each sweep buys at least Ω(live) further writes
-    #: before the next one — O(1) amortized clones per write.
-    OPLOG_COMPACT_FACTOR = 3
 
     def __init__(
         self,
         index: int,
-        replicas: int = 2,
+        replicas: int = 1,
         read_picker: Union[str, ReadPicker] = "round_robin",
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
@@ -475,17 +378,17 @@ class ReplicatedShard:
         self.index = index
         self.picker = make_picker(read_picker)
         #: One hub for the whole replica set — carried in
-        #: :attr:`_shard_options` so every replica (including the fresh
-        #: one a :meth:`revive` builds) shares it.
+        #: :attr:`_replica_options` so every replica (including the
+        #: fresh one a :meth:`revive` builds) shares it.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._shard_options = dict(
+        self._replica_options = dict(
             plan_cache_size=plan_cache_size,
             result_cache_size=result_cache_size,
             result_cache_ttl=result_cache_ttl,
             telemetry=self.telemetry,
         )
         self.replicas = [
-            Shard(index, **self._shard_options) for _ in range(replicas)
+            Replica(index, **self._replica_options) for _ in range(replicas)
         ]
         #: Consecutive read failures before healthy -> suspect / -> dead.
         self.suspect_after = suspect_after
@@ -496,8 +399,10 @@ class ReplicatedShard:
         #: finishes dying (failures accumulate to ``dead_after``)
         #: without a separate prober thread.
         self.probe_interval = probe_interval
-        #: Writes hold this across the whole write-through so replicas
-        #: never diverge in id space; reads never take it.
+        #: Serializes writes *to this shard* (watermark read + engine add
+        #: + span record must be atomic per shard) across the whole
+        #: write-through, so replicas never diverge in id space, without
+        #: making other shards' reads or writes wait; reads never take it.
         self.add_lock = threading.RLock()
         self._read_lock = threading.Lock()
         self._in_flight = [0] * replicas
@@ -515,25 +420,12 @@ class ReplicatedShard:
         #: Counters of replicas retired by :meth:`revive`, folded in so
         #: shard totals never decrease when a slot is replaced.
         self._retired_stats = StatsCollector()
-        #: The shard's write log: every committed write in order, as
-        #: ``("add", template Document clone)`` /
-        #: ``("remove", span start id)`` entries.  :meth:`revive`
-        #: replays it — adds *and* removals, because removals leave id
-        #: gaps a fresh add sequence would not reproduce — so a rebuilt
-        #: replica assigns exactly the primary's node ids.  Once the
-        #: log outgrows the live corpus it is compacted down to the
-        #: live documents plus synthetic ``("gap", id count)`` entries
-        #: (:meth:`_compact_oplog`), so a long-lived shard holds
-        #: O(corpus) log memory, not O(write history) — under steady
-        #: rebalance churn the two differ without bound.  Mutated under
-        #: :attr:`add_lock` only.
-        self._oplog: list[tuple[str, object]] = []
 
     @property
-    def primary(self) -> Shard:
+    def primary(self) -> Replica:
         return self.replicas[0]
 
-    # Primary views, for introspection parity with a plain Shard.
+    # Primary views, for introspection.
     @property
     def db(self) -> XmlDatabase:
         return self.primary.db
@@ -748,7 +640,8 @@ class ReplicatedShard:
             return retry
 
     def oracle_ids(self, twig: TwigPattern) -> list[int]:
-        return self.primary.oracle_ids(twig)
+        """Index-free shard-local ground truth (differential testing)."""
+        return NaiveMatcher(self.primary.db).match_ids(twig)
 
     # ------------------------------------------------------------------
     # Writes: through to every replica
@@ -770,7 +663,7 @@ class ReplicatedShard:
         finally:
             self._maintaining = outer
 
-    def _live_secondaries(self) -> list[tuple[int, Shard]]:
+    def _live_secondaries(self) -> list[tuple[int, Replica]]:
         """The secondaries still in the write fan-out, with their slots."""
         return [
             (slot, replica)
@@ -785,16 +678,15 @@ class ReplicatedShard:
         takes a :meth:`~repro.xmltree.document.Document.clone` (trees
         cannot be shared between databases).  Identical add order means
         identical node ids on every replica.  The primary is the source
-        of truth: its write always lands (and is logged for
-        :meth:`revive`); a secondary whose write fails is quarantined
-        dead — to be re-synced later — rather than unwinding a write
-        the primary already committed.  Dead secondaries are skipped
+        of truth: its write always lands (and :meth:`revive` re-syncs
+        from it); a secondary whose write fails is quarantined dead —
+        to be re-synced later — rather than unwinding a write the
+        primary already committed.  Dead secondaries are skipped
         entirely; they catch up on revive.
         """
         with self.add_lock:
             with self._maintain(0):
                 added = self.primary.add_document(document)
-                self._oplog.append(("add", document.clone()))
                 for position, replica in self._live_secondaries():
                     with self._maintain(position):
                         try:
@@ -804,22 +696,20 @@ class ReplicatedShard:
                                 position, f"write-through add failed: {error!r}"
                             )
             self._check_alignment()
-            self._maybe_compact_oplog()
             return added
 
     def remove_document(self, ref: Union[Document, str]) -> Document:
         """Remove the same document (by its id span) from every live replica.
 
         Mirrors :meth:`add_document`: the primary's removal is
-        authoritative and logged, dead secondaries are skipped, and a
-        secondary that fails its removal is quarantined for revive.
+        authoritative, dead secondaries are skipped, and a secondary
+        that fails its removal is quarantined for revive.
         """
         with self.add_lock:
             primary_doc = self.primary.db.resolve_document(ref)
             span_start = primary_doc.first_id
             with self._maintain(0):
                 removed = self.primary.remove_document(primary_doc)
-                self._oplog.append(("remove", span_start))
                 for position, replica in self._live_secondaries():
                     with self._maintain(position):
                         try:
@@ -829,24 +719,23 @@ class ReplicatedShard:
                                 position, f"write-through remove failed: {error!r}"
                             )
             self._check_alignment()
-            self._maybe_compact_oplog()
             return removed
 
     def build_index(self, name: str, **options):
         """Build one index on every live replica (dead ones rebuild on revive)."""
         with self.add_lock, self._maintain(0):
-            built = self.primary.build_index(name, **options)
+            built = self.primary.service.build_index(name, **options)
             for position, replica in self._live_secondaries():
                 with self._maintain(position):
-                    replica.build_index(name, **options)
+                    replica.service.build_index(name, **options)
             return built
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
         with self.add_lock, self._maintain(0):
-            self.primary.ensure_indexes_for(strategy_name)
+            self.primary.engine.ensure_indexes_for(strategy_name)
             for position, replica in self._live_secondaries():
                 with self._maintain(position):
-                    replica.ensure_indexes_for(strategy_name)
+                    replica.engine.ensure_indexes_for(strategy_name)
 
     def invalidate(self, rebuilt: bool = True) -> None:
         """Invalidate every replica's caches, atomically with writes.
@@ -859,7 +748,7 @@ class ReplicatedShard:
         """
         with self.add_lock:
             for replica in self.replicas:
-                replica.invalidate(rebuilt=rebuilt)
+                replica.service.invalidate(rebuilt=rebuilt)
 
     def generation(self) -> tuple:
         """Every replica's change fingerprint, in slot order.
@@ -870,14 +759,10 @@ class ReplicatedShard:
         replica in the fingerprint that stretch has a generation of its
         own, and nothing keyed on it outlives the write.
         """
-        return tuple(replica.generation() for replica in self.replicas)
+        return tuple(replica.service.generation() for replica in self.replicas)
 
     def document_at(self, local_start: int) -> Document:
         return self.primary.document_at(local_start)
-
-    def note_move(self) -> None:
-        """Charge one completed move once (to the primary's collector)."""
-        self.primary.note_move()
 
     def _is_dead(self, position: int) -> bool:
         with self._read_lock:
@@ -922,36 +807,17 @@ class ReplicatedShard:
                 )
 
     # ------------------------------------------------------------------
-    # Write-log compaction
+    # Revive: re-sync a quarantined replica from the primary
     # ------------------------------------------------------------------
-    def _maybe_compact_oplog(self) -> None:
-        """Compact the write log once it outgrows the live corpus.
+    def _replay(self) -> list[tuple[str, object]]:
+        """The primary's state as a write sequence a fresh replica replays.
 
-        Without this the log retains a clone of every document ever
-        added: with rebalancing enabled every move appends an add-clone
-        to the target shard and a remove entry to the source, so memory
-        would grow without bound even at constant corpus size.  Called
-        under :attr:`add_lock` by the write path.
-        """
-        threshold = max(
-            self.OPLOG_COMPACT_MIN,
-            self.OPLOG_COMPACT_FACTOR * (self.primary.document_count + 1),
-        )
-        if len(self._oplog) >= threshold:
-            self._compact_oplog()
-
-    def _compact_oplog(self) -> None:
-        """Collapse the log to the live documents plus id-gap entries.
-
-        Replaying the compacted log reproduces exactly the state the
-        full history would: each live document re-added in first-id
-        order, with ``("gap", count)`` entries advancing the id
-        watermark across the ranges that removals (and the removal
-        halves of moves) retired — so :meth:`revive` still rebuilds a
-        replica to exactly the primary's node ids.  At most
-        ``2 * live + 1`` entries remain, which is strictly below the
-        compaction threshold, so the log stays bounded by the corpus
-        size however long the shard lives.
+        Each live document in first-id order as ``("add", document)``,
+        with ``("gap", id count)`` entries across the ranges removals
+        (and the removal halves of moves) retired.  Replaying it
+        reproduces exactly the primary's node ids — removal gaps
+        included — without any history of the writes that got there.
+        Called under :attr:`add_lock`.
         """
         entries: list[tuple[str, object]] = []
         cursor = 1  # a fresh XmlDatabase numbers from id 1
@@ -960,31 +826,27 @@ class ReplicatedShard:
         ):
             if document.first_id > cursor:
                 entries.append(("gap", document.first_id - cursor))
-            entries.append(("add", document.clone()))
+            entries.append(("add", document))
             cursor = document.end_id
         if self.primary.watermark > cursor:
             entries.append(("gap", self.primary.watermark - cursor))
-        self._oplog = entries
+        return entries
 
-    # ------------------------------------------------------------------
-    # Revive: re-sync a quarantined replica from the write log
-    # ------------------------------------------------------------------
-    def revive(self, replica_index: int) -> Shard:
-        """Rebuild one replica slot by replaying the shard's write log.
+    def revive(self, replica_index: int) -> Replica:
+        """Rebuild one replica slot from the primary's live documents.
 
-        A fresh :class:`Shard` replays every committed write in order —
-        adds *and* removals (or, after compaction, the live documents
-        plus synthetic id-gap entries), because removals leave id gaps
-        that a replay of only the surviving documents would not
-        reproduce — so
-        it assigns exactly the primary's node ids; the primary's built
-        indexes are then rebuilt from their recorded build options.
-        The slot is swapped in under both locks and its health reset to
-        healthy; a fault injector wrapping the old replica is discarded
-        with it.  The retired replica's cost counters fold into
-        :meth:`stats_snapshot` so shard totals never decrease.  Works
-        on any slot (a read-dead primary re-syncs from the log the same
-        way).  Counted in ``replicas_revived``.
+        A fresh :class:`Replica` replays :meth:`_replay` — a clone of
+        every live document in first-id order, with the id gaps between
+        them skipped (:meth:`~repro.xmltree.document.XmlDatabase.skip_ids`)
+        — so it assigns exactly the primary's node ids; the primary's
+        built indexes are then rebuilt from their recorded build
+        options.  The slot is swapped in under both locks and its health
+        reset to healthy; a fault injector wrapping the old replica is
+        discarded with it.  The retired replica's cost counters fold
+        into :meth:`stats_snapshot` so shard totals never decrease.
+        Works on any slot: a read-dead primary (the only replica of a
+        set of one, say) re-syncs from its own documents, which every
+        write kept current.  Counted in ``replicas_revived``.
         """
         with self.add_lock:
             if not 0 <= replica_index < len(self.replicas):
@@ -992,19 +854,15 @@ class ReplicatedShard:
                     f"shard {self.index} has no replica {replica_index} "
                     f"(replicas: {len(self.replicas)})"
                 )
-            fresh = Shard(self.index, **self._shard_options)
-            for action, payload in self._oplog:
-                if action == "add":
-                    fresh.add_document(payload.clone())
-                elif action == "gap":
-                    # A compacted stretch of retired ids: advance the
-                    # watermark without materializing the removed
-                    # documents (see :meth:`_compact_oplog`).
+            fresh = Replica(self.index, **self._replica_options)
+            replay = self._replay()
+            for action, payload in replay:
+                if action == "gap":
                     fresh.db.skip_ids(payload)
                 else:
-                    fresh.remove_document(fresh.document_at(payload))
+                    fresh.add_document(payload.clone())
             for name in sorted(self.primary.engine.indexes):
-                fresh.build_index(
+                fresh.service.build_index(
                     name, **self.primary.engine.build_options.get(name, {})
                 )
             if fresh.watermark != self.primary.watermark:
@@ -1023,7 +881,7 @@ class ReplicatedShard:
                 "replica-revived",
                 shard=self.index,
                 replica=replica_index,
-                replayed=len(self._oplog),
+                replayed=len(replay),
                 watermark=fresh.watermark,
             )
             return fresh
@@ -1031,10 +889,6 @@ class ReplicatedShard:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def index_sizes_mb(self) -> dict[str, float]:
-        """Primary's index sizes (every replica's copy is identical)."""
-        return self.primary.index_sizes_mb()
-
     def stats_snapshot(self) -> dict[str, int]:
         """All replicas' counters folded through ``StatsCollector.merge``.
 
@@ -1055,19 +909,16 @@ class ReplicatedShard:
         )
 
     def stats_diff(self, before: dict[str, int]) -> dict[str, int]:
-        now = self.stats_snapshot()
-        return {key: now.get(key, 0) - value for key, value in before.items()}
+        return diff_snapshots(self.stats_snapshot(), before)
 
     def service_report(self) -> dict[str, object]:
         """Per-replica service reports summed into one shard report.
 
         Counter values (and nested counter dicts) sum across replicas;
         non-numeric leaves (TTL configuration, hit rates) are taken
-        from the primary.  The summed shape matches a plain shard's
-        report, so collection-level aggregation needs no replica case.
+        from the primary.
         """
-        reports = [replica.service_report() for replica in self.replicas]
-        return _sum_reports(reports)
+        return _sum_reports([replica.service.describe() for replica in self.replicas])
 
     def health_report(self) -> dict[str, object]:
         """Health states and failover activity of the replica set."""
@@ -1101,7 +952,7 @@ class ReplicatedShard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ReplicatedShard(index={self.index}, "
+            f"Shard(index={self.index}, "
             f"replicas={self.replica_count}, "
             f"documents={self.document_count})"
         )

@@ -26,9 +26,9 @@ cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
   generation fingerprints and ``strategy="auto"``
   choices all apply per shard (a shard prices its plan against its own
   catalog statistics, and an ``add_document`` on one shard invalidates
-  only that shard's cached results); a replicated shard
-  (:class:`~repro.shard.replica.ReplicatedShard`) additionally fans the
-  read to one of its replicas through its read picker;
+  only that shard's cached results); a shard
+  (:class:`~repro.shard.replica.Shard`) hands the read to one of its
+  replicas through its read picker;
 * **prune** — a query scoped to named documents (``documents=[...]``)
   is sent only to the shards holding them, and its answer is filtered
   to those documents' id intervals;
@@ -252,24 +252,17 @@ class ShardedQueryService(ServingFacade):
         return self.collection.compact()
 
     def revive_replica(self, shard_index: int, replica_index: int):
-        """Re-sync one quarantined replica from its shard's write log.
+        """Re-sync one quarantined replica from its shard's primary.
 
         The recovery half of failover — see
-        :meth:`~repro.shard.replica.ReplicatedShard.revive`.  Raises
-        for a plain (unreplicated) shard.
+        :meth:`~repro.shard.replica.Shard.revive`.
         """
         if not 0 <= shard_index < self.collection.num_shards:
             raise DocumentError(
                 f"shard index {shard_index} outside "
                 f"[0, {self.collection.num_shards})"
             )
-        shard = self.collection.shards[shard_index]
-        reviver = getattr(shard, "revive", None)
-        if reviver is None:
-            raise DocumentError(
-                f"shard {shard_index} is not replicated; nothing to revive"
-            )
-        return reviver(replica_index)
+        return self.collection.shards[shard_index].revive(replica_index)
 
     def build_index(self, name: str, **options) -> None:
         """Build one index of the family on every shard."""
@@ -439,10 +432,9 @@ class ShardedQueryService(ServingFacade):
         across queries comes from the callers (the front door's
         executor workers, each carrying one whole query).
 
-        Routing through the shard surface (not ``shard.service``
-        directly) is what lets a replicated shard hand the read to one
-        of its replicas.  Each leg runs under its own ``shard`` span, a
-        child of the caller's ``scatter`` span.
+        Routing through the shard (not ``shard.service`` directly) is
+        what hands the read to one of its replicas.  Each leg runs under
+        its own ``shard`` span, a child of the caller's ``scatter`` span.
         """
         partials: list[QueryResult] = []
         for shard, _ in targets:
@@ -517,31 +509,15 @@ class ShardedQueryService(ServingFacade):
         return merged
 
     # ------------------------------------------------------------------
-    # Stats hooks for the shared batch loop
+    # Counter and scrape hooks
     # ------------------------------------------------------------------
-    def _stats_snapshot(self):
-        # A replicated shard's snapshot folds its replicas together via
-        # StatsCollector.merge, so replica write amplification is priced.
-        # The trailing entry is the auto-rebalance trigger's own
-        # collector, so a batch that fires one shows it in its deltas.
-        snapshots = [shard.stats_snapshot() for shard in self.collection.shards]
-        snapshots.append(self.operations.stats.snapshot())
-        return snapshots
+    def _counter_totals(self) -> dict[str, int]:
+        """All shards' merged counters plus the rebalancer's, summed.
 
-    def _stats_diff(self, before) -> dict[str, int]:
-        *shard_snapshots, operations_snapshot = before
-        diffs = [
-            shard.stats_diff(snapshot)
-            for shard, snapshot in zip(self.collection.shards, shard_snapshots)
-        ]
-        diffs.append(self.operations.stats.diff(operations_snapshot))
-        return sum_snapshots(*diffs)
-
-    # ------------------------------------------------------------------
-    # Observability scrape hooks
-    # ------------------------------------------------------------------
-    def _activity_counters(self) -> dict[str, int]:
-        """All shards' + the rebalancer's counters, summed for the scrape."""
+        A shard's snapshot folds its replicas together, so replica write
+        amplification is priced; the rebalancer's collector is in, so a
+        batch that fires one shows it in its cost.
+        """
         return sum_snapshots(
             self.operations.stats.snapshot(),
             *(shard.stats_snapshot() for shard in self.collection.shards),
@@ -621,16 +597,13 @@ class ShardedQueryService(ServingFacade):
         report["maintenance"]["documents_moved"] = (
             self.collection.topology.documents_moved
         )
-        if self.collection.replica_count > 1:
-            report["replica_reads"] = {
-                "picker": self.collection.shards[0].picker.name,
-                "per_shard": [
-                    list(shard.replica_reads) for shard in self.collection.shards
-                ],
-                "total": sum(
-                    sum(shard.replica_reads) for shard in self.collection.shards
-                ),
-            }
+        report["replica_reads"] = {
+            "picker": self.collection.shards[0].picker.name,
+            "per_shard": [
+                list(shard.replica_reads) for shard in self.collection.shards
+            ],
+            "total": sum(sum(shard.replica_reads) for shard in self.collection.shards),
+        }
         report["queries_executed"] = self.queries_executed
         report["operations"] = {
             "auto_rebalance": self.operations.describe(),

@@ -94,6 +94,20 @@ def sum_snapshots(*snapshots: Mapping[str, int]) -> dict[str, int]:
     return total
 
 
+def diff_snapshots(
+    after: Mapping[str, int], before: Mapping[str, int]
+) -> dict[str, int]:
+    """Key-wise ``after - before`` over the keys of ``before``.
+
+    The one delta of two counter readings, beside :func:`sum_snapshots`:
+    :meth:`StatsCollector.diff`, a shard's merged-counter diff and a
+    batch's cost window all reduce to it.  Summing commutes with it, so
+    the difference of summed readings equals the sum of per-part
+    differences.  A key missing from ``after`` reads as 0.
+    """
+    return {key: after.get(key, 0) - value for key, value in before.items()}
+
+
 def maintenance_cost(counters: Mapping[str, int]) -> int:
     """The aggregate cost proxy for index maintenance work.
 
@@ -188,8 +202,7 @@ class StatsCollector:
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Counter deltas relative to an earlier :meth:`snapshot`."""
-        current = self.__dict__
-        return {k: current[k] - v for k, v in earlier.items()}
+        return diff_snapshots(self.__dict__, earlier)
 
     @contextlib.contextmanager
     def measure(self) -> Iterator[dict[str, int]]:

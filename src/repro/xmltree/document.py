@@ -62,7 +62,7 @@ class Document:
         Node kinds and labels are copied; ids, parents and depths are
         left for :meth:`XmlDatabase.add_document` to assign, so the
         clone can be added to a *different* database — trees are never
-        shared between databases.  The replicated-shard tier uses this
+        shared between databases.  The shard tier's replica sets use this
         to write one logical document through to every replica.
         """
         copied_root = Node(self.root.kind, self.root.label)
@@ -125,9 +125,9 @@ class XmlDatabase:
 
         Ids are never reused, so to every reader a skipped stretch is
         indistinguishable from ids that once belonged to a removed
-        document.  This is what lets a replayed write log reproduce
-        removal gaps without materializing the removed documents (see
-        the replica re-sync path's compacted oplog): documents added
+        document.  This is what lets a replica re-synced from the live
+        documents alone reproduce removal gaps (see
+        :meth:`~repro.shard.replica.Shard.revive`): documents added
         after the skip are numbered exactly as the original database
         numbered them.
         """

@@ -164,8 +164,7 @@ def _run_tier_writes(seed: int, datapaths_options: dict) -> list:
         service.remove_document(names[5])
         gaps = 0
         for shard in service.collection.shards:
-            shard._compact_oplog()
-            gaps += sum(action == "gap" for action, _payload in shard._oplog)
+            gaps += sum(action == "gap" for action, _payload in shard._replay())
             shard.revive(1)
         assert gaps > 0
         service.remove_document(names[1])

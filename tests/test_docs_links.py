@@ -85,3 +85,20 @@ def test_suppression_codes_resolve_against_the_lint_registry():
     # The exemption matters: this fixture deliberately names RPR999.
     fixture = REPO_ROOT / "tests" / "lint_fixtures" / "suppressed_bad.py"
     assert "RPR999" in fixture.read_text(encoding="utf-8")
+
+
+def test_docstring_cross_references_resolve(tmp_path):
+    """Every ``repro.…`` role target in ``src/`` imports; a planted one dangles."""
+    checker = _load_checker()
+    assert checker.check_cross_references() == []
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        '"""See :class:`~repro.shard.replica.Shard`, :meth:`Shard.revive`,\n'
+        ":func:`repro.storage.stats.diff_snapshots` and\n"
+        ":meth:`a method no shard has\n    <repro.shard.replica.Shard.rewind>`.\n"
+        '"""\n'
+    )
+    problems = checker.check_cross_references([planted])
+    assert len(problems) == 1
+    assert "planted.py:3" in problems[0]
+    assert "repro.shard.replica.Shard.rewind" in problems[0]

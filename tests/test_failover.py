@@ -15,8 +15,8 @@ wall-clock randomness anywhere):
   3-replica shard mid-workload leaves every query answer bit-identical
   to a never-faulted single engine;
 * **revive / re-sync** — a quarantined replica that missed writes is
-  rebuilt from the shard's write log (adds *and* removals, so id gaps
-  reproduce) and passes the alignment check;
+  rebuilt from the primary's live documents (id gaps skipped, so they
+  reproduce) and passes the alignment check — in a set of one too;
 * **watermark-triggered auto-rebalance** — the hysteresis band fires
   ``rebalance(policy)`` exactly once per sustained skew episode;
 * **the satellite regressions** — ``invalidate`` under the write lock,
@@ -49,8 +49,8 @@ from repro.shard import (
     REPLICA_HEALTHY,
     REPLICA_SUSPECT,
     AutoRebalancer,
-    ReplicatedShard,
     RoundRobinPicker,
+    Shard,
     ShardedCollection,
 )
 from repro.shard.replica import _sum_reports
@@ -62,12 +62,35 @@ def _doc(i: int, scale: float = 0.01):
     return generate_xmark(scale=scale, seed=700 + i, name=f"doc-{i}")
 
 
-def _replicated(replicas: int = 3, **options) -> ReplicatedShard:
-    shard = ReplicatedShard(0, replicas=replicas, **options)
+def _replicated(replicas: int = 3, **options) -> Shard:
+    shard = Shard(0, replicas=replicas, **options)
     for i in range(2):
         shard.add_document(_doc(i))
     shard.build_index("rootpaths")
     return shard
+
+
+def _walk_to_dead(shard: Shard, slot: int) -> None:
+    """Fail ``slot``'s reads until it is quarantined.
+
+    The victim must already fail every call.  While another replica is
+    live the reads retry there and answer; a set of one has no retry,
+    so its reads raise until the health machine declares it dead.
+    """
+    while shard.health_report()["states"][slot] != REPLICA_DEAD:
+        try:
+            shard.execute(XPATH, use_result_cache=False)
+        except (InjectedFault, DocumentError):
+            assert shard.replica_count == 1
+    if shard.replica_count == 1:
+        with pytest.raises(DocumentError):  # no live replica left
+            shard.execute(XPATH)
+
+
+def _single_engine(*documents) -> TwigIndexDatabase:
+    single = TwigIndexDatabase.from_documents(list(documents))
+    single.build_index("rootpaths")
+    return single
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +221,11 @@ def test_probation_redeems_a_suspect_that_recovers():
     assert report["detail"][1]["successes"] >= 1
 
 
-def test_all_replicas_dead_surfaces_an_error():
-    shard = _replicated(replicas=2, dead_after=1)
-    inject(shard, 0, FaultPlan.failing_at(*range(1, 100)))
-    inject(shard, 1, FaultPlan.failing_at(*range(1, 100)))
+@pytest.mark.parametrize("replicas", [2, 1])
+def test_all_replicas_dead_surfaces_an_error(replicas):
+    shard = _replicated(replicas=replicas, dead_after=1)
+    for slot in range(replicas):
+        inject(shard, slot, FaultPlan.failing_at(*range(1, 100)))
     with pytest.raises((DocumentError, InjectedFault)):
         for _ in range(4):
             shard.execute(XPATH)
@@ -331,51 +355,58 @@ def test_seeded_replica_kill_mid_workload_answers_identical_to_single_engine():
 # ----------------------------------------------------------------------
 # Revive / re-sync
 # ----------------------------------------------------------------------
-def test_revive_replays_the_write_log_through_removal_gaps():
-    shard = _replicated(dead_after=1)
+@pytest.mark.parametrize("replicas", [3, 1])
+def test_revive_replays_the_write_log_through_removal_gaps(replicas):
+    # The victim is a secondary, or in a set of one the primary itself.
+    victim = min(1, replicas - 1)
+    shard = _replicated(replicas=replicas, dead_after=1)
     shard.remove_document("doc-0")  # leaves an id gap in the replay
-    inject(shard, 1, FaultPlan.failing_at(*range(1, 100)))
-    for _ in range(4):
-        shard.execute(XPATH)
-    assert shard.health_report()["states"][1] == REPLICA_DEAD
-    # Writes land while the replica is quarantined: it misses them.
+    inject(shard, victim, FaultPlan.failing_at(*range(1, 100)))
+    _walk_to_dead(shard, victim)
+    # Writes land while the replica is quarantined: a secondary misses
+    # them, the primary (the source of truth) never does.
     shard.add_document(_doc(5))
-    assert shard.replicas[1].watermark != shard.primary.watermark
+    if victim:
+        assert shard.replicas[victim].watermark != shard.primary.watermark
+    watermark = shard.primary.watermark
 
-    revived = shard.revive(1)
-    assert shard.replicas[1] is revived  # injector discarded with the slot
-    assert revived.watermark == shard.primary.watermark
+    revived = shard.revive(victim)
+    assert shard.replicas[victim] is revived  # injector discarded with the slot
+    assert revived.watermark == shard.primary.watermark == watermark
     assert revived.document_count == shard.primary.document_count
     assert sorted(revived.engine.indexes) == sorted(shard.primary.engine.indexes)
-    # The rebuilt replica assigns exactly the primary's node ids.
-    assert (
-        revived.service.execute(XPATH, strategy="rootpaths").ids
-        == shard.primary.service.execute(XPATH, strategy="rootpaths").ids
-    )
+    # The rebuilt replica assigns exactly the primary's node ids, which
+    # are a single engine's after the same writes.
+    single = _single_engine(_doc(0), _doc(1))
+    single.service.remove_document("doc-0")
+    single.add_document(_doc(5))
+    expected = single.service.execute(XPATH, strategy="rootpaths").ids
+    assert revived.service.execute(XPATH, strategy="rootpaths").ids == expected
+    assert shard.primary.service.execute(XPATH, strategy="rootpaths").ids == expected
     report = shard.health_report()
-    assert report["states"][1] == REPLICA_HEALTHY
+    assert report["states"][victim] == REPLICA_HEALTHY
     assert report["replicas_revived"] == 1
     # The next write-through alignment check passes with all replicas.
     shard.add_document(_doc(6))
     assert len({replica.watermark for replica in shard.replicas}) == 1
 
 
-def test_revive_is_monotone_in_the_merged_stats():
-    shard = _replicated(dead_after=1)
-    inject(shard, 1, FaultPlan.failing_at(*range(1, 100)))
-    for _ in range(3):
-        shard.execute(XPATH)
+@pytest.mark.parametrize("replicas", [3, 1])
+def test_revive_is_monotone_in_the_merged_stats(replicas):
+    victim = min(1, replicas - 1)
+    shard = _replicated(replicas=replicas, dead_after=1)
+    inject(shard, victim, FaultPlan.failing_at(*range(1, 100)))
+    _walk_to_dead(shard, victim)
     before = shard.stats_snapshot()
-    shard.revive(1)
+    shard.revive(victim)
     after = shard.stats_snapshot()
     assert all(after[key] >= value for key, value in before.items())
     assert after["replicas_revived"] == 1
 
 
 def test_oplog_stays_bounded_under_churn_and_revive_stays_exact():
-    # Constant corpus, endless remove/re-add churn: without compaction
-    # the write log keeps a clone of every document ever added and
-    # grows without bound.  Small docs keep the loop fast.
+    # Constant corpus, endless remove/re-add churn.  Small docs keep
+    # the loop fast.
     shard = _replicated(replicas=2, dead_after=1)
     for i in range(70):
         name = f"doc-{i % 2}"
@@ -383,9 +414,8 @@ def test_oplog_stays_bounded_under_churn_and_revive_stays_exact():
         shard.add_document(
             generate_xmark(scale=0.005, seed=900 + i, name=name)
         )
-    assert len(shard._oplog) < ReplicatedShard.OPLOG_COMPACT_MIN
-    # The compacted log (live adds + id-gap entries) still re-syncs a
-    # replica to exactly the primary's ids through the removal gaps.
+    # The replay (live adds + id-gap entries) still re-syncs a replica
+    # to exactly the primary's ids through the removal gaps.
     inject(shard, 1, FaultPlan.failing_at(*range(1, 100)))
     for _ in range(4):
         shard.execute(XPATH)
@@ -411,9 +441,19 @@ def test_service_revive_passthrough_and_validation():
     with pytest.raises(DocumentError):
         service.revive_replica(0, 9)
     service.close()
-    plain = ShardedQueryService.from_documents([_doc(0)], num_shards=1)
+    # A set of one: its only replica walks to dead, reads raise the
+    # typed error, and reviving slot 0 restores single-engine answers.
+    plain = ShardedQueryService.from_documents([_doc(0), _doc(1)], num_shards=1)
+    plain.build_index("rootpaths")
+    expected = _single_engine(_doc(0), _doc(1)).service.execute(XPATH).ids
+    inject(plain.collection.shards[0], 0, FaultPlan.failing_at(*range(1, 100)))
+    _walk_to_dead(plain.collection.shards[0], 0)
     with pytest.raises(DocumentError):
-        plain.revive_replica(0, 0)  # not replicated
+        plain.execute(XPATH, use_result_cache=False)
+    plain.revive_replica(0, 0)
+    assert plain.execute(XPATH, use_result_cache=False).ids == expected
+    with pytest.raises(DocumentError):
+        plain.revive_replica(0, 1)
     plain.close()
 
 
@@ -514,7 +554,7 @@ def test_service_drives_auto_rebalance_between_queries():
     weights = service.collection.topology.shard_node_weights()
     assert all(weight > 0 for weight in weights)
     # The activity counter rides the shared stats machinery.
-    assert service._stats_snapshot()[-1]["auto_rebalances"] == 1
+    assert service._counter_totals()["auto_rebalances"] == 1
     service.close()
 
 
@@ -716,8 +756,9 @@ def test_lru_hit_rate_is_read_under_the_lock():
     assert all(0.0 <= rate <= 1.0 for rate in rates)
 
 
-def test_document_at_index_tracks_add_remove_churn():
-    shard = _replicated(replicas=1)
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_document_at_index_tracks_add_remove_churn(replicas):
+    shard = _replicated(replicas=replicas)
     first = shard.primary.db.documents[0]
     assert shard.document_at(first.first_id) is first
     removed = shard.remove_document("doc-0")

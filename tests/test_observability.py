@@ -49,7 +49,7 @@ from repro.obs import (
 )
 from repro.service import QueryService
 from repro.service.base import ServingFacade
-from repro.shard import REPLICA_DEAD, AutoRebalancer, ReplicatedShard, ShardedCollection
+from repro.shard import REPLICA_DEAD, AutoRebalancer, Shard, ShardedCollection
 from repro.storage.stats import ACTIVITY_COUNTERS, StatsCollector, sum_snapshots
 
 XPATH = "/site/people/person/name"
@@ -608,7 +608,7 @@ def test_seeded_replica_kill_leaves_a_failover_trace_and_quarantine_event():
 
 
 def test_revive_publishes_a_replay_event():
-    shard = ReplicatedShard(0, replicas=2, dead_after=1)
+    shard = Shard(0, replicas=2, dead_after=1)
     for i in range(2):
         shard.add_document(_doc(i))
     shard.build_index("rootpaths")
@@ -739,7 +739,7 @@ def test_sum_snapshots_with_disjoint_counter_sets_unions_keys():
 
 
 def test_merge_after_revive_is_monotone():
-    shard = ReplicatedShard(0, replicas=2, dead_after=1)
+    shard = Shard(0, replicas=2, dead_after=1)
     for i in range(2):
         shard.add_document(_doc(i))
     shard.build_index("rootpaths")

@@ -1,7 +1,7 @@
 """Replica-set unit tests: write-through, pickers, merged accounting.
 
-A :class:`~repro.shard.replica.ReplicatedShard` must be
-indistinguishable from a plain shard to the collection above it: every
+A :class:`~repro.shard.replica.Shard` of any size must look the
+same to the collection above it: every
 replica holds the same documents with the same node ids (write-through
 with cloned trees), any replica answers any read (the picker's choice
 cannot change the answer), and the shard's cost/cache reports fold all
@@ -24,8 +24,8 @@ from repro.shard import (
     READ_PICKERS,
     REPLICA_SUSPECT,
     ReadPicker,
-    ReplicatedShard,
     RoundRobinPicker,
+    Shard,
     StickyPicker,
     make_picker,
 )
@@ -36,8 +36,8 @@ def _doc(i: int, scale: float = 0.01):
     return generate_xmark(scale=scale, seed=700 + i, name=f"doc-{i}")
 
 
-def _replicated(replicas: int = 3, picker: str = "round_robin") -> ReplicatedShard:
-    shard = ReplicatedShard(0, replicas=replicas, read_picker=picker)
+def _replicated(replicas: int = 3, picker: str = "round_robin") -> Shard:
+    shard = Shard(0, replicas=replicas, read_picker=picker)
     for i in range(2):
         shard.add_document(_doc(i))
     shard.build_index("rootpaths")
@@ -55,6 +55,9 @@ def test_picker_registry_and_unknown_names():
     assert make_picker(sticky) is sticky
     with pytest.raises(DocumentError):
         make_picker("random")
+    for replicas in (1, 2):  # a set of one validates its picker too
+        with pytest.raises(DocumentError):
+            ShardedQueryService(num_shards=1, replicas=replicas, read_picker="random")
 
 
 def test_round_robin_cycles_and_sticky_pins():
@@ -79,8 +82,9 @@ def test_least_loaded_prefers_idle_replicas_lowest_index_ties():
 # ----------------------------------------------------------------------
 # Write-through and read fan-out
 # ----------------------------------------------------------------------
-def test_write_through_keeps_replicas_identical():
-    shard = _replicated()
+@pytest.mark.parametrize("replicas", [3, 1])
+def test_write_through_keeps_replicas_identical(replicas):
+    shard = _replicated(replicas=replicas)
     watermarks = {replica.watermark for replica in shard.replicas}
     assert len(watermarks) == 1
     xpath = "/site/people/person/name"
@@ -96,8 +100,9 @@ def test_write_through_keeps_replicas_identical():
     assert len(roots) == len(shard.replicas)
 
 
-def test_remove_document_removes_the_same_span_everywhere():
-    shard = _replicated()
+@pytest.mark.parametrize("replicas", [3, 1])
+def test_remove_document_removes_the_same_span_everywhere(replicas):
+    shard = _replicated(replicas=replicas)
     before = shard.watermark
     shard.remove_document("doc-0")
     assert all(replica.document_count == 1 for replica in shard.replicas)
@@ -207,7 +212,7 @@ def test_generation_names_the_stretch_between_write_through_halves():
 XPATH = "/site/people/person/name"
 
 
-def _reads_beside(shard: ReplicatedShard, busy=None, count: int = 4) -> list[tuple]:
+def _reads_beside(shard: Shard, busy=None, count: int = 4) -> list[tuple]:
     """``count`` uncached reads from a thread, each with a bounded join.
 
     ``busy`` is the replica under maintenance: its service lock is held
@@ -279,7 +284,7 @@ def test_answers_across_one_write_never_step_back():
 def test_a_parked_build_index_is_routed_around():
     shard = _replicated(replicas=2)
     expected = tuple(shard.execute(XPATH, strategy="rootpaths").ids)
-    with _Parked(shard.replicas[1], "build_index") as parked:
+    with _Parked(shard.replicas[1].service, "build_index") as parked:
         writer = _run_beside(lambda: shard.build_index("datapaths"), parked)
         assert set(_reads_beside(shard, busy=shard.replicas[1])) == {expected}
     _finish(writer)
@@ -310,7 +315,7 @@ def test_the_only_live_replica_is_waited_for_not_refused():
 
 
 def test_a_suspect_under_maintenance_is_never_the_probe_target():
-    shard = ReplicatedShard(0, replicas=3, probe_interval=1)
+    shard = Shard(0, replicas=3, probe_interval=1)
     for i in range(2):
         shard.add_document(_doc(i))
     shard.build_index("rootpaths")
@@ -399,10 +404,10 @@ def test_replicated_collection_write_amplification_is_priced():
 
 def test_replica_validation():
     with pytest.raises(ValueError):
-        ReplicatedShard(0, replicas=0)
+        Shard(0, replicas=0)
     with pytest.raises(ValueError):
         ShardedQueryService(num_shards=2, replicas=0)
-    shard = ReplicatedShard(0, replicas=2)
+    shard = Shard(0, replicas=2)
     shard.add_document(book_document())
     assert shard.replica_count == 2
     assert shard.document_count == 1

@@ -21,10 +21,17 @@ in a ``repro-lint: ignore[...]`` comment anywhere under ``src/``,
 registry (``tools/lint``), so a renamed or removed checker cannot leave
 stale suppressions behind.  ``tests/lint_fixtures/`` is exempt — its
 files are deliberately malformed inputs for the lint tests.
+
+And it keeps the docstrings' cross-references honest: every
+``:class:`` / ``:meth:`` / ``:func:`` / ``:data:`` / ``:attr:`` /
+``:mod:`` / ``:exc:`` role under ``src/`` whose target is a dotted
+``repro.…`` name must resolve by import plus ``getattr``, so a renamed
+or deleted class, method or module cannot leave a dangling reference.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -122,6 +129,60 @@ def check_suppression_codes() -> list[str]:
     return problems
 
 
+#: A Sphinx cross-reference role; the target may wrap across lines.
+CROSS_REFERENCE = re.compile(r":(?:class|meth|func|data|attr|mod|exc):`([^`]+)`")
+
+#: ``title <target>``: an explicit target after the display text.
+_EXPLICIT_TARGET = re.compile(r"<([^<>]+)>\s*$")
+
+
+def _resolves(target: str) -> bool:
+    """Whether a dotted ``repro.…`` name imports (module) or getattrs."""
+    parts = target.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(found, name):
+                return False
+            found = getattr(found, name)
+        return True
+    return False
+
+
+def check_cross_references(paths=None) -> list[str]:
+    """Docstring cross-references to ``repro.…`` names that do not resolve.
+
+    ``paths`` defaults to every Python file under ``src/``.  Relative
+    targets (``Shard.revive``) are left to the reader; only the dotted
+    ``repro.`` ones are checked.
+    """
+    source_root = str(REPO_ROOT / "src")
+    if source_root not in sys.path:
+        sys.path.insert(0, source_root)
+    if paths is None:
+        paths = sorted((REPO_ROOT / "src").rglob("*.py"))
+    problems: list[str] = []
+    for path in paths:
+        try:
+            label = path.relative_to(REPO_ROOT)
+        except ValueError:  # a file outside the repo (tests use tmp dirs)
+            label = path
+        text = path.read_text(encoding="utf-8")
+        for match in CROSS_REFERENCE.finditer(text):
+            reference = " ".join(match.group(1).split())
+            explicit = _EXPLICIT_TARGET.search(reference)
+            target = (explicit.group(1) if explicit else reference).lstrip("~!")
+            if target.startswith("repro.") and not _resolves(target):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{label}:{line}: dangling cross-reference {target!r}"
+                )
+    return problems
+
+
 def main() -> int:
     documents = _documents()
     if not documents:
@@ -129,6 +190,7 @@ def main() -> int:
         return 1
     problems = [problem for doc in documents for problem in check_document(doc)]
     problems.extend(check_suppression_codes())
+    problems.extend(check_cross_references())
     if problems:
         print("\n".join(problems), file=sys.stderr)
         print(f"\n{len(problems)} broken documentation reference(s)", file=sys.stderr)
