@@ -76,7 +76,7 @@ def _build_service() -> ShardedQueryService:
     )
     service.build_index("rootpaths")
     service.build_index("datapaths")
-    for shard in service.collection.shards:
+    for shard in service.shards:
         # Tighten the health machine so the workload's read volume is
         # enough to finish the walk to dead within the measured rounds
         # (the defaults are tuned for long-running serving, not a
@@ -95,7 +95,7 @@ def _serve(service: ShardedQueryService, workload, faulted: bool) -> dict:
     injector = None
     for round_number in range(1, ROUNDS + 1):
         if faulted and round_number == KILL_AFTER_ROUND + 1:
-            injector = inject(service.collection.shards[0], 1, FAULT_PLAN)
+            injector = inject(service.shards[0], 1, FAULT_PLAN)
         started = now()
         round_answers = {}
         for xpath in workload:

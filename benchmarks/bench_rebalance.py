@@ -114,7 +114,7 @@ def _serve_rounds(service, workload, first_round, rounds):
     """The mixed read/write loop; returns median-round qps, cost, answers."""
 
     def total_cost() -> int:
-        return sum(shard.stats.total_cost() for shard in service.collection.shards)
+        return sum(shard.stats.total_cost() for shard in service.shards)
 
     for xpath in workload:  # warm-up: caches filled, indexes probed
         service.execute(xpath)
@@ -149,13 +149,13 @@ def skew_recovery():
     ) as service:
         service.build_index("rootpaths")
         service.build_index("datapaths")
-        spread_before = service.collection.topology.live_counts()
+        spread_before = service.topology.live_counts()
 
         pre = _serve_rounds(service, workload, first_round=1, rounds=ROUNDS)
         pre["oracle"] = {xpath: service.oracle(xpath) for xpath in workload}
 
         report = service.rebalance("size_balanced", compact=True)
-        spread_after = service.collection.topology.live_counts()
+        spread_after = service.topology.live_counts()
 
         post = _serve_rounds(service, workload, first_round=ROUNDS + 1, rounds=ROUNDS)
         post["oracle"] = {xpath: service.oracle(xpath) for xpath in workload}

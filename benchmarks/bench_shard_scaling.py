@@ -141,7 +141,7 @@ def _run_sharded(num_shards: int):
         service.build_index("datapaths")
 
         def total_cost() -> int:
-            return sum(shard.stats.total_cost() for shard in service.collection.shards)
+            return sum(shard.stats.total_cost() for shard in service.shards)
 
         measured = _serve(
             lambda xpath: service.execute(xpath, strategy="auto"),

@@ -58,7 +58,7 @@ def main() -> None:
         # the health machine quarantines it.  Deterministic — the plan
         # fires on call counts, never on the wall clock.
         print("\n== injecting faults on shard 0, replica 1 ==")
-        inject(service.collection.shards[0], 1, FaultPlan.failing_at(*range(1, 30)))
+        inject(service.shards[0], 1, FaultPlan.failing_at(*range(1, 30)))
         for round_number in range(12):
             for index, xpath in enumerate(workload):
                 result = service.execute(
@@ -67,7 +67,7 @@ def main() -> None:
                     use_result_cache=False,
                 )
                 assert result.ids == baseline[xpath]  # failover is invisible
-        health = service.collection.shards[0].health_report()
+        health = service.shards[0].health_report()
         print(f"  shard 0 replica states after the storm: {health['states']}")
 
         # 3. The aggregate view: the Prometheus exposition.

@@ -51,7 +51,7 @@ def main() -> None:
         service.build_index("datapaths")
 
         # 2. The routing table before: everything on shard 0.
-        topology = service.collection.topology
+        topology = service.topology
         print("Documents per shard (skewed):", topology.live_counts())
         print("Topology epoch:", topology.epoch)
 

@@ -37,7 +37,7 @@ def main() -> None:
 
         # 2. Where did the documents land, and which global ids do they own?
         print("Placements:")
-        for placement in service.collection.placements():
+        for placement in service.topology.placements():
             print(
                 f"  {placement.name:10s} -> shard {placement.shard_index} "
                 f"(global ids {placement.global_start}..{placement.global_end - 1})"

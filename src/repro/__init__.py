@@ -12,7 +12,7 @@ the paper's evaluation.
 Typical entry points:
 
 * :class:`TwigIndexDatabase` — load XML, build indices, run twig queries,
-* :mod:`repro.shard` — sharded collections with scatter-gather execution,
+* :mod:`repro.shard` — the sharded tier with scatter-gather execution,
 * :mod:`repro.datasets` — synthetic XMark-like and DBLP-like documents,
 * :mod:`repro.workloads` — the Q1x–Q15x / Q1d–Q3d query workload,
 * :mod:`repro.bench` — the experiment harness behind ``benchmarks/``.
@@ -42,7 +42,7 @@ from .obs import Telemetry
 from .planner.evaluator import DEFAULT_STRATEGIES, QueryResult, TwigQueryEngine
 from .query.parser import normalize_xpath, parse_xpath
 from .service import AUTO_STRATEGY, BatchResult, QueryService
-from .shard import ShardedCollection, ShardedQueryService
+from .shard import ShardedQueryService
 from .xmltree.document import Document, TreeBuilder, XmlDatabase
 from .xmltree.parser import parse_file, parse_string
 
@@ -69,7 +69,6 @@ __all__ = [
     "QueryService",
     "RejectedError",
     "ReproError",
-    "ShardedCollection",
     "ShardedQueryService",
     "StorageError",
     "Telemetry",

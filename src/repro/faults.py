@@ -28,7 +28,7 @@ module provides that, with no wall-clock randomness anywhere:
 The injector is a transparent proxy: every attribute it does not
 intercept delegates to the wrapped surface, so it can stand in for a
 replica inside ``Shard.replicas`` (see :func:`inject`) and the
-collection above notices nothing until a fault fires.  Reviving a
+tier above notices nothing until a fault fires.  Reviving a
 replica (:meth:`~repro.shard.replica.Shard.revive`) replaces
 the injector along with the faulty replica, which is exactly the
 recovery semantics a real replacement node would have.

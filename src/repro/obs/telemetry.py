@@ -2,7 +2,7 @@
 
 A :class:`Telemetry` instance is the single observability handle a
 serving stack shares.  The top-level service creates it (or accepts
-one) and threads it down through the collection, the shards, the
+one) and threads it down through the shards, the
 replica sets and their per-replica :class:`~repro.service.QueryService`
 instances — which is what makes one query's spans, wherever they were
 opened (the scatter loop, a replica's engine, the write path's index

@@ -1,18 +1,17 @@
-"""Sharded collections: dynamic topology, rebalancing, replica read-out.
+"""The sharded tier: dynamic topology, rebalancing, replica read-out.
 
 The horizontal-scaling tier over the paper's index family: a
-:class:`ShardedCollection` partitions documents across N self-contained
-shards (each with its own database, indexes, statistics and
-single-node :class:`~repro.service.QueryService`), and a
-:class:`ShardedQueryService` fans twig queries out to the relevant
-shards on the caller's thread, translating and merging the per-shard answers
-into the global id space so the sharded tier is answer-identical to a
-single engine.
+:class:`ShardedQueryService` partitions documents across N
+self-contained shards (each with its own database, indexes, statistics
+and single-node :class:`~repro.service.QueryService`) and fans twig
+queries out to the relevant shards on the caller's thread, translating
+and merging the per-shard answers into the global id space so the
+sharded tier is answer-identical to a single engine.
 
 Routing lives in an explicit, versioned :class:`ShardTopology` — a
 table of :class:`DocumentPlacement` records — which makes the topology
-*dynamic*: :meth:`ShardedCollection.move_document` re-routes one
-document online and :meth:`ShardedCollection.rebalance` re-places a
+*dynamic*: :meth:`ShardedQueryService.move_document` re-routes one
+document online and :meth:`ShardedQueryService.rebalance` re-places a
 skewed corpus under a policy, both through the shards' incremental
 index maintenance, with global ids (and therefore answers) unchanged
 throughout.  Every :class:`Shard` is a replica set of N >= 1
@@ -33,14 +32,6 @@ Placement is pluggable (:data:`PLACEMENT_POLICIES`): hash-by-name,
 round-robin, or size-balanced (deterministic lowest-index tie-break).
 """
 
-from .collection import (
-    AutoRebalancer,
-    DocumentPlacement,
-    RebalanceMove,
-    RebalanceReport,
-    Shard,
-    ShardedCollection,
-)
 from .placement import (
     HashPlacement,
     PLACEMENT_POLICIES,
@@ -49,6 +40,7 @@ from .placement import (
     SizeBalancedPlacement,
     make_placement,
 )
+from .rebalance import AutoRebalancer, RebalanceMove, RebalanceReport
 from .replica import (
     LeastLoadedPicker,
     QUERY_ERRORS,
@@ -61,11 +53,12 @@ from .replica import (
     Replica,
     ReplicaHealth,
     RoundRobinPicker,
+    Shard,
     StickyPicker,
     make_picker,
 )
 from .service import ShardedQueryService
-from .topology import ShardTopology
+from .topology import DocumentPlacement, ShardTopology
 
 __all__ = [
     "AutoRebalancer",
@@ -88,7 +81,6 @@ __all__ = [
     "RoundRobinPicker",
     "RoundRobinPlacement",
     "Shard",
-    "ShardedCollection",
     "ShardedQueryService",
     "SizeBalancedPlacement",
     "StickyPicker",

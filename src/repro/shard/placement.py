@@ -1,11 +1,12 @@
 """Pluggable document-to-shard placement policies.
 
-A :class:`ShardedCollection` asks its policy where each incoming
-document should live.  Policies see the document, its arrival ordinal
-and the current per-shard node-count weights, and return a shard index;
-they never move documents themselves — but the same ``choose`` replay
-drives :meth:`~repro.shard.collection.ShardedCollection.plan_rebalance`,
-which computes the moves that re-place an already loaded corpus under a
+The sharded tier (:class:`~repro.shard.service.ShardedQueryService`)
+asks its policy where each incoming document should live.  Policies
+see the document, its arrival ordinal and the current per-shard live
+node counts, and return a shard index; they never move documents
+themselves — but the same ``choose`` replay drives
+:meth:`~repro.shard.service.ShardedQueryService.plan_rebalance`, which
+computes the moves that re-place an already loaded corpus under a
 policy (node ids inside a shard are assigned at add time and query
 answers are translated through the recorded spans, so a move just gives
 a document a fresh local interval on its new shard).
@@ -46,10 +47,10 @@ class PlacementPolicy:
         document:
             The incoming (not yet numbered) document.
         ordinal:
-            Zero-based arrival position across the whole collection.
+            Zero-based arrival position across the whole tier.
         shard_weights:
-            Current node-count watermark per shard; ``len(shard_weights)``
-            is the shard count.
+            Live node count per shard (removed and moved-out documents
+            no longer weigh); ``len(shard_weights)`` is the shard count.
         """
         raise NotImplementedError
 

@@ -1,7 +1,7 @@
 """Shards as replica sets, and read pickers: the engine-holding tier.
 
-A :class:`Shard` is one partition of a
-:class:`~repro.shard.collection.ShardedCollection`: a set of N >= 1
+A :class:`Shard` is one partition of the sharded tier
+(:class:`~repro.shard.service.ShardedQueryService`): a set of N >= 1
 identical :class:`Replica` engine slices, each a fully independent
 vertical slice of the stack with its own
 :class:`~repro.xmltree.document.XmlDatabase`,
@@ -976,7 +976,7 @@ def _sum_reports(reports: list) -> dict[str, object]:
     replicas diverge in traffic (a sticky picker guarantees they do).
     """
     merged: dict[str, object] = {}
-    for key in {k for report in reports for k in report}:
+    for key in dict.fromkeys(k for report in reports for k in report):
         values = [report[key] for report in reports if key in report]
         first = values[0]
         if key == "hit_rate":

@@ -1,19 +1,52 @@
-"""Scatter-gather query execution over a sharded collection.
+"""The sharded tier: routing, online rebalancing and scatter-gather.
 
-:class:`ShardedQueryService` mirrors the single-node
-:class:`~repro.service.QueryService` facade (``execute`` /
-``execute_batch`` / ``add_document`` / ``build_index`` / ``describe``)
-but sends every query to the shards of a
-:class:`~repro.shard.collection.ShardedCollection`, one leg after the
-other on the calling thread, and gathers the partial answers into one
-cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
+:class:`ShardedQueryService` splits a document forest across N shards
+and mirrors the single-node :class:`~repro.service.QueryService` facade
+(``execute`` / ``execute_batch`` / ``add_document`` / ``build_index`` /
+``describe``) over them.  Each shard is a
+:class:`~repro.shard.replica.Shard`: a set of ``replicas`` identical,
+fully independent vertical slices of the stack (one is the plain shard;
+more scale reads out).  That independence buys the tier its isolation:
+adding a document touches one shard's indexes and invalidates one
+shard's result cache, while the other shards keep serving cached
+answers.
+
+**Routing.**  Where documents live is an explicit, versioned routing
+table, :class:`~repro.shard.topology.ShardTopology`, of
+:class:`~repro.shard.topology.DocumentPlacement` records.  Every shard
+numbers nodes in a private id space starting at 1, so each placement
+records which shard took the document, the shard-local id interval it
+occupies, and the *global* id interval it would occupy in a single
+database that received the same documents in the same order.
+Translating shard-local answers through these spans makes the tier
+answer-identical to a single engine (the shard-equivalence differential
+tests pin this across shard counts, placement policies and strategies),
+and lets queries be scoped to named documents with shard pruning.
+
+**Online rebalancing.**  :meth:`ShardedQueryService.move_document`
+detaches a document from its source shard and re-adds it on a target
+shard — both halves through the shards' incremental index maintenance
+(:meth:`~repro.planner.evaluator.TwigQueryEngine.maintain_indexes`) —
+while :meth:`~repro.shard.topology.ShardTopology.record_move` swaps the
+routing entry in one critical section.  The document keeps its global
+id interval, so answers stay identical before, during and after the
+move; only the two shards touched drop their cached results.
+:meth:`ShardedQueryService.rebalance` plans and applies a batch of such
+moves under a placement policy.  Removal retires a placement: out of
+the live maps but still translatable, so in-flight answers computed
+against the pre-removal snapshot still map to global ids, until
+:meth:`ShardedQueryService.compact` prunes the span.
+
+**Execution.**  Every query is sent to the relevant shards, one leg
+after the other on the calling thread, and the partial answers are
+gathered into one cost-accounted
+:class:`~repro.planner.evaluator.QueryResult`:
 
 * **prepare** — the query text is resolved once per request through
   the tier's one plan cache (:meth:`~repro.service.base.ServingFacade.plan`)
   and every leg is handed the same parsed
   :class:`~repro.query.twig.TwigPattern`, which carries its analysis
-  and compiled joins: parsing, analysing and join-compiling are
-  functions of the text alone, so no shard or replica repeats them;
+  and compiled joins, so no shard or replica repeats them;
 * **land** — the tier keeps the gathered answer of each request under
   its :meth:`~repro.service.base.ServingFacade.answer_key` (query,
   strategy and options, scope, :meth:`~ShardedQueryService.generation`),
@@ -23,46 +56,29 @@ cost-accounted :class:`~repro.planner.evaluator.QueryResult`:
   computed at;
 * **scatter** — each relevant shard evaluates the twig through its own
   :class:`~repro.service.QueryService`, so per-shard result caches,
-  generation fingerprints and ``strategy="auto"``
-  choices all apply per shard (a shard prices its plan against its own
-  catalog statistics, and an ``add_document`` on one shard invalidates
-  only that shard's cached results); a shard
-  (:class:`~repro.shard.replica.Shard`) hands the read to one of its
-  replicas through its read picker;
+  generation fingerprints and ``strategy="auto"`` choices all apply
+  per shard; a shard hands the read to one of its replicas through its
+  read picker;
 * **prune** — a query scoped to named documents (``documents=[...]``)
   is sent only to the shards holding them, and its answer is filtered
   to those documents' id intervals;
 * **gather** — shard-local answer ids are translated into the global id
-  space through the routing table
-  (:class:`~repro.shard.topology.ShardTopology`), merged in ascending
-  (document-order) sequence, and the per-shard cost counters are
-  summed through :func:`~repro.storage.stats.sum_snapshots` so the
-  merged result prices exactly the logical work all shards charged.
-
-The scatter set and every id translation come from the collection's
-topology — the versioned routing table — so online rebalancing
-(:meth:`ShardedQueryService.rebalance` /
-:meth:`ShardedQueryService.move_document`) re-routes documents under
-running queries: a move swaps the routing entry atomically, keeps the
-document's global id interval, and invalidates only the two shards it
-touched.
-
-The merged answer is *identical* to what a single-engine database
-holding the same documents (in the same arrival order) would return —
-the shard-equivalence differential tests pin this across shard counts,
-placement policies and strategies.
+  space through the routing table, merged in ascending (document-order)
+  sequence, and the per-shard cost counters are summed through
+  :func:`~repro.storage.stats.sum_snapshots` so the merged result
+  prices exactly the logical work all shards charged.
 
 **Consistency model.**  Each per-shard partial answer is a consistent
 snapshot of its shard (execution serializes against that shard's writes
 on the shard service's lock), but there is no global read snapshot
-across shards: a query racing concurrent ``add_document`` calls may
-observe different shards at different write watermarks.  Every answer
-is therefore a *consistent cut* — for each shard, a prefix of that
-shard's add sequence — rather than a prefix of the global add sequence;
-once writes quiesce, answers are exact.  This is the standard
-scatter-gather contract (a global snapshot would serialize every query
-against every write, forfeiting the isolation the sharding buys), and
-the concurrency tests assert exactly it.
+across shards: a query racing concurrent writes may observe different
+shards at different write watermarks.  Every answer is therefore a
+*consistent cut* — for each shard, a prefix of that shard's write
+sequence — rather than a prefix of the global one; once writes quiesce,
+answers are exact.  This is the standard scatter-gather contract (a
+global snapshot would serialize every query against every write,
+forfeiting the isolation the sharding buys), and the concurrency tests
+assert exactly it.  See ``docs/ARCHITECTURE.md`` ("The shard tier").
 """
 
 from __future__ import annotations
@@ -76,28 +92,21 @@ from ..obs.clock import now as _now
 from ..planner.evaluator import QueryResult
 from ..query.parser import parse_xpath
 from ..query.twig import TwigPattern
-from ..storage.stats import sum_snapshots
+from ..storage.stats import maintenance_cost, sum_snapshots
 from ..xmltree.document import Document
 from ..service.base import AUTO_STRATEGY, ServingFacade
 from ..service.cache import LRUCache
-from .collection import (
-    AutoRebalancer,
-    DocumentPlacement,
-    RebalanceMove,
-    RebalanceReport,
-    Shard,
-    ShardedCollection,
-)
-from .placement import PlacementPolicy
-from .replica import ReadPicker
+from .placement import PlacementPolicy, make_placement
+from .rebalance import AutoRebalancer, RebalanceMove, RebalanceReport
+from .replica import ReadPicker, Shard, _sum_reports
+from .topology import DocumentPlacement, ShardTopology
 
 
 class ShardedQueryService(ServingFacade):
-    """A scatter-gather serving facade over a :class:`ShardedCollection`."""
+    """N shards, a placement policy, a routing topology, and scatter-gather."""
 
     def __init__(
         self,
-        collection: Optional[ShardedCollection] = None,
         num_shards: int = 4,
         placement: Union[str, PlacementPolicy] = "hash",
         replicas: int = 1,
@@ -114,22 +123,32 @@ class ShardedQueryService(ServingFacade):
         rebalance_background: bool = True,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if collection is None:
-            collection = ShardedCollection(
-                num_shards=num_shards,
-                placement=placement,
+        if num_shards < 1:
+            raise ValueError(f"need at least one shard, got {num_shards}")
+        self.placement = make_placement(placement)
+        #: One observability hub for the whole tier — every shard,
+        #: replica and per-replica service shares it, so one query's
+        #: spans land in one trace and every layer's ops events land in
+        #: one ordered log.
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.shards = [
+            Shard(
+                i,
                 replicas=replicas,
                 read_picker=read_picker,
                 plan_cache_size=plan_cache_size,
                 result_cache_size=result_cache_size,
                 result_cache_ttl=result_cache_ttl,
-                telemetry=telemetry,
+                telemetry=self.telemetry,
             )
-        self.collection = collection
-        #: Adopt the collection's hub: shards, replicas and per-replica
-        #: services already share it, so the scatter spans this facade
-        #: opens become parents of the spans those layers open.
-        self.telemetry = collection.telemetry
+            for i in range(num_shards)
+        ]
+        #: The routing table: placements, id translation, epochs.  Its
+        #: lock guards only routing bookkeeping and is never held
+        #: across a shard's engine work, so a slow write to one shard
+        #: cannot stall the gather (id translation) phase of queries on
+        #: the other shards.
+        self.topology = ShardTopology(num_shards)
         #: The tier's prepared plans, one per normalised query text and
         #: shared by every shard leg and replica.  Never invalidated: a
         #: plan is a function of the text alone, so no document write
@@ -145,6 +164,14 @@ class ShardedQueryService(ServingFacade):
         self.answer_cache = LRUCache(
             result_cache_size, ttl_seconds=result_cache_ttl
         )
+        self.queries_executed = 0
+        #: Replacements performed through :meth:`replace_document`; the
+        #: shard services see a replace as a remove + an add, so this is
+        #: the one place the operation is counted as itself.
+        self.documents_replaced = 0
+        self._counter_lock = threading.Lock()
+        #: The last fingerprint :meth:`generation` returned.
+        self._generation_read: tuple = ()
         #: The self-driving rebalance trigger; off unless
         #: ``auto_rebalance=True``.  ``execute`` ticks it after every
         #: query, so skew checks run *between* queries — never on a
@@ -154,7 +181,7 @@ class ShardedQueryService(ServingFacade):
         #: on the triggering query's thread, which tests use for
         #: determinism).
         self.operations = AutoRebalancer(
-            self.collection,
+            self,
             policy=rebalance_policy,
             high_watermark=rebalance_high_watermark,
             low_watermark=rebalance_low_watermark,
@@ -163,10 +190,6 @@ class ShardedQueryService(ServingFacade):
             background=rebalance_background,
             enabled=auto_rebalance,
         )
-        self.queries_executed = 0
-        self._counter_lock = threading.Lock()
-        #: The last fingerprint :meth:`generation` returned.
-        self._generation_read: tuple = ()
 
     @classmethod
     def from_documents(
@@ -182,74 +205,297 @@ class ShardedQueryService(ServingFacade):
             service.add_document(document)
         return service
 
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
+
+    @property
+    def collection(self) -> "ShardedQueryService":
+        """This tier, under the name ``benchmarks/e2e/layers.py`` reads.
+
+        That harness reads ``service.collection.shards``,
+        ``.translate_sorted(...)`` and ``.index_sizes_mb()``; nothing
+        else may use this name.
+        """
+        return self
+
+    def _shard(self, index: int) -> Shard:
+        if not 0 <= index < self.num_shards:
+            raise DocumentError(
+                f"shard index {index} outside [0, {self.num_shards})"
+            )
+        return self.shards[index]
+
+    def _choose(
+        self,
+        policy: PlacementPolicy,
+        document: Document,
+        ordinal: int,
+        weights: Sequence[int],
+    ) -> int:
+        """The shard ``policy`` picks for ``document``, range-checked."""
+        index = policy.choose(document, ordinal, weights)
+        if not 0 <= index < self.num_shards:
+            raise DocumentError(
+                f"placement policy {policy.name!r} returned shard "
+                f"{index} outside [0, {self.num_shards})"
+            )
+        return index
+
     # ------------------------------------------------------------------
-    # Facade mirror: loading and index management
+    # Writes: add, remove, replace
     # ------------------------------------------------------------------
-    def add_document(self, document: Document) -> Document:
-        """Route one document to its shard (see :meth:`ShardedCollection.add_document`)."""
-        self.collection.add_document(document)
-        return document
+    def add_document(self, document: Document) -> DocumentPlacement:
+        """Route one document to its shard and record its routing entry.
+
+        The placement policy picks the shard from the live node count
+        per shard (:meth:`~repro.shard.topology.ShardTopology.shard_node_weights`,
+        the currency :meth:`plan_rebalance` and the skew trigger use);
+        the shard adds the document under its own add lock, maintaining
+        that shard's built indexes incrementally and invalidating only
+        that shard's cached results.  The topology lock is held only for
+        the bookkeeping, never across the engine work, so writes to one
+        shard do not stall queries (or writes) on the others.  Returns
+        the recorded :class:`DocumentPlacement`.
+        """
+        ordinal = self.topology.next_ordinal()
+        # Weights are read without the shard add locks: a concurrent
+        # write can skew one, which costs a policy a slightly stale
+        # balance decision, never correctness.
+        shard_index = self._choose(
+            self.placement, document, ordinal, self.topology.shard_node_weights()
+        )
+        shard = self.shards[shard_index]
+        with shard.add_lock:
+            # The span is recorded *before* the engine add: the document
+            # occupies exactly one id per node (renumbering is a pre-order
+            # walk over the whole subtree), so its interval is known up
+            # front.  Recording first means a concurrent query can never
+            # see the new nodes without a span to translate them — it
+            # either observes neither (a consistent cut without the
+            # document) or both.  A span whose data has not landed yet
+            # maps nothing and is harmless.
+            local_start = shard.watermark
+            count = document.count_nodes()
+            placement = self.topology.reserve(
+                document.name, ordinal, shard_index, local_start, count
+            )
+            # No rollback on failure: once the engine add starts, the
+            # shard database may already hold the document's nodes, and
+            # nothing in this codebase is transactional (a failed
+            # single-node add leaves its engine just as mutated).
+            # Keeping the span means any nodes that did land stay
+            # translatable; a span whose data never landed maps nothing.
+            shard.add_document(document)
+            if shard.watermark != placement.local_end:
+                raise DocumentError(
+                    f"document {document.name!r} numbered "
+                    f"{shard.watermark - local_start} ids but its span "
+                    f"reserved {count}"
+                )
+            return placement
 
     def remove_document(self, name: str) -> DocumentPlacement:
-        """Remove the named document from its owning shard.
+        """Remove the uniquely named document from its owning shard.
 
-        Routing, incremental index deletion and span retirement are
-        :meth:`ShardedCollection.remove_document`'s contract; only the
-        owning shard's caches are invalidated, and the merged answer
-        stream stays identical to a single engine that performed the
-        same removal.  Returns the retired placement.
+        The owning shard removes the document from its database and
+        built indexes (incrementally where supported) and invalidates
+        its own cached results only.  The topology retires the
+        placement: out of the live maps but still translatable off the
+        hot path — local and global ids are never reused, so a
+        concurrently scattered query that executed against the
+        pre-removal shard snapshot can still translate its answer until
+        :meth:`compact` prunes the span.  Returns the retired placement.
         """
-        return self.collection.remove_document(name)
+        placement = self.topology.resolve_unique(name)
+        shard = self.shards[placement.shard_index]
+        with shard.add_lock:
+            shard.remove_document(name)
+            self.topology.retire(placement)
+        return placement
 
     def replace_document(self, name: str, replacement: Document) -> DocumentPlacement:
-        """Replace the named document (remove + re-add through placement).
+        """Replace the named document: remove it, then add ``replacement``.
 
-        Weaker atomicity than the single-engine facade: the two halves
-        run under the owning shards' own locks, not one global lock, so
-        a racing query may observe the document absent between them —
-        see :meth:`ShardedCollection.replace_document`.
+        The replacement routes through the placement policy like any
+        add and is numbered at the current global watermark — exactly
+        the ids a single engine would assign after the same remove +
+        add.  Returns the new placement.
+
+        Unlike the single-engine
+        :meth:`~repro.service.service.QueryService.replace_document`,
+        the two halves are **not** atomic under one lock: the
+        replacement may land on a different shard, and holding two
+        shards' add locks at once would invite lock-order deadlocks.
+        A query racing a replace may therefore observe the gap state
+        (old version gone, new version not yet added) — one more
+        consistent cut; once writes quiesce, answers are exact.
         """
-        return self.collection.replace_document(name, replacement)
+        self.remove_document(name)
+        placement = self.add_document(replacement)
+        with self._counter_lock:
+            self.documents_replaced += 1
+        return placement
 
     # ------------------------------------------------------------------
-    # Facade mirror: topology maintenance (online rebalancing)
+    # Online rebalancing: document movement between shards
     # ------------------------------------------------------------------
     def move_document(
         self, ref: Union[DocumentPlacement, str], target_shard: int
     ) -> DocumentPlacement:
-        """Move one live document to another shard, online.
+        """Move one live document to ``target_shard``, online.
 
-        Remove-from-source + add-to-target through the shards'
-        incremental index maintenance, with the routing entry swapped
-        atomically and the global id interval preserved — see
-        :meth:`ShardedCollection.move_document`.  Answers stay
-        identical to a single engine throughout.
+        A remove from the source shard plus an add on the target shard,
+        both through the shards' incremental index maintenance: the
+        source's indexes forget the document's rows, the target's absorb
+        them, and each side's write work lands in its own collector.
+        Only those two shards bump their generations.
+
+        The routing entry is swapped atomically
+        (:meth:`~repro.shard.topology.ShardTopology.record_move`): the
+        document keeps its **global** id interval and gains a fresh
+        local interval at the target's watermark, so merged answers are
+        identical to a single engine's.  Both shards' add locks are held
+        (in ascending shard order, so concurrent moves cannot deadlock)
+        across the whole move.  A scatter racing the move may observe
+        the document on *neither* shard (the documented gap a
+        cross-shard :meth:`replace_document` has) or on *both*; in the
+        latter case both observations translate to the same global
+        interval and the gather deduplicates.  Returns the new
+        placement; a move to the owning shard is a no-op.
         """
-        return self.collection.move_document(ref, target_shard)
+        if isinstance(ref, DocumentPlacement):
+            placement = ref
+            self._check_live(placement)
+        else:
+            placement = self.topology.resolve_unique(ref)
+        target = self._shard(target_shard)
+        if target_shard == placement.shard_index:
+            return placement
+        source = self.shards[placement.shard_index]
+        # Deadlock-free two-shard locking: always in ascending shard
+        # order, whatever direction the move goes.
+        first, second = sorted((source, target), key=lambda shard: shard.index)
+        with first.add_lock, second.add_lock:
+            # Re-check under the locks: a removal (or another move) may
+            # have retired the placement between resolution and here.
+            self._check_live(placement)
+            document = source.document_at(placement.local_start)
+            local_start = target.watermark
+            moved = self.topology.record_move(placement, target_shard, local_start)
+            target.add_document(source.remove_document(document))
+            if target.watermark != moved.local_end:
+                raise DocumentError(
+                    f"document {document.name!r} numbered "
+                    f"{target.watermark - local_start} ids on shard "
+                    f"{target_shard} but its span reserved {moved.node_count}"
+                )
+            target.stats.documents_moved += 1
+        return moved
+
+    def _check_live(self, placement: DocumentPlacement) -> None:
+        if not self.topology.is_live(placement):
+            raise DocumentError(
+                f"placement of {placement.name!r} (ordinal "
+                f"{placement.ordinal}) is not live"
+            )
 
     def plan_rebalance(
         self, policy: Union[str, PlacementPolicy, None] = None
     ) -> list[RebalanceMove]:
-        """The (deterministic) move plan ``rebalance`` would apply."""
-        return self.collection.plan_rebalance(policy)
+        """The moves that re-place every live document under ``policy``.
+
+        Replays the live documents in arrival order through the policy
+        against simulated (initially empty) node-count weights — the
+        assignment the policy would have produced had it placed the
+        whole corpus itself — and returns a move for every document
+        whose current shard differs.  Deterministic for deterministic
+        policies: :class:`~repro.shard.placement.SizeBalancedPlacement`
+        breaks weight ties by lowest shard index, so the same corpus
+        always yields the same plan.  Defaults to ``size_balanced``
+        (the policy that undoes skew); planning mutates nothing.
+        """
+        chosen = make_placement(policy or "size_balanced")
+        weights = [0] * self.num_shards
+        moves: list[RebalanceMove] = []
+        for placement in self.topology.placements():
+            try:
+                document = self.shards[placement.shard_index].document_at(
+                    placement.local_start
+                )
+            except DocumentError:
+                # A removal or move racing the plan can retire the
+                # placement (and detach its shard-side document) after
+                # the placements() snapshot.  Planning mutates nothing,
+                # so skip it rather than fail the whole plan — which,
+                # from a background auto-rebalance, would fail an
+                # unrelated caller.  A live but unresolvable placement
+                # still surfaces at move time, which re-checks liveness
+                # under the shard locks.
+                continue
+            target = self._choose(chosen, document, placement.ordinal, weights)
+            weights[target] += placement.node_count
+            if target != placement.shard_index:
+                moves.append(RebalanceMove(placement, target))
+        return moves
 
     def rebalance(
         self,
         policy: Union[str, PlacementPolicy, None] = None,
         compact: bool = False,
     ) -> RebalanceReport:
-        """Re-place the corpus under ``policy`` (default size-balanced).
+        """Plan and apply a rebalance; optionally compact retired spans.
 
-        Applies :meth:`plan_rebalance` move by move while queries keep
-        running; each move invalidates only the two shards it touches.
-        See :meth:`ShardedCollection.rebalance` for the report and the
-        ``compact`` trade-off.
+        Every planned move runs through :meth:`move_document` — online,
+        two shards at a time, answers identical throughout, and each
+        move invalidates only the two shards it touches.  With
+        ``compact=True`` every retired span — those these moves retired
+        *plus* any left by earlier removal/move churn — is pruned
+        afterwards (do this when no pre-rebalance answers are still in
+        flight); the report's ``spans_pruned`` counts that whole
+        compaction.  Returns a :class:`RebalanceReport` pricing the
+        whole operation in the shared maintenance currency.
         """
-        return self.collection.rebalance(policy, compact=compact)
+        plan = self.plan_rebalance(policy)
+        before = [shard.stats_snapshot() for shard in self.shards]
+        moved = 0
+        nodes_moved = 0
+        for move in plan:
+            # A removal racing the rebalance may retire a planned
+            # placement at any point up to the move's lock acquisition;
+            # skip dead placements rather than failing the whole batch.
+            try:
+                applied = self.move_document(move.placement, move.target_shard)
+            except DocumentError:
+                if self.topology.is_live(move.placement):
+                    raise
+                continue
+            moved += 1
+            nodes_moved += applied.node_count
+        pruned = self.compact() if compact else 0
+        spent = sum_snapshots(
+            *(
+                shard.stats_diff(snapshot)
+                for shard, snapshot in zip(self.shards, before)
+            )
+        )
+        return RebalanceReport(
+            policy=make_placement(policy or "size_balanced").name,
+            planned=len(plan),
+            documents_moved=moved,
+            nodes_moved=nodes_moved,
+            spans_pruned=pruned,
+            maintenance_cost=maintenance_cost(spent),
+        )
 
     def compact(self) -> int:
-        """Prune retired placement spans (see :meth:`ShardedCollection.compact`)."""
-        return self.collection.compact()
+        """Prune retired placement spans from the routing table.
+
+        Call between query waves: answers computed against
+        pre-retirement shard snapshots stop translating.  Returns the
+        number of spans pruned.
+        """
+        return self.topology.compact()
 
     def revive_replica(self, shard_index: int, replica_index: int):
         """Re-sync one quarantined replica from its shard's primary.
@@ -257,25 +503,48 @@ class ShardedQueryService(ServingFacade):
         The recovery half of failover — see
         :meth:`~repro.shard.replica.Shard.revive`.
         """
-        if not 0 <= shard_index < self.collection.num_shards:
-            raise DocumentError(
-                f"shard index {shard_index} outside "
-                f"[0, {self.collection.num_shards})"
-            )
-        return self.collection.shards[shard_index].revive(replica_index)
+        return self._shard(shard_index).revive(replica_index)
 
+    # ------------------------------------------------------------------
+    # Index management (fanned to every shard and replica)
+    # ------------------------------------------------------------------
     def build_index(self, name: str, **options) -> None:
         """Build one index of the family on every shard."""
-        self.collection.build_index(name, **options)
+        for shard in self.shards:
+            shard.build_index(name, **options)
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
         """Build the indexes one strategy needs, on every shard."""
-        self.collection.ensure_indexes_for(strategy_name)
+        for shard in self.shards:
+            shard.ensure_indexes_for(strategy_name)
+
+    def index_sizes_mb(self) -> dict[str, float]:
+        """Total size per index name, summed across shards.
+
+        Each shard reports its primary's copy (the physical total is
+        that times the replica count).
+        """
+        totals: dict[str, float] = {}
+        for shard in self.shards:
+            for name, size in shard.engine.index_sizes_mb().items():
+                totals[name] = totals.get(name, 0.0) + size
+        return totals
+
+    def translate_sorted(
+        self, shard_index: int, local_ids: Sequence[int]
+    ) -> list[int]:
+        """Ascending shard-local ids in the global id space.
+
+        The id translation of one gather leg, for the per-layer table
+        of ``benchmarks/e2e/layers.py``; the gather itself calls the
+        topology.
+        """
+        return self.topology.translate_sorted(shard_index, local_ids)
 
     def invalidate(self, rebuilt: bool = True) -> None:
         """Flush the landed answers and every replica's service caches."""
         self.answer_cache.clear()
-        for shard in self.collection.shards:
+        for shard in self.shards:
             shard.invalidate(rebuilt=rebuilt)
 
     def generation(self) -> tuple:
@@ -291,8 +560,8 @@ class ShardedQueryService(ServingFacade):
         stretch in which nothing a query can see changed — the rule
         :meth:`execute` lands answers by.
         """
-        current = (self.collection.topology.epoch,) + tuple(
-            shard.generation() for shard in self.collection.shards
+        current = (self.topology.epoch,) + tuple(
+            shard.generation() for shard in self.shards
         )
         # Between writes every read is equal; hand out one object, so
         # the keys that hold a generation (one per landed answer) keep
@@ -401,15 +670,15 @@ class ShardedQueryService(ServingFacade):
         scope.
         """
         if documents is None:
-            live_counts = self.collection.topology.live_counts()
+            live_counts = self.topology.live_counts()
             return [
                 (shard, None)
-                for shard, count in zip(self.collection.shards, live_counts)
+                for shard, count in zip(self.shards, live_counts)
                 if count
             ]
-        by_shard = self.collection.shards_for_documents(documents)
+        by_shard = self.topology.shards_for_documents(documents)
         return [
-            (self.collection.shards[index], placements)
+            (self.shards[index], placements)
             for index, placements in sorted(by_shard.items())
         ]
 
@@ -462,7 +731,7 @@ class ShardedQueryService(ServingFacade):
         merged_ids: list[int] = []
         for (shard, scope), partial in zip(targets, partials):
             merged_ids.extend(
-                self.collection.translate_sorted(
+                self.topology.translate_sorted(
                     shard.index, sorted(partial.ids), scope=scope
                 )
             )
@@ -503,7 +772,7 @@ class ShardedQueryService(ServingFacade):
         for shard, scope in targets:
             ids = shard.oracle_ids(twig)
             merged.extend(
-                self.collection.translate_sorted(shard.index, sorted(ids), scope=scope)
+                self.topology.translate_sorted(shard.index, sorted(ids), scope=scope)
             )
         merged.sort()
         return merged
@@ -520,7 +789,7 @@ class ShardedQueryService(ServingFacade):
         """
         return sum_snapshots(
             self.operations.stats.snapshot(),
-            *(shard.stats_snapshot() for shard in self.collection.shards),
+            *(shard.stats_snapshot() for shard in self.shards),
         )
 
     def _cache_reports(self) -> dict[str, dict[str, object]]:
@@ -528,7 +797,7 @@ class ShardedQueryService(ServingFacade):
             "plan": self.plan_cache.describe(),
             "answer": self.answer_cache.describe(),
         }
-        for shard in self.collection.shards:
+        for shard in self.shards:
             service_report = shard.service_report()
             for cache_name, short in (
                 ("plan_cache", "plan"),
@@ -540,80 +809,66 @@ class ShardedQueryService(ServingFacade):
 
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, object]:
-        """Topology, per-shard summaries and aggregated cache counters."""
-        report = self.collection.describe()
-        report["telemetry"] = self.telemetry.describe()
-        shard_reports = [shard["service"] for shard in report["shards"]]
+        """Topology, per-shard summaries and one summed service report."""
+        # shard.describe() takes each shard's own service locks and may
+        # wait behind a write there; no tier-level lock is held around
+        # it, so it cannot stall other shards' gather phases.
+        shards = [shard.describe() for shard in self.shards]
         # Requests look plans and landed answers up in the tier's own
         # caches and count there; the replicas' caches see only what
-        # reaches a leg (for plans: text handed to a shard directly)
-        # and count beside them.
-        tier_caches = {
-            "plan_cache": self.plan_cache,
-            "result_cache": self.answer_cache,
-        }
-        aggregated: dict[str, dict[str, int]] = {}
-        for cache_name in ("plan_cache", "result_cache", "choice_cache"):
-            reports = [r[cache_name] for r in shard_reports]
-            if cache_name in tier_caches:
-                reports.append(tier_caches[cache_name].describe())
-            aggregated[cache_name] = {
-                counter: sum(r[counter] for r in reports)
-                for counter in (
-                    "size",
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "expiries",
-                    "clears",
-                    "cleared_entries",
-                )
-            }
-        report["caches"] = aggregated
-        report["answer_cache"] = self.answer_cache.describe()
-        report["invalidations"] = {
-            "total": sum(r["invalidations"] for r in shard_reports),
-            "result_only": sum(r["result_invalidations"] for r in shard_reports),
-            "full": sum(r["full_invalidations"] for r in shard_reports),
-        }
-        report["maintenance"] = {
-            counter: sum(r["maintenance"][counter] for r in shard_reports)
-            for counter in (
-                "documents_added",
-                "documents_removed",
-                "index_builds",
-                "index_updates",
-            )
-        }
-        # A replace decomposes into a remove + an add at the shard
-        # services (the halves may even land on different shards), so
-        # the per-shard counters record the decomposition; the
-        # collection counts the operation as itself.  Moves decompose
-        # the same way — the topology's counter is the operation-level
-        # truth.
-        report["maintenance"]["documents_replaced"] = (
-            self.collection.documents_replaced
+        # reaches a leg, and count beside them.
+        summed = _sum_reports(
+            [shard["service"] for shard in shards]
+            + [
+                {
+                    "plan_cache": self.plan_cache.describe(),
+                    "result_cache": self.answer_cache.describe(),
+                }
+            ]
         )
-        report["maintenance"]["documents_moved"] = (
-            self.collection.topology.documents_moved
-        )
-        report["replica_reads"] = {
-            "picker": self.collection.shards[0].picker.name,
-            "per_shard": [
-                list(shard.replica_reads) for shard in self.collection.shards
-            ],
-            "total": sum(sum(shard.replica_reads) for shard in self.collection.shards),
+        return {
+            "num_shards": self.num_shards,
+            "placement": self.placement.name,
+            "replicas": self.shards[0].replica_count,
+            "documents": self.topology.document_count,
+            "global_watermark": self.topology.global_watermark,
+            "topology": self.topology.describe(),
+            "shards": shards,
+            "telemetry": self.telemetry.describe(),
+            "caches": {
+                name: summed[name]
+                for name in ("plan_cache", "result_cache", "choice_cache")
+            },
+            "answer_cache": self.answer_cache.describe(),
+            "invalidations": {
+                "total": summed["invalidations"],
+                "result_only": summed["result_invalidations"],
+                "full": summed["full_invalidations"],
+            },
+            # A replace or a move decomposes into a remove + an add at
+            # the shard services, so the shard counters record the
+            # decomposition; the tier and the topology count the
+            # operations themselves.
+            "maintenance": {
+                **summed["maintenance"],
+                "documents_replaced": self.documents_replaced,
+                "documents_moved": self.topology.documents_moved,
+            },
+            "replica_reads": {
+                "picker": self.shards[0].picker.name,
+                "per_shard": [list(shard.replica_reads) for shard in self.shards],
+                "total": sum(sum(shard.replica_reads) for shard in self.shards),
+            },
+            "queries_executed": self.queries_executed,
+            "operations": {
+                "auto_rebalance": self.operations.describe(),
+                "failover": self._failover_report(),
+            },
         }
-        report["queries_executed"] = self.queries_executed
-        report["operations"] = {
-            "auto_rebalance": self.operations.describe(),
-            "failover": self._failover_report(),
-        }
-        return report
 
     def _failover_report(self) -> dict[str, object]:
         """Replica health and failover activity, aggregated over shards."""
-        per_shard = [shard.health_report() for shard in self.collection.shards]
+        per_shard = [shard.health_report() for shard in self.shards]
         return {
             "per_shard": per_shard,
             "reads_retried": sum(r["reads_retried"] for r in per_shard),
@@ -634,7 +889,8 @@ class ShardedQueryService(ServingFacade):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShardedQueryService(shards={self.collection.num_shards}, "
-            f"placement={self.collection.placement.name!r}, "
-            f"documents={self.collection.document_count})"
+            f"ShardedQueryService(shards={self.num_shards}, "
+            f"placement={self.placement.name!r}, "
+            f"replicas={self.shards[0].replica_count}, "
+            f"documents={self.topology.document_count})"
         )

@@ -2,8 +2,8 @@
 
 :class:`ShardTopology` is the single source of truth for *where every
 document lives* and *how shard-local node ids translate into the global
-id space*.  It factors the bookkeeping that used to be baked into
-:class:`~repro.shard.collection.ShardedCollection` into an explicit,
+id space*.  It keeps that bookkeeping out of the tier object
+(:class:`~repro.shard.service.ShardedQueryService`) as an explicit,
 separately testable layer, which is what makes the topology *dynamic*:
 a document's placement is a routing-table entry that can be retired and
 re-recorded on another shard (:meth:`ShardTopology.record_move`), not a
@@ -92,10 +92,10 @@ def _local_start(placement: DocumentPlacement) -> int:
 
 
 class ShardTopology:
-    """The versioned routing table behind a sharded collection.
+    """The versioned routing table behind the sharded tier.
 
     All methods are thread-safe under one re-entrant lock; the lock is
-    never held across engine work (the collection holds its per-shard
+    never held across engine work (the tier holds its per-shard
     add locks for that), only across the table mutations themselves —
     which is what makes each routing change atomic for readers.
     """

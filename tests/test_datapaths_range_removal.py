@@ -12,8 +12,8 @@ chain (emptied leaves included), height and size of the tree,
 ``entry_count``, ``value_counts`` (in order), ``pruned_count`` and the
 ``StatsCollector`` counters.  Checked on fuzz seeds 0-2 for every
 DATAPATHS option, and through the replicated tier's write paths
-(replace, move, rebalance, and removals after a revive that replayed a
-compacted write log with id-gap entries).
+(replace, move, rebalance, and removals after a revive that replayed
+the primary's live documents with id-gap entries).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _tier_state(service: ShardedQueryService) -> list:
             },
             replica.stats.snapshot(),
         )
-        for shard in service.collection.shards
+        for shard in service.shards
         for replica in shard.replicas
     ]
 
@@ -158,19 +158,19 @@ def _run_tier_writes(seed: int, datapaths_options: dict) -> list:
         service.replace_document(names[0], random_document(rng, names[0]))
         # Pile documents onto shard 0 so the rebalance has moves to make.
         for name in names[1:5]:
-            if service.collection.placements_for(name)[0].shard_index != 0:
+            if service.topology.placements_for(name)[0].shard_index != 0:
                 service.move_document(name, 0)
         assert service.rebalance("size_balanced").documents_moved > 0
         service.remove_document(names[5])
         gaps = 0
-        for shard in service.collection.shards:
+        for shard in service.shards:
             gaps += sum(action == "gap" for action, _payload in shard._replay())
             shard.revive(1)
         assert gaps > 0
         service.remove_document(names[1])
         service.replace_document(names[2], random_document(rng, names[2]))
         service.move_document(
-            names[3], 1 - service.collection.placements_for(names[3])[0].shard_index
+            names[3], 1 - service.topology.placements_for(names[3])[0].shard_index
         )
         return _tier_state(service)
     finally:

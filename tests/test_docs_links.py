@@ -60,7 +60,7 @@ def test_module_docstrings_cross_link_the_architecture_doc():
         "src/repro/storage/stats.py",
         "src/repro/indexes/base.py",
         "src/repro/service/service.py",
-        "src/repro/shard/collection.py",
+        "src/repro/shard/service.py",
         "src/repro/xmltree/document.py",
     ]
     for path in linked:

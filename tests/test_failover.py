@@ -51,7 +51,6 @@ from repro.shard import (
     AutoRebalancer,
     RoundRobinPicker,
     Shard,
-    ShardedCollection,
 )
 from repro.shard.replica import _sum_reports
 
@@ -276,7 +275,7 @@ def test_unknown_strategy_options_are_refused_before_any_replica():
         for strategy, options in bad:
             with pytest.raises(PlanningError):
                 service.execute(XPATH, strategy=strategy, use_result_cache=False, **options)
-        for shard in service.collection.shards:
+        for shard in service.shards:
             assert shard.replica_reads == [0, 0]
             assert shard.health_report()["states"] == [REPLICA_HEALTHY] * 2
         expected = service.oracle(XPATH)
@@ -329,8 +328,8 @@ def test_seeded_replica_kill_mid_workload_answers_identical_to_single_engine():
 
     plan = FaultPlan.seeded(seed=20260808, horizon=30, rate=0.4)
     injectors = [
-        inject(sharded.collection.shards[0], 1, plan),
-        inject(sharded.collection.shards[1], 2, plan),
+        inject(sharded.shards[0], 1, plan),
+        inject(sharded.shards[1], 2, plan),
     ]
     workload = [
         XPATH,
@@ -356,7 +355,7 @@ def test_seeded_replica_kill_mid_workload_answers_identical_to_single_engine():
 # Revive / re-sync
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("replicas", [3, 1])
-def test_revive_replays_the_write_log_through_removal_gaps(replicas):
+def test_revive_replays_live_documents_through_removal_gaps(replicas):
     # The victim is a secondary, or in a set of one the primary itself.
     victim = min(1, replicas - 1)
     shard = _replicated(replicas=replicas, dead_after=1)
@@ -404,7 +403,7 @@ def test_revive_is_monotone_in_the_merged_stats(replicas):
     assert after["replicas_revived"] == 1
 
 
-def test_oplog_stays_bounded_under_churn_and_revive_stays_exact():
+def test_revive_stays_exact_under_remove_readd_churn():
     # Constant corpus, endless remove/re-add churn.  Small docs keep
     # the loop fast.
     shard = _replicated(replicas=2, dead_after=1)
@@ -435,7 +434,7 @@ def test_service_revive_passthrough_and_validation():
         [_doc(0), _doc(1)], num_shards=2, placement="round_robin", replicas=2
     )
     revived = service.revive_replica(0, 1)
-    assert revived.watermark == service.collection.shards[0].primary.watermark
+    assert revived.watermark == service.shards[0].primary.watermark
     with pytest.raises(DocumentError):
         service.revive_replica(7, 0)
     with pytest.raises(DocumentError):
@@ -446,8 +445,8 @@ def test_service_revive_passthrough_and_validation():
     plain = ShardedQueryService.from_documents([_doc(0), _doc(1)], num_shards=1)
     plain.build_index("rootpaths")
     expected = _single_engine(_doc(0), _doc(1)).service.execute(XPATH).ids
-    inject(plain.collection.shards[0], 0, FaultPlan.failing_at(*range(1, 100)))
-    _walk_to_dead(plain.collection.shards[0], 0)
+    inject(plain.shards[0], 0, FaultPlan.failing_at(*range(1, 100)))
+    _walk_to_dead(plain.shards[0], 0)
     with pytest.raises(DocumentError):
         plain.execute(XPATH, use_result_cache=False)
     plain.revive_replica(0, 0)
@@ -469,22 +468,22 @@ def _colliding_name(base: str, num_shards: int) -> str:
     raise AssertionError("no colliding name found")  # pragma: no cover
 
 
-def _skewed_collection(num_docs: int = 6) -> ShardedCollection:
-    collection = ShardedCollection(num_shards=2, placement="hash")
+def _skewed_tier(num_docs: int = 6) -> ShardedQueryService:
+    tier = ShardedQueryService(num_shards=2, placement="hash")
     for i in range(num_docs):
-        collection.add_document(
+        tier.add_document(
             generate_xmark(scale=0.01, seed=500 + i, name=_colliding_name(f"s-{i}", 2))
         )
-    return collection
+    return tier
 
 
 def test_auto_rebalance_fires_exactly_once_per_sustained_skew_episode():
-    collection = _skewed_collection()
+    tier = _skewed_tier()
     # policy="hash" re-places the colliding corpus right back onto shard
     # 0, so the skew *stays* at the high watermark after the fire — the
     # sustained-episode case the hysteresis band must not re-fire on.
     auto = AutoRebalancer(
-        collection,
+        tier,
         policy="hash",
         high_watermark=2.0,
         low_watermark=1.25,
@@ -499,14 +498,14 @@ def test_auto_rebalance_fires_exactly_once_per_sustained_skew_episode():
 
     # The episode ends only when measured skew drains below the low
     # watermark; the next check re-arms without firing.
-    collection.rebalance("size_balanced")
+    tier.rebalance("size_balanced")
     record = auto.check()
     assert not record["fired"]
     assert auto.describe()["armed"]
 
     # A second sustained episode fires exactly once more.
-    for placement in collection.placements():
-        collection.move_document(placement, 0)
+    for placement in tier.topology.placements():
+        tier.move_document(placement, 0)
     assert auto.check()["fired"]
     for _ in range(5):
         assert not auto.check()["fired"]
@@ -516,16 +515,16 @@ def test_auto_rebalance_fires_exactly_once_per_sustained_skew_episode():
 
 
 def test_auto_rebalance_respects_min_documents_and_hysteresis_band():
-    collection = _skewed_collection(num_docs=2)  # ratio 2.0 but tiny corpus
+    tier = _skewed_tier(num_docs=2)  # ratio 2.0 but tiny corpus
     auto = AutoRebalancer(
-        collection, check_interval=1, background=False, enabled=True
+        tier, check_interval=1, background=False, enabled=True
     )
-    assert collection.topology.skew()["ratio"] == 2.0
+    assert tier.topology.skew()["ratio"] == 2.0
     assert not auto.check()["fired"]  # below min_documents (2 * num_shards)
     with pytest.raises(ValueError):
-        AutoRebalancer(collection, high_watermark=1.2, low_watermark=1.5)
+        AutoRebalancer(tier, high_watermark=1.2, low_watermark=1.5)
     with pytest.raises(ValueError):
-        AutoRebalancer(collection, check_interval=0)
+        AutoRebalancer(tier, check_interval=0)
     auto.close()
 
 
@@ -543,7 +542,7 @@ def test_service_drives_auto_rebalance_between_queries():
         rebalance_background=False,  # inline, so assertions are deterministic
     )
     service.build_index("rootpaths")
-    assert service.collection.topology.skew()["ratio"] == 2.0
+    assert service.topology.skew()["ratio"] == 2.0
     expected = service.oracle(XPATH)
     for _ in range(8):
         assert service.execute(XPATH, use_result_cache=False).ids == expected
@@ -551,7 +550,7 @@ def test_service_drives_auto_rebalance_between_queries():
     assert operations["auto_rebalances"] == 1  # once, not once per check
     assert operations["episodes_total"] == 1
     assert operations["last_skew"]["ratio"] < 1.25  # skew drained
-    weights = service.collection.topology.shard_node_weights()
+    weights = service.topology.shard_node_weights()
     assert all(weight > 0 for weight in weights)
     # The activity counter rides the shared stats machinery.
     assert service._counter_totals()["auto_rebalances"] == 1
@@ -563,12 +562,12 @@ def test_plan_rebalance_skips_placements_retired_mid_plan(monkeypatch):
     # its shard-side document) after the placements() snapshot; the
     # plan must skip it, not abort — from a background auto-rebalance
     # an abort would surface as an operations failure.
-    collection = _skewed_collection()
-    stale = collection.placements()
+    tier = _skewed_tier()
+    stale = tier.topology.placements()
     retired = stale[0]
-    collection.remove_document(retired.name)
-    monkeypatch.setattr(collection.topology, "placements", lambda: stale)
-    moves = collection.plan_rebalance()
+    tier.remove_document(retired.name)
+    monkeypatch.setattr(tier.topology, "placements", lambda: stale)
+    moves = tier.plan_rebalance()
     assert all(move.placement is not retired for move in moves)
 
 
@@ -589,7 +588,7 @@ def test_background_rebalance_failure_is_status_not_a_query_error(monkeypatch):
     def boom(policy, compact=False):
         raise RuntimeError("rebalance exploded")
 
-    monkeypatch.setattr(service.collection, "rebalance", boom)
+    monkeypatch.setattr(service, "rebalance", boom)
     expected = service.oracle(XPATH)
     # The trigger fires on the first tick and the background run fails;
     # no later query (whose answer was already gathered) may lose its
@@ -609,18 +608,18 @@ def test_fired_background_run_is_published_before_check_returns():
     # The future must be published atomically with the firing decision:
     # a drain() racing the check may never observe a fired-but-
     # unpublished run and return with pre-rebalance state.
-    collection = _skewed_collection()
+    tier = _skewed_tier()
     auto = AutoRebalancer(
-        collection, check_interval=1, background=True, enabled=True
+        tier, check_interval=1, background=True, enabled=True
     )
     release = threading.Event()
-    real_rebalance = collection.rebalance
+    real_rebalance = tier.rebalance
 
     def gated(policy, compact=False):
         assert release.wait(10)
         return real_rebalance(policy)
 
-    collection.rebalance = gated
+    tier.rebalance = gated
     try:
         record = auto.check()
         assert record["fired"]

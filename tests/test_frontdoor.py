@@ -424,7 +424,7 @@ def test_scatter_failure_propagates_and_service_survives():
         _documents(4), num_shards=4, placement="round_robin", replicas=2
     ) as svc:
         svc.build_index("rootpaths")
-        shards = svc.collection.shards
+        shards = svc.shards
         expected = svc.execute(XPATH, use_result_cache=False).ids
         reads_before = [sum(shard.replica_reads) for shard in shards]
         real = shards[2].execute
@@ -621,7 +621,7 @@ def test_unknown_option_is_a_query_error_not_an_internal_one(service):
     assert response.ids == tuple(service.oracle(XPATH))
     events = service.telemetry.events
     assert events.events(kind="internal-error") == []
-    for shard in service.collection.shards:
+    for shard in service.shards:
         assert shard.health_report()["states"] == ["healthy"]
 
 

@@ -49,7 +49,7 @@ from repro.obs import (
 )
 from repro.service import QueryService
 from repro.service.base import ServingFacade
-from repro.shard import REPLICA_DEAD, AutoRebalancer, Shard, ShardedCollection
+from repro.shard import REPLICA_DEAD, AutoRebalancer, Shard
 from repro.storage.stats import ACTIVITY_COUNTERS, StatsCollector, sum_snapshots
 
 XPATH = "/site/people/person/name"
@@ -550,7 +550,7 @@ def test_seeded_replica_kill_leaves_a_failover_trace_and_quarantine_event():
     service.build_index("rootpaths")
     reference = service.execute(XPATH, use_result_cache=False).ids
 
-    shard = service.collection.shards[0]
+    shard = service.shards[0]
     injector = inject(shard, 1, FaultPlan.failing_at(*range(1, 50)))
     # Round-robin hands replica 1 every third read while it is healthy,
     # then only on probation probes (every probe_interval-th read) once
@@ -634,20 +634,20 @@ def test_auto_rebalance_publishes_triggered_and_completed_events():
                 return name
         raise AssertionError("no colliding name")  # pragma: no cover
 
-    collection = ShardedCollection(num_shards=2, placement="hash")
+    tier = ShardedQueryService(num_shards=2, placement="hash")
     for i in range(6):
-        collection.add_document(
+        tier.add_document(
             generate_xmark(scale=0.01, seed=500 + i, name=colliding(f"s-{i}"))
         )
     auto = AutoRebalancer(
-        collection,
+        tier,
         policy="size_balanced",
         check_interval=1,
         background=False,
         enabled=True,
     )
     assert auto.check()["fired"]
-    events = collection.telemetry.events
+    events = tier.telemetry.events
     (triggered,) = events.events(kind="auto-rebalance", last=None)[:1]
     assert triggered.attributes["phase"] == "triggered"
     assert triggered.attributes["ratio"] >= auto.high_watermark
@@ -668,8 +668,8 @@ def test_one_hub_is_shared_by_every_layer():
         [_doc(i) for i in range(2)], num_shards=2, replicas=2
     )
     hub = service.telemetry
-    assert service.collection.telemetry is hub
-    for shard in service.collection.shards:
+    assert service.operations.telemetry is hub
+    for shard in service.shards:
         assert shard.telemetry is hub
         for replica in shard.replicas:
             assert replica.telemetry is hub

@@ -426,18 +426,18 @@ def test_cold_request_on_a_warm_shape_stays_inside_its_budget(prepare_calls, mon
         for index, strategy in enumerate(("rootpaths", "datapaths", "auto", "auto")):
             service.execute(xpath.format(index, "category1"), strategy=strategy)
         choice_lookups = []
-        for shard in service.collection.shards:
+        for shard in service.shards:
             for replica in shard.replicas:
                 monkeypatch.setattr(
                     replica.service.choice_cache,
                     "get",
                     lambda key: choice_lookups.append(key),
                 )
-        reads = sum(sum(shard.replica_reads) for shard in service.collection.shards)
+        reads = sum(sum(shard.replica_reads) for shard in service.shards)
         prepare_calls.clear()
         cold = service.execute(xpath.format("1", "category7"))
         assert not cold.cached
-        legs = sum(sum(s.replica_reads) for s in service.collection.shards) - reads
+        legs = sum(sum(s.replica_reads) for s in service.shards) - reads
         assert legs == 4
         assert prepare_calls.pop("estimates") <= 2 * legs
         assert prepare_calls == {} and choice_lookups == []

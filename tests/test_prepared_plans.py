@@ -106,7 +106,7 @@ def test_cold_request_prepares_once_for_all_eight_replicas(prepare_counts):
         assert landed.cached and landed.ids == first.ids
         assert service.answer_cache.hits == 1
         assert all(
-            shard.replica_reads == [1, 0] for shard in service.collection.shards
+            shard.replica_reads == [1, 0] for shard in service.shards
         )
 
         # Past the tier's cache round-robin sends the repeat to each
@@ -116,7 +116,7 @@ def test_cold_request_prepares_once_for_all_eight_replicas(prepare_counts):
         second = service.execute(xpath, use_result_cache=False)
         assert not second.cached and second.ids == first.ids
         assert all(
-            shard.replica_reads == [1, 1] for shard in service.collection.shards
+            shard.replica_reads == [1, 1] for shard in service.shards
         )
         assert prepare_counts["parse"] == 1
         assert prepare_counts["analysis"] == 1
@@ -144,12 +144,12 @@ def test_cold_request_prepares_once_for_all_eight_replicas(prepare_counts):
 def _legs_by_text(service, xpath, strategy):
     """What the tier did before plans were shared: the text to every leg."""
     ids, costs = [], []
-    for shard in service.collection.shards:
+    for shard in service.shards:
         if not shard.document_count:
             continue  # the tier prunes empty shards from its scatter
         partial = shard.execute(xpath, strategy=strategy)
         ids.extend(
-            service.collection.translate_sorted(shard.index, sorted(partial.ids))
+            service.topology.translate_sorted(shard.index, sorted(partial.ids))
         )
         costs.append(partial.cost)
     return sorted(set(ids)), sum_snapshots(*costs)
@@ -173,7 +173,7 @@ def _merged(result):
 def _result_cache_keys(service):
     return [
         sorted(replica.service.result_cache, key=repr)
-        for shard in service.collection.shards
+        for shard in service.shards
         for replica in shard.replicas
     ]
 
@@ -247,11 +247,11 @@ def test_fuzz_corpora_agree_across_plan_sources(seed):
 @pytest.mark.parametrize("xpath", ["", "site/people", "/site[", "/site/people]"])
 def test_malformed_xpath_fails_before_any_leg(xpath):
     with _tier(_xmark_documents()) as service:
-        reads = [list(shard.replica_reads) for shard in service.collection.shards]
+        reads = [list(shard.replica_reads) for shard in service.shards]
         with pytest.raises(QueryParseError):
             service.execute(xpath)
         assert [
-            list(shard.replica_reads) for shard in service.collection.shards
+            list(shard.replica_reads) for shard in service.shards
         ] == reads
         assert len(service.plan_cache) == 0
         assert service.execute(CATALOG[0]).ids == service.oracle(CATALOG[0])
@@ -291,7 +291,7 @@ def test_plan_cache_counters_count_requests_not_legs():
 def test_text_callers_below_the_tier_prepare_for_themselves():
     xpath = CATALOG[9]
     with _tier(_xmark_documents()) as service:
-        shard = service.collection.shards[0]
+        shard = service.shards[0]
         local = shard.execute(xpath)
         serving = [r for r in shard.replicas if len(r.service.plan_cache)]
         assert len(serving) == 1 and len(service.plan_cache) == 0

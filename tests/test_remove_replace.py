@@ -415,7 +415,7 @@ def test_sharded_removal_invalidates_owning_shard_only():
         sharded.add_document(book_document(name="b"))  # shard 1
         sharded.build_index("rootpaths")
         sharded.execute("/book/title", strategy="rootpaths")
-        shard0, shard1 = sharded.collection.shards
+        shard0, shard1 = sharded.shards
         before = (
             shard0.service.result_invalidations,
             shard1.service.result_invalidations,

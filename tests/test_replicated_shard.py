@@ -190,7 +190,7 @@ def test_generation_names_the_stretch_between_write_through_halves():
     ) as service:
         service.build_index("rootpaths")
         before = service.execute(xpath).ids
-        shard = service.collection.shards[0]
+        shard = service.shards[0]
         with _Parked(shard.replicas[1], "add_document") as parked:
             writer = _run_beside(lambda: service.add_document(_doc(2)), parked)
             # Between the halves: the primary holds the document, slot 2
@@ -335,7 +335,7 @@ def test_rerouted_reads_are_counted_up_to_the_scrape():
         [_doc(0), _doc(1)], num_shards=1, replicas=2
     ) as service:
         service.build_index("rootpaths")
-        shard = service.collection.shards[0]
+        shard = service.shards[0]
         with _Parked(shard.replicas[1], "add_document") as parked:
             writer = _run_beside(lambda: service.add_document(_doc(2)), parked)
             for _ in range(3):
@@ -392,7 +392,7 @@ def test_replicated_collection_write_amplification_is_priced():
         service.add_document(_doc(0))
         service.build_index("rootpaths")
         service.add_document(_doc(1))
-        snapshot = service.collection.shards[0].stats_snapshot()
+        snapshot = service.shards[0].stats_snapshot()
         service.close()
         return snapshot["btree_writes"]
 

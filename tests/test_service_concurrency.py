@@ -215,9 +215,9 @@ def test_sharded_service_race_no_stale_results(prefix_oracles, placement):
     # read back from the collection (both policies here are
     # deterministic, so the racing run used the same assignment).
     shard_deltas: list[list[int]] = [
-        [] for _ in range(service.collection.num_shards)
+        [] for _ in range(service.num_shards)
     ]
-    for placement in service.collection.placements():
+    for placement in service.topology.placements():
         if placement.ordinal >= BASE_DOCS:
             shard_deltas[placement.shard_index].append(placement.ordinal)
     allowed = _consistent_cut_answers(shard_deltas)
@@ -272,7 +272,7 @@ def _race_callers_against_churn(service, caller_queries, ask=None, full_churn=Fa
 
     def finished(new_version: bool) -> int:
         """Count the operation that just returned; record what it left."""
-        (placement,) = service.collection.placements_for("churn")
+        (placement,) = service.topology.placements_for("churn")
         if new_version:
             # Only this thread writes, so the oracle is stable here.
             ids = {
@@ -298,7 +298,7 @@ def _race_callers_against_churn(service, caller_queries, ask=None, full_churn=Fa
                     )
                     shard = finished(new_version=True)
                     service.move_document(
-                        "churn", (shard + 1) % service.collection.num_shards
+                        "churn", (shard + 1) % service.num_shards
                     )
                     finished(new_version=False)
                 service.remove_document("churn")

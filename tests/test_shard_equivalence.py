@@ -220,7 +220,7 @@ def test_rebalance_preserves_answers_before_during_and_after():
     sharded.build_index("datapaths")
 
     # The crafted names really did skew everything onto one shard.
-    assert sharded.collection.topology.live_counts() == [4, 0, 0, 0]
+    assert sharded.topology.live_counts() == [4, 0, 0, 0]
     _diff_answers(single, sharded, MATRIX_STRATEGIES, workload, "skewed/pre")
 
     plan = sharded.plan_rebalance("size_balanced")
@@ -233,7 +233,7 @@ def test_rebalance_preserves_answers_before_during_and_after():
         _diff_answers(
             single, sharded, (AUTO_STRATEGY,), workload, f"skewed/move-{index}"
         )
-    assert all(count > 0 for count in sharded.collection.topology.live_counts())
+    assert all(count > 0 for count in sharded.topology.live_counts())
 
     pruned = sharded.compact()
     assert pruned == len(plan)
@@ -317,7 +317,7 @@ def test_rebalance_under_replicas_preserves_answers():
     report = sharded.rebalance("size_balanced", compact=True)
     assert report.documents_moved > 0
     # Every replica of every shard agrees on its shard's watermark.
-    for shard in sharded.collection.shards:
+    for shard in sharded.shards:
         assert len({replica.watermark for replica in shard.replicas}) == 1
     _diff_answers(
         single, sharded, MATRIX_STRATEGIES, workload, "replicas/rebalanced"

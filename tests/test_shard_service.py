@@ -1,4 +1,4 @@
-"""Sharded collection unit tests: placement, id translation, pruning,
+"""Sharded tier unit tests: placement, id translation, pruning,
 per-shard cache invalidation and cross-shard stats aggregation."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro import ShardedCollection, ShardedQueryService, TwigIndexDatabase
+from repro import ShardedQueryService, TwigIndexDatabase, parse_string
 from repro.datasets import book_document, generate_xmark
 from repro.errors import DocumentError, PlanningError
 from repro.shard import (
@@ -32,14 +32,14 @@ def _named_docs(count: int, scale: float = 0.02):
 # Placement policies
 # ----------------------------------------------------------------------
 def test_round_robin_spreads_by_ordinal():
-    collection = ShardedCollection(num_shards=3, placement="round_robin")
-    placements = collection.add_documents(_named_docs(5))
+    service = ShardedQueryService(num_shards=3, placement="round_robin")
+    placements = [service.add_document(doc) for doc in _named_docs(5)]
     assert [p.shard_index for p in placements] == [0, 1, 2, 0, 1]
 
 
 def test_hash_placement_is_deterministic_by_name():
-    first = ShardedCollection(num_shards=4, placement="hash")
-    second = ShardedCollection(num_shards=4, placement="hash")
+    first = ShardedQueryService(num_shards=4, placement="hash")
+    second = ShardedQueryService(num_shards=4, placement="hash")
     for doc_a, doc_b in zip(_named_docs(4), _named_docs(4)):
         assert (
             first.add_document(doc_a).shard_index
@@ -48,15 +48,15 @@ def test_hash_placement_is_deterministic_by_name():
 
 
 def test_size_balanced_placement_fills_least_loaded_shard():
-    collection = ShardedCollection(num_shards=2, placement="size_balanced")
+    service = ShardedQueryService(num_shards=2, placement="size_balanced")
     big = generate_xmark(scale=0.05, seed=1, name="big")
     small = book_document()
     small.name = "small"
-    first = collection.add_document(big)
-    second = collection.add_document(small)
+    first = service.add_document(big)
+    second = service.add_document(small)
     third_doc = book_document()
     third_doc.name = "third"
-    third = collection.add_document(third_doc)
+    third = service.add_document(third_doc)
     assert first.shard_index == 0
     assert second.shard_index == 1
     # The big document still outweighs two books: shard 1 stays lighter.
@@ -73,17 +73,17 @@ def test_make_placement_accepts_instances_and_rejects_unknown_names():
         make_placement("range")
 
 
-def test_collection_rejects_zero_shards_and_out_of_range_placement():
+def test_tier_rejects_zero_shards_and_out_of_range_placement():
     with pytest.raises(ValueError):
-        ShardedCollection(num_shards=0)
+        ShardedQueryService(num_shards=0)
 
     class Broken(HashPlacement):
         def choose(self, document, ordinal, shard_weights):
             return len(shard_weights)
 
-    collection = ShardedCollection(num_shards=2, placement=Broken())
+    service = ShardedQueryService(num_shards=2, placement=Broken())
     with pytest.raises(DocumentError):
-        collection.add_document(book_document())
+        service.add_document(book_document())
 
 
 # ----------------------------------------------------------------------
@@ -92,33 +92,34 @@ def test_collection_rejects_zero_shards_and_out_of_range_placement():
 def test_to_global_matches_single_database_spans():
     docs = _named_docs(4)
     single = TwigIndexDatabase.from_documents(_named_docs(4))
-    collection = ShardedCollection(num_shards=3, placement="round_robin")
-    collection.add_documents(docs)
+    topology = ShardedQueryService.from_documents(
+        docs, num_shards=3, placement="round_robin"
+    ).topology
 
     single_spans = {name: (start, end) for name, start, end in single.document_spans()}
-    for placement in collection.placements():
+    for placement in topology.placements():
         assert (placement.global_start, placement.global_end) == single_spans[
             placement.name
         ]
         # Linear translation holds across the whole interval's endpoints.
         assert (
-            collection.to_global(placement.shard_index, placement.local_start)
+            topology.to_global(placement.shard_index, placement.local_start)
             == placement.global_start
         )
         assert (
-            collection.to_global(placement.shard_index, placement.local_end - 1)
+            topology.to_global(placement.shard_index, placement.local_end - 1)
             == placement.global_end - 1
         )
 
 
 def test_to_global_virtual_root_and_unknown_ids():
-    collection = ShardedCollection(num_shards=2, placement="round_robin")
-    collection.add_document(book_document())
-    assert collection.to_global(0, 0) == 0
+    service = ShardedQueryService(num_shards=2, placement="round_robin")
+    service.add_document(book_document())
+    assert service.topology.to_global(0, 0) == 0
     with pytest.raises(DocumentError):
-        collection.to_global(1, 5)  # shard 1 holds nothing
+        service.topology.to_global(1, 5)  # shard 1 holds nothing
     with pytest.raises(DocumentError):
-        collection.placements_for("missing")
+        service.topology.placements_for("missing")
 
 
 # ----------------------------------------------------------------------
@@ -131,13 +132,13 @@ def test_document_scoped_query_prunes_to_owning_shard():
     service.build_index("rootpaths")
     service.build_index("datapaths")
 
-    before = [shard.stats.snapshot() for shard in service.collection.shards]
+    before = [shard.stats.snapshot() for shard in service.shards]
     result = service.execute(
         "/site/people/person/name", documents=["doc-2"], use_result_cache=False
     )
     charged = [
         sum(shard.stats.diff(snapshot).values())
-        for shard, snapshot in zip(service.collection.shards, before)
+        for shard, snapshot in zip(service.shards, before)
     ]
     # Only shard 2 (round-robin owner of doc-2) did any work.
     assert charged[2] > 0
@@ -146,7 +147,7 @@ def test_document_scoped_query_prunes_to_owning_shard():
     # The scoped answer is exactly the owning document's slice.
     assert result.ids == service.oracle("/site/people/person/name", documents=["doc-2"])
     full = service.execute("/site/people/person/name")
-    scope = next(p for p in service.collection.placements() if p.name == "doc-2")
+    scope = next(p for p in service.topology.placements() if p.name == "doc-2")
     assert result.ids == [
         i for i in full.ids if scope.global_start <= i < scope.global_end
     ]
@@ -180,13 +181,13 @@ def test_add_document_invalidates_only_the_owning_shards_result_cache():
     service.execute(xpath)  # warm both shards' result caches
     assert service.execute(xpath).cached
 
-    shard0, shard1 = service.collection.shards
+    shard0, shard1 = service.shards
     invalidations_before = (
         shard0.service.result_invalidations,
         shard1.service.result_invalidations,
     )
     # Ordinal 2 -> shard 0 under round-robin.
-    placed = service.collection.add_document(
+    placed = service.add_document(
         generate_xmark(scale=0.01, seed=999, name="doc-2")
     )
     assert placed.shard_index == 0
@@ -211,14 +212,14 @@ def test_merged_cost_is_the_sum_of_per_shard_costs():
         _named_docs(3), num_shards=3, placement="round_robin"
     )
     service.build_index("rootpaths")
-    before = [shard.stats.snapshot() for shard in service.collection.shards]
+    before = [shard.stats.snapshot() for shard in service.shards]
     result = service.execute(
         "/site/people/person/name", strategy="rootpaths", use_result_cache=False
     )
     expected = sum_snapshots(
         *(
             shard.stats.diff(snapshot)
-            for shard, snapshot in zip(service.collection.shards, before)
+            for shard, snapshot in zip(service.shards, before)
         )
     )
     assert result.cost == expected
@@ -272,7 +273,7 @@ def test_legs_run_on_the_callers_thread_and_no_worker_threads_exist():
     ) as service:
         service.build_index("rootpaths")
         leg_threads: set[int] = set()
-        for shard in service.collection.shards:
+        for shard in service.shards:
             def recorded(*args, _real=shard.execute, **kwargs):
                 leg_threads.add(threading.get_ident())
                 return _real(*args, **kwargs)
@@ -303,7 +304,7 @@ def _landing_tier(**options) -> ShardedQueryService:
 
 
 def _replica_reads(service) -> int:
-    return sum(sum(shard.replica_reads) for shard in service.collection.shards)
+    return sum(sum(shard.replica_reads) for shard in service.shards)
 
 
 def test_landed_answer_is_the_gathers_and_reaches_no_replica():
@@ -387,10 +388,10 @@ def test_a_write_to_one_shard_costs_every_answer_one_miss():
             service.execute(xpath)
             assert service.execute(xpath).cached
         reads = _replica_reads(service)
-        placed = service.collection.add_document(
+        placed = service.add_document(
             generate_xmark(scale=0.01, seed=998, name="doc-new")
         )
-        untouched = service.collection.shards[1 - placed.shard_index]
+        untouched = service.shards[1 - placed.shard_index]
         for xpath in (XPATH, other):
             missed = service.execute(xpath)
             assert not missed.cached and missed.ids == service.oracle(xpath)
@@ -430,3 +431,68 @@ def test_sum_snapshots_carries_partial_cost_dicts():
         "extra": 5,
     }
     assert sum_snapshots() == {}
+
+
+# ----------------------------------------------------------------------
+# Placement weights and the one summed report
+# ----------------------------------------------------------------------
+def test_size_balanced_places_adds_by_live_weight_not_watermark():
+    def small(name: str):
+        return parse_string("<s><t>x</t><u/></s>", name=name)
+
+    with ShardedQueryService(num_shards=2, placement="size_balanced") as service:
+        big = parse_string("<big>" + "<a/>" * 101 + "</big>", name="big")
+        assert big.count_nodes() == 102
+        assert service.add_document(big).shard_index == 0
+        assert service.add_document(small("s1")).shard_index == 1
+        service.remove_document("big")
+        # Shard 0's watermark still counts the removed document's ids;
+        # its live weight does not, and that is what placement reads.
+        assert [shard.watermark for shard in service.shards] == [103, 5]
+        assert service.topology.shard_node_weights() == [0, 4]
+        assert service.add_document(small("s2")).shard_index == 0
+        assert service.topology.shard_node_weights() == [4, 4]
+        assert service.topology.skew()["ratio"] == 1.0
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+def test_describe_caches_equal_the_summed_cache_gauges(replicas):
+    with ShardedQueryService.from_documents(
+        _named_docs(4), num_shards=2, placement="round_robin", replicas=replicas
+    ) as service:
+        service.build_index("rootpaths")
+        service.build_index("datapaths")
+        for xpath in (XPATH, "//item/name", XPATH):
+            service.execute(xpath)
+            service.execute(xpath, use_result_cache=False)
+        service.execute(XPATH, documents=["doc-1"])
+        for shard in service.shards:
+            shard.execute(XPATH)  # text handed to a shard: its plan cache
+            shard.service.choose(XPATH)
+            shard.service.choose(XPATH)
+        caches = service.describe()["caches"]
+        (family,) = [
+            family
+            for family in service.metrics()["gauges"]
+            if family["name"] == "repro_cache"
+        ]
+        gauges = [
+            (series["labels"]["cache"], series["labels"]["counter"], series["value"])
+            for series in family["series"]
+        ]
+        # The tier's own caches are "plan" and "answer"; a shard's are
+        # "shard<i>-plan", "shard<i>-result" and "shard<i>-choice".
+        kinds = {
+            "plan_cache": {"plan"},
+            "result_cache": {"answer", "result"},
+            "choice_cache": {"choice"},
+        }
+        for kind, names in kinds.items():
+            for counter in ("hits", "misses"):
+                exported = sum(
+                    value
+                    for cache, name, value in gauges
+                    if name == counter and cache.rsplit("-", 1)[-1] in names
+                )
+                assert caches[kind][counter] == exported, (kind, counter)
+            assert caches[kind]["hits"] > 0 and caches[kind]["misses"] > 0, kind

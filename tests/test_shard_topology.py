@@ -2,7 +2,7 @@
 
 The :class:`~repro.shard.topology.ShardTopology` invariants the
 sharded tier rests on, tested at the table level (no engines needed for
-most), plus the collection-level movement machinery:
+most), plus the tier's movement machinery:
 
 * global spans survive moves unchanged (a move is invisible in the
   global id space);
@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro import ShardedCollection, ShardedQueryService, TwigIndexDatabase
+from repro import ShardedQueryService, TwigIndexDatabase
 from repro.datasets import book_document, generate_xmark
 from repro.errors import DocumentError
 from repro.shard import (
@@ -155,71 +155,72 @@ def _documents(count: int, scale: float = 0.01):
 def test_move_document_is_online_and_answer_preserving():
     single = TwigIndexDatabase.from_documents(_documents(3))
     single.build_index("rootpaths")
-    collection = ShardedCollection(num_shards=3, placement="round_robin")
-    collection.add_documents(_documents(3))
-    collection.build_index("rootpaths")
-    service = ShardedQueryService(collection)
+    service = ShardedQueryService(num_shards=3, placement="round_robin")
+    for document in _documents(3):
+        service.add_document(document)
+    service.build_index("rootpaths")
     xpath = "/site/people/person/name"
     expected = single.service.execute(xpath).ids
     assert service.execute(xpath).ids == expected
 
-    placement = collection.placements_for("doc-1")[0]
-    moved = collection.move_document("doc-1", (placement.shard_index + 1) % 3)
+    placement = service.topology.placements_for("doc-1")[0]
+    moved = service.move_document("doc-1", (placement.shard_index + 1) % 3)
     assert moved.shard_index == (placement.shard_index + 1) % 3
     assert (moved.global_start, moved.global_end) == (
         placement.global_start,
         placement.global_end,
     )
     # The document physically changed shards…
-    assert collection.shards[placement.shard_index].document_count == 0
-    assert collection.shards[moved.shard_index].document_count == 2
+    assert service.shards[placement.shard_index].document_count == 0
+    assert service.shards[moved.shard_index].document_count == 2
     # …and answers (scoped and unscoped) are unchanged.
     assert service.execute(xpath, use_result_cache=False).ids == expected
     assert service.execute(
         xpath, documents=["doc-1"], use_result_cache=False
     ).ids == service.oracle(xpath, documents=["doc-1"])
     # A move to the owning shard is a no-op.
-    assert collection.move_document("doc-1", moved.shard_index) == moved
+    assert service.move_document("doc-1", moved.shard_index) == moved
     with pytest.raises(DocumentError):
-        collection.move_document("doc-1", 7)
+        service.move_document("doc-1", 7)
     with pytest.raises(DocumentError):
-        collection.move_document(placement, 0)  # stale record
+        service.move_document(placement, 0)  # stale record
     service.close()
 
 
 def test_move_invalidates_only_the_two_shards_touched():
-    collection = ShardedCollection(num_shards=4, placement="round_robin")
-    collection.add_documents(_documents(4))
-    collection.build_index("rootpaths")
-    service = ShardedQueryService(collection)
+    service = ShardedQueryService(num_shards=4, placement="round_robin")
+    for document in _documents(4):
+        service.add_document(document)
+    service.build_index("rootpaths")
     xpath = "/site/people/person/name"
     service.execute(xpath)  # warm all four shards' result caches
-    before = [shard.service.result_invalidations for shard in collection.shards]
-    collection.move_document("doc-0", 1)  # shard 0 -> shard 1
-    after = [shard.service.result_invalidations for shard in collection.shards]
+    before = [shard.service.result_invalidations for shard in service.shards]
+    service.move_document("doc-0", 1)  # shard 0 -> shard 1
+    after = [shard.service.result_invalidations for shard in service.shards]
     assert after[0] == before[0] + 1  # source: removal invalidation
     assert after[1] == before[1] + 1  # target: add invalidation
     assert after[2] == before[2] and after[3] == before[3]
     # The untouched shards still serve their cached partials.
-    assert len(collection.shards[2].service.result_cache) > 0
-    assert len(collection.shards[3].service.result_cache) > 0
+    assert len(service.shards[2].service.result_cache) > 0
+    assert len(service.shards[3].service.result_cache) > 0
     service.close()
 
 
 def test_move_charges_maintenance_on_both_sides_and_counts_itself():
-    collection = ShardedCollection(num_shards=2, placement="round_robin")
-    collection.add_documents(_documents(2))
-    collection.build_index("rootpaths")
-    before = [shard.stats_snapshot() for shard in collection.shards]
-    collection.move_document("doc-0", 1)
-    source_diff = collection.shards[0].stats_diff(before[0])
-    target_diff = collection.shards[1].stats_diff(before[1])
+    service = ShardedQueryService(num_shards=2, placement="round_robin")
+    for document in _documents(2):
+        service.add_document(document)
+    service.build_index("rootpaths")
+    before = [shard.stats_snapshot() for shard in service.shards]
+    service.move_document("doc-0", 1)
+    source_diff = service.shards[0].stats_diff(before[0])
+    target_diff = service.shards[1].stats_diff(before[1])
     # Source paid delete-side maintenance, target insert-side — the two
     # halves of a move in the shared cost currency.
     assert source_diff["btree_deletes"] > 0
     assert target_diff["btree_writes"] > 0
     assert target_diff["documents_moved"] == 1
-    assert collection.topology.documents_moved == 1
+    assert service.topology.documents_moved == 1
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +228,8 @@ def test_move_charges_maintenance_on_both_sides_and_counts_itself():
 # ----------------------------------------------------------------------
 def test_churn_accumulates_retired_spans_and_compact_prunes_them():
     rng = random.Random(7)
-    collection = ShardedCollection(num_shards=3, placement="round_robin")
-    collection.build_index("rootpaths")
-    service = ShardedQueryService(collection)
+    service = ShardedQueryService(num_shards=3, placement="round_robin")
+    service.build_index("rootpaths")
     xpath = "/site/people/person/name"
 
     alive: list[str] = []
@@ -239,27 +239,27 @@ def test_churn_accumulates_retired_spans_and_compact_prunes_them():
         if action < 0.5 or len(alive) < 2:
             name = f"churn-{serial}"
             serial += 1
-            collection.add_document(
+            service.add_document(
                 generate_xmark(scale=0.004, seed=5000 + serial, name=name)
             )
             alive.append(name)
         elif action < 0.75:
             victim = alive.pop(rng.randrange(len(alive)))
-            collection.remove_document(victim)
+            service.remove_document(victim)
         else:
             name = alive[rng.randrange(len(alive))]
-            collection.move_document(name, rng.randrange(3))
+            service.move_document(name, rng.randrange(3))
         # Answers stay oracle-exact through every kind of churn.
         assert (
             service.execute(xpath, use_result_cache=False).ids
             == service.oracle(xpath)
         )
 
-    topology = collection.topology
+    topology = service.topology
     retired = topology.retired_span_count
     assert retired > 0  # churn left a tail of retired spans
     assert retired == topology.spans_retired - topology.spans_pruned
-    pruned = collection.compact()
+    pruned = service.compact()
     assert pruned == retired
     assert topology.retired_span_count == 0
     # The hot path now holds exactly the live documents, and the tier
@@ -286,29 +286,31 @@ def test_size_balanced_tie_break_is_lowest_shard_index():
 
 
 def test_rebalance_plans_are_reproducible():
-    def build() -> ShardedCollection:
-        collection = ShardedCollection(num_shards=3, placement="hash")
-        collection.add_documents(_documents(5, scale=0.008))
-        return collection
+    def build() -> ShardedQueryService:
+        service = ShardedQueryService(num_shards=3, placement="hash")
+        for document in _documents(5, scale=0.008):
+            service.add_document(document)
+        return service
 
     first = build().plan_rebalance("size_balanced")
     second = build().plan_rebalance("size_balanced")
     assert [(m.placement.ordinal, m.target_shard) for m in first] == [
         (m.placement.ordinal, m.target_shard) for m in second
     ]
-    # Planning mutates nothing: the same collection plans identically
+    # Planning mutates nothing: the same tier plans identically
     # twice, and a plan's replay (simulated weights from zero) assigns
     # every document deterministically.
-    collection = build()
-    assert collection.plan_rebalance() == collection.plan_rebalance()
+    service = build()
+    assert service.plan_rebalance() == service.plan_rebalance()
 
 
 def test_rebalance_report_counts_moves_and_prunes():
-    collection = ShardedCollection(num_shards=2, placement="round_robin")
-    collection.add_documents(_documents(4, scale=0.006))
-    collection.build_index("rootpaths")
+    service = ShardedQueryService(num_shards=2, placement="round_robin")
+    for document in _documents(4, scale=0.006):
+        service.add_document(document)
+    service.build_index("rootpaths")
     # round_robin alternates 0/1; size_balanced may move some subset.
-    report = collection.rebalance("size_balanced", compact=True)
+    report = service.rebalance("size_balanced", compact=True)
     assert report.policy == "size_balanced"
     assert report.documents_moved == report.planned
     assert report.spans_pruned == report.documents_moved
@@ -316,5 +318,5 @@ def test_rebalance_report_counts_moves_and_prunes():
         assert report.nodes_moved > 0
         assert report.maintenance_cost > 0
     # A second rebalance under the same policy is a fixed point.
-    again = collection.rebalance("size_balanced")
+    again = service.rebalance("size_balanced")
     assert again.documents_moved == 0

@@ -14,7 +14,7 @@ fall out of that design:
   ``QueryService._flush`` uses — so only public entry points are
   flagged.
 * **RPR002** — multi-shard operations must take shard ``add_lock``s in
-  ascending shard order (``ShardedCollection.move_document``).  A
+  ascending shard order (``ShardedQueryService.move_document``).  A
   ``with`` statement acquiring two or more ``add_lock``s is accepted
   only when every lock's owner was produced by a ``sorted(...)`` call
   in the same function (the ascending-order idiom); nested ``add_lock``
