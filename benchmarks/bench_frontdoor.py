@@ -186,7 +186,7 @@ def coalescing(oracle):
                     "requests": len(responses),
                     "qps": len(responses) / elapsed,
                     "elapsed": elapsed,
-                    "executions": service.queries_executed,
+                    "executions": service.stats.queries_executed,
                     "coalesced_hits": door.flights.coalesced_hits,
                     "flights": door.flights.flights_started,
                     **_quantiles(door, "served"),

@@ -12,12 +12,11 @@ qualitative shape of each figure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..engine import TwigIndexDatabase
 from ..datasets import generate_dblp, generate_xmark
-from ..obs.clock import now as _now
 from ..planner.evaluator import DEFAULT_STRATEGIES
 from ..workloads.queries import WorkloadQuery
 
@@ -62,16 +61,6 @@ class ExperimentContext:
 
     name: str
     database: TwigIndexDatabase
-    build_seconds: dict[str, float] = field(default_factory=dict)
-
-    def ensure_indexes(self, names: Sequence[str]) -> None:
-        """Build any missing indices, recording build times."""
-        for index_name in names:
-            if index_name in self.database.indexes:
-                continue
-            started = _now()
-            self.database.build_index(index_name)
-            self.build_seconds[index_name] = _now() - started
 
     def ensure_strategy_indexes(self, strategies: Sequence[str]) -> None:
         """Build the indices every listed strategy needs."""

@@ -9,8 +9,7 @@ module provides that, with no wall-clock randomness anywhere:
 * a :class:`FaultPlan` is an immutable schedule mapping **call counts**
   (the Nth ``execute`` seen by one wrapped surface) to
   :class:`FaultEvent` records.  Plans are built explicitly
-  (:meth:`FaultPlan.failing_at`, :meth:`FaultPlan.slow_at`,
-  :meth:`FaultPlan.diverging_at`) or generated from a seed
+  (:meth:`FaultPlan.failing_at`, :meth:`FaultPlan.diverging_at`) or generated from a seed
   (:meth:`FaultPlan.seeded`) via :class:`random.Random` — the same seed
   always yields the same schedule;
 * a :class:`FaultInjector` wraps one replica (anything exposing
@@ -118,14 +117,6 @@ class FaultPlan:
     def failing_at(cls, *calls: int) -> "FaultPlan":
         """A plan raising :class:`InjectedFault` on the given calls."""
         return cls(FaultEvent(call=call, kind="error") for call in calls)
-
-    @classmethod
-    def slow_at(cls, calls: Sequence[int], delay_seconds: float) -> "FaultPlan":
-        """A plan sleeping ``delay_seconds`` before the given calls."""
-        return cls(
-            FaultEvent(call=call, kind="slow", delay_seconds=delay_seconds)
-            for call in calls
-        )
 
     @classmethod
     def diverging_at(cls, call: int, drift: int = 1) -> "FaultPlan":

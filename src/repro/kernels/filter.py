@@ -94,10 +94,3 @@ def filter_has_child_in(
 ) -> list[int]:
     """Base positions whose own id appears in a set of child parent-ids."""
     return [b for b in base if ids[b] in child_parent_ids]
-
-
-def filter_level(
-    positions: Sequence[int], levels: Sequence[int], level: int
-) -> list[int]:
-    """Positions whose node sits at exactly ``level``."""
-    return [p for p in positions if levels[p] == level]

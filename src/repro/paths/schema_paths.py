@@ -66,15 +66,6 @@ class PathPattern:
         return len(self.labels)
 
     @property
-    def minimum_path_length(self) -> int:
-        """Shortest label path that could match.
-
-        The descendant axis includes direct children, so segments may be
-        adjacent; the minimum is simply the number of pattern labels.
-        """
-        return self.length
-
-    @property
     def is_single_segment(self) -> bool:
         """True when the pattern is a plain PCsubpath (no internal ``//``)."""
         return len(self.segments) == 1

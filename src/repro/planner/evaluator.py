@@ -143,11 +143,6 @@ class TwigQueryEngine:
         self.build_count += 1
         return index
 
-    def build_indexes(self, names: Sequence[str]) -> None:
-        """Build several indices."""
-        for name in names:
-            self.build_index(name)
-
     def ensure_indexes_for(self, strategy_name: str) -> None:
         """Build whatever indices the strategy needs and are missing.
 

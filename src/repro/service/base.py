@@ -8,26 +8,35 @@ whether execution happens on one engine or is scattered across shards:
   per-item query ids,
 * hashable cache keys for (query, strategy, options) triples,
 * defensive copies of cached :class:`QueryResult` objects,
-* cache counter reporting for ``describe()``,
+* cache counter reporting (:func:`cache_report`), one summation behind
+  both ``describe()`` and the ``repro_cache`` gauges,
 * the observability read surface (:meth:`~ServingFacade.metrics`,
   :meth:`~ServingFacade.metrics_text`, :meth:`~ServingFacade.traces`,
   :meth:`~ServingFacade.slow_queries`) over the
   :class:`~repro.obs.Telemetry` hub every service carries.
 
-Subclasses provide :meth:`~ServingFacade.execute` plus one counter
-hook (:meth:`~ServingFacade._counter_totals`), which is exactly where
-one engine and N shards differ: the sharded tier sums every shard's
-collector through :func:`~repro.storage.stats.sum_snapshots`.  A batch
-diffs two readings of it with
-:func:`~repro.storage.stats.diff_snapshots`, and the metrics scrape
-exports one.
+Subclasses provide :meth:`~ServingFacade.execute` plus two reporting
+hooks, which is exactly where one engine and N shards differ:
+
+* :meth:`~ServingFacade._counter_totals` — every count, cost and
+  activity alike.  The sharded tier sums every shard's collector
+  through :func:`~repro.storage.stats.sum_snapshots`; a batch diffs two
+  readings of it with :func:`~repro.storage.stats.diff_snapshots`, and
+  the metrics scrape exports one.
+* :meth:`~ServingFacade._caches` — every cache, as ``(name, LRUCache)``
+  pairs that :func:`cache_report` sums per name (the gauges) or per
+  ``describe()`` section.
+
+Anything that is not a counter (the telemetry hub, topology, health
+states, choice maps) is reported once by the object that owns it and
+never summed.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..obs import Telemetry, Trace
 from ..obs.clock import now as _now
@@ -41,6 +50,73 @@ from .cache import LRUCache
 
 #: The pseudo-strategy name that delegates plan choice to the optimizer.
 AUTO_STRATEGY = "auto"
+
+#: The :meth:`~repro.service.cache.LRUCache.describe` fields that sum
+#: across caches.  ``max_size`` and ``ttl_seconds`` are configuration
+#: and never do; ``hit_rate`` is recomputed from the summed counts.
+CACHE_COUNTERS = (
+    "size",
+    "hits",
+    "misses",
+    "evictions",
+    "expiries",
+    "clears",
+    "cleared_entries",
+)
+
+#: A cache name's last ``-`` part -> the ``describe()["caches"]``
+#: section it sums into.  The tier's landed answers are results too.
+CACHE_SECTIONS = {
+    "plan": "plan_cache",
+    "result": "result_cache",
+    "answer": "result_cache",
+    "choice": "choice_cache",
+}
+
+
+def cache_section(name: str) -> str:
+    """The ``describe()`` section a cache named ``name`` reports under."""
+    return CACHE_SECTIONS[name.rsplit("-", 1)[-1]]
+
+
+def service_counts(totals: Mapping[str, int]) -> dict[str, object]:
+    """The invalidation and document-write counts of a service report,
+    read from one :meth:`~ServingFacade._counter_totals` reading."""
+    return {
+        "invalidations": totals["invalidations"],
+        "result_invalidations": totals["result_invalidations"],
+        "full_invalidations": totals["full_invalidations"],
+        "maintenance": {
+            "documents_added": totals["documents_added"],
+            "documents_removed": totals["documents_removed"],
+            "documents_replaced": totals["documents_replaced"],
+        },
+    }
+
+
+def cache_report(
+    caches: Iterable[tuple[str, LRUCache]],
+    group: Callable[[str], str] = str,
+) -> dict[str, dict[str, object]]:
+    """Cache counters summed per ``group(name)``, hit rates recomputed.
+
+    The one cache summation: ``describe()`` groups by
+    :func:`cache_section`, the ``repro_cache`` gauges by name (a
+    shard's replicas share their names, so a gauge sums the set).
+    :data:`CACHE_COUNTERS` add up; ``hit_rate`` is computed from the
+    summed hits and misses, never copied from one cache, since replicas
+    behind a sticky picker see different traffic.
+    """
+    totals: dict[str, dict[str, object]] = {}
+    for name, cache in caches:
+        report = cache.describe()
+        total = totals.setdefault(group(name), dict.fromkeys(CACHE_COUNTERS, 0))
+        for counter in CACHE_COUNTERS:
+            total[counter] += report[counter]
+    for total in totals.values():
+        lookups = total["hits"] + total["misses"]
+        total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
+    return totals
 
 
 @dataclass
@@ -112,9 +188,13 @@ class ServingFacade:
         """Current counter totals: logical cost plus activity counters."""
         raise NotImplementedError
 
-    def _cache_reports(self) -> dict[str, dict[str, object]]:
-        """Cache-name -> counter report, for the metrics scrape."""
-        return {}
+    def _caches(self) -> list[tuple[str, LRUCache]]:
+        """Every cache the facade reads through, as ``(name, cache)``.
+
+        A name's last ``-`` part is its kind (:data:`CACHE_SECTIONS`);
+        caches that share a name report summed under it.
+        """
+        raise NotImplementedError
 
     def generation(self) -> tuple:
         """A cheap fingerprint of everything that can change answers.
@@ -269,12 +349,11 @@ class ServingFacade:
     def _scrape(self) -> None:
         """Refresh scrape-time gauges from the live counters.
 
-        Counters the stack already maintains — the
-        :class:`~repro.storage.stats.StatsCollector` totals (logical
-        cost plus failover / auto-rebalance activity) and the LRU cache
-        counters — are exported as gauges set at scrape time rather
-        than re-counted, so the metric surface cannot double-count
-        them.
+        Both hooks are read here, never re-counted:
+        :meth:`_counter_totals` (logical cost plus every activity
+        counter) becomes the ``repro_stats`` gauges and
+        :func:`cache_report` over :meth:`_caches` the ``repro_cache``
+        gauges — the same numbers ``describe()`` reports.
         """
         if not self.telemetry.enabled:
             return
@@ -285,26 +364,13 @@ class ServingFacade:
         )
         for name, value in self._counter_totals().items():
             stats_gauge.set(value, counter=name)
-        reports = self._cache_reports()
-        if reports:
-            cache_gauge = metrics.gauge(
-                "repro_cache",
-                "LRU cache counters, by cache and counter name",
-            )
-            for cache_name, report in reports.items():
-                for counter in (
-                    "size",
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "expiries",
-                    "clears",
-                    "cleared_entries",
-                ):
-                    if counter in report:
-                        cache_gauge.set(
-                            report[counter], cache=cache_name, counter=counter
-                        )
+        cache_gauge = metrics.gauge(
+            "repro_cache",
+            "LRU cache counters, by cache and counter name",
+        )
+        for cache_name, report in cache_report(self._caches()).items():
+            for counter in CACHE_COUNTERS:
+                cache_gauge.set(report[counter], cache=cache_name, counter=counter)
 
     def metrics(self) -> dict[str, object]:
         """A JSON-serializable metrics snapshot (refreshes the gauges)."""
@@ -378,7 +444,3 @@ class ServingFacade:
             cached=cached,
         )
 
-    @staticmethod
-    def _cache_report(cache: LRUCache) -> dict[str, object]:
-        """One cache's counters for ``describe()`` (incl. TTL admission)."""
-        return cache.describe()

@@ -58,7 +58,7 @@ from ..planner.optimizer import AUTO_CANDIDATES, StrategyChoice, choose_strategy
 from ..planner.strategies import EvaluationStrategy
 from ..query.twig import TwigPattern
 from ..xmltree.document import Document
-from .base import AUTO_STRATEGY, BatchResult, ServingFacade
+from .base import AUTO_STRATEGY, BatchResult, ServingFacade, service_counts
 from .cache import LRUCache
 
 __all__ = ["AUTO_STRATEGY", "BatchResult", "QueryService"]
@@ -107,17 +107,9 @@ class QueryService(ServingFacade):
         self._strategies: dict[tuple, EvaluationStrategy] = {}
         self._generation: Optional[tuple] = None
         #: Serializes execution against document adds and index builds.
+        #: Writes and invalidations count into the engine's collector
+        #: (``documents_added`` ... ``full_invalidations``) under it.
         self._lock = threading.RLock()
-        self.invalidations = 0
-        #: How many invalidations only dropped results (incremental
-        #: document mutations) vs flushed everything (index rebuilds).
-        self.result_invalidations = 0
-        self.full_invalidations = 0
-        #: Document-mutation counters surfaced by :meth:`describe` so
-        #: benchmarks can assert on maintenance activity.
-        self.documents_added = 0
-        self.documents_removed = 0
-        self.documents_replaced = 0
         self.auto_choice_counts: dict[str, int] = {}
         self.last_choice: Optional[StrategyChoice] = None
 
@@ -154,7 +146,7 @@ class QueryService(ServingFacade):
         ):
             with self._lock:
                 added = self.engine.add_document(document)
-                self.documents_added += 1
+                self.engine.stats.documents_added += 1
                 self.invalidate(rebuilt=False)
                 return added
 
@@ -173,7 +165,7 @@ class QueryService(ServingFacade):
         ):
             with self._lock:
                 removed = self.engine.remove_document(ref)
-                self.documents_removed += 1
+                self.engine.stats.documents_removed += 1
                 self.invalidate(rebuilt=False)
                 return removed
 
@@ -192,7 +184,7 @@ class QueryService(ServingFacade):
         ):
             with self._lock:
                 added = self.engine.replace_document(ref, replacement)
-                self.documents_replaced += 1
+                self.engine.stats.documents_replaced += 1
                 self.invalidate(rebuilt=False)
                 return added
 
@@ -242,15 +234,16 @@ class QueryService(ServingFacade):
             self._generation = current
 
     def _flush(self, rebuilt: bool) -> None:
+        stats = self.engine.stats
         self.result_cache.clear()
         self.choice_cache.clear()
         if rebuilt:
             self.plan_cache.clear()
             self._strategies.clear()
-            self.full_invalidations += 1
+            stats.full_invalidations += 1
         else:
-            self.result_invalidations += 1
-        self.invalidations += 1
+            stats.result_invalidations += 1
+        stats.invalidations += 1
 
     def _current_generation(self) -> tuple:
         return (
@@ -492,36 +485,27 @@ class QueryService(ServingFacade):
     def _counter_totals(self) -> dict[str, int]:
         return self.engine.stats.snapshot()
 
-    def _cache_reports(self) -> dict[str, dict[str, object]]:
-        with self._lock:
-            return {
-                "plan": self.plan_cache.describe(),
-                "result": self.result_cache.describe(),
-                "choice": self.choice_cache.describe(),
-            }
+    def _caches(self) -> list[tuple[str, LRUCache]]:
+        return [
+            ("plan", self.plan_cache),
+            ("result", self.result_cache),
+            ("choice", self.choice_cache),
+        ]
 
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, object]:
         """Cache and optimizer counters (for logs and benchmarks)."""
         with self._lock:
-            return {
+            report = {
                 "telemetry": self.telemetry.describe(),
-                "plan_cache": self._cache_report(self.plan_cache),
-                "result_cache": self._cache_report(self.result_cache),
-                "choice_cache": self._cache_report(self.choice_cache),
+                **{f"{name}_cache": cache.describe() for name, cache in self._caches()},
                 "strategy_instances": len(self._strategies),
                 "auto_choice_counts": dict(self.auto_choice_counts),
-                "invalidations": self.invalidations,
-                "result_invalidations": self.result_invalidations,
-                "full_invalidations": self.full_invalidations,
-                "maintenance": {
-                    "documents_added": self.documents_added,
-                    "documents_removed": self.documents_removed,
-                    "documents_replaced": self.documents_replaced,
-                    "index_builds": self.engine.build_count,
-                    "index_updates": self.engine.update_count,
-                },
+                **service_counts(self._counter_totals()),
             }
+            report["maintenance"]["index_builds"] = self.engine.build_count
+            report["maintenance"]["index_updates"] = self.engine.update_count
+            return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,7 +15,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..storage.stats import StatsCollector
 from .placement import PlacementPolicy, make_placement
 from .topology import DocumentPlacement
 
@@ -68,8 +67,8 @@ class AutoRebalancer:
 
     Everything is deterministic: no timers, no wall clock — ticks are
     queries, checks are counted ticks, and the skew measure is a pure
-    function of the routing table.  Activity lands in ``stats``
-    (``auto_rebalances``, merged into the service's cost accounting)
+    function of the routing table.  Activity lands in the tier's
+    ``stats`` (``auto_rebalances``, read back through its counter totals)
     and a bounded episode log surfaced by :meth:`describe` under the
     service's ``operations`` key.  A rebalance that *fails* is recorded
     the same way (``auto_rebalance_failures`` / ``last_error`` /
@@ -114,7 +113,8 @@ class AutoRebalancer:
         #: The tier's hub, so trigger/completion/failure events land in
         #: the same ops log as the replica transitions they interleave with.
         self.telemetry = tier.telemetry
-        self.stats = StatsCollector()
+        #: The tier's collector: ``auto_rebalances`` counts there.
+        self.stats = tier.stats
         self.last_report: Optional[RebalanceReport] = None
         #: ``repr`` of the most recent run's exception, ``None`` after a
         #: success — the status surface for background failures.

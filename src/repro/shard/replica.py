@@ -23,11 +23,11 @@ more replicas scale reads out past one engine per shard:
   least-loaded, sticky) chooses which replica executes each query —
   never the one a write is updating while another is live — and
   per-replica read counters make the fan-out observable;
-* **costs merge through the one aggregation path** —
-  :meth:`Shard.stats_snapshot` folds every replica's
-  collector together via :meth:`~repro.storage.stats.StatsCollector.merge`,
-  so the N-fold write amplification of replication is priced honestly
-  in the same currency as everything else;
+* **counts sum through the one aggregation path** —
+  :meth:`Shard._counter_totals` sums every replica's collector with
+  :func:`~repro.storage.stats.sum_snapshots`, so the N-fold write
+  amplification of replication is priced in the same currency as
+  everything else;
 * **failures are survived, not propagated** — every replica carries a
   health state machine (``healthy`` → ``suspect`` → ``dead``, driven by
   consecutive *infrastructure* ``execute`` failures; deterministic
@@ -53,8 +53,9 @@ from __future__ import annotations
 import contextlib
 import threading
 import zlib
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..errors import (
     DocumentError,
@@ -65,11 +66,11 @@ from ..errors import (
 )
 from ..obs import Telemetry
 from ..planner.evaluator import QueryResult, TwigQueryEngine
-from ..query.match import NaiveMatcher
 from ..query.twig import TwigPattern
-from ..service.base import AUTO_STRATEGY
+from ..service.base import AUTO_STRATEGY, cache_report, cache_section, service_counts
+from ..service.cache import LRUCache
 from ..service.service import QueryService
-from ..storage.stats import StatsCollector, diff_snapshots
+from ..storage.stats import StatsCollector, sum_snapshots
 from ..xmltree.document import Document, XmlDatabase
 
 #: Deterministic, query-attributable error types.  Replicas hold the
@@ -312,6 +313,9 @@ REPLICA_SUSPECT = "suspect"
 REPLICA_DEAD = "dead"
 REPLICA_STATES = (REPLICA_HEALTHY, REPLICA_SUSPECT, REPLICA_DEAD)
 
+#: The activity counters the failover machinery bumps in :attr:`Shard.ops_stats`.
+FAILOVER_COUNTERS = ("reads_retried", "reads_rerouted", "replicas_failed", "replicas_revived")
+
 
 @dataclass
 class ReplicaHealth:
@@ -332,13 +336,7 @@ class ReplicaHealth:
     last_error: Optional[str] = None
 
     def describe(self) -> dict[str, object]:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "failures": self.failures,
-            "successes": self.successes,
-            "last_error": self.last_error,
-        }
+        return dataclasses.asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +410,11 @@ class Shard:
         #: The slot whose service lock write-through holds right now
         #: (:meth:`_maintain`), or ``None``.
         self._maintaining: Optional[int] = None
-        #: Failover activity counters (``reads_retried`` /
-        #: ``reads_rerouted`` / ``replicas_failed`` /
-        #: ``replicas_revived``), merged into
-        #: :meth:`stats_snapshot` next to the replicas' cost counters.
+        #: The set's own collector, folded into :meth:`_counter_totals`
+        #: beside the replicas': failover activity
+        #: (:data:`FAILOVER_COUNTERS`), plus the counters of replicas
+        #: :meth:`revive` retired, so totals never decrease.
         self.ops_stats = StatsCollector()
-        #: Counters of replicas retired by :meth:`revive`, folded in so
-        #: shard totals never decrease when a slot is replaced.
-        self._retired_stats = StatsCollector()
 
     @property
     def primary(self) -> Replica:
@@ -639,10 +634,6 @@ class Shard:
                 self.ops_stats.reads_retried += 1
             return retry
 
-    def oracle_ids(self, twig: TwigPattern) -> list[int]:
-        """Index-free shard-local ground truth (differential testing)."""
-        return NaiveMatcher(self.primary.db).match_ids(twig)
-
     # ------------------------------------------------------------------
     # Writes: through to every replica
     # ------------------------------------------------------------------
@@ -665,11 +656,36 @@ class Shard:
 
     def _live_secondaries(self) -> list[tuple[int, Replica]]:
         """The secondaries still in the write fan-out, with their slots."""
-        return [
-            (slot, replica)
-            for slot, replica in enumerate(self.replicas)
-            if slot and not self._is_dead(slot)
-        ]
+        with self._read_lock:
+            return [
+                (slot, replica)
+                for slot, replica in enumerate(self.replicas)
+                if slot and self._health[slot].state != REPLICA_DEAD
+            ]
+
+    def _write_through(self, action: str, write: Callable[[int, Replica], object]):
+        """``write(slot, replica)`` on the primary, then each live secondary.
+
+        Under :attr:`add_lock`, each replica marked by :meth:`_maintain`
+        while written.  The primary is the source of truth (its error
+        reaches the caller before any secondary is touched); a failing
+        secondary is quarantined for :meth:`revive`, not unwound, and
+        dead ones are skipped.  Returns the primary's result.
+        """
+        with self.add_lock:
+            with self._maintain(0):
+                result = write(0, self.primary)
+                for position, replica in self._live_secondaries():
+                    with self._maintain(position):
+                        try:
+                            write(position, replica)
+                        except Exception as error:  # repro-lint: ignore[RPR005] -- the primary write already landed; a failing secondary is quarantined for revive, not unwound
+                            self._quarantine(
+                                position,
+                                f"write-through {action} failed: {error!r}",
+                            )
+            self._check_alignment()
+            return result
 
     def add_document(self, document: Document) -> Document:
         """Write one document through to every live replica.
@@ -677,65 +693,38 @@ class Shard:
         The primary takes ``document`` itself; each live secondary
         takes a :meth:`~repro.xmltree.document.Document.clone` (trees
         cannot be shared between databases).  Identical add order means
-        identical node ids on every replica.  The primary is the source
-        of truth: its write always lands (and :meth:`revive` re-syncs
-        from it); a secondary whose write fails is quarantined dead —
-        to be re-synced later — rather than unwinding a write the
-        primary already committed.  Dead secondaries are skipped
-        entirely; they catch up on revive.
+        identical node ids on every replica.
         """
-        with self.add_lock:
-            with self._maintain(0):
-                added = self.primary.add_document(document)
-                for position, replica in self._live_secondaries():
-                    with self._maintain(position):
-                        try:
-                            replica.add_document(document.clone())
-                        except Exception as error:  # repro-lint: ignore[RPR005] -- the primary write already landed; a failing secondary is quarantined for revive, not unwound
-                            self._quarantine(
-                                position, f"write-through add failed: {error!r}"
-                            )
-            self._check_alignment()
-            return added
+        return self._write_through(
+            "add",
+            lambda slot, replica: replica.add_document(
+                document.clone() if slot else document
+            ),
+        )
 
     def remove_document(self, ref: Union[Document, str]) -> Document:
-        """Remove the same document (by its id span) from every live replica.
-
-        Mirrors :meth:`add_document`: the primary's removal is
-        authoritative, dead secondaries are skipped, and a secondary
-        that fails its removal is quarantined for revive.
-        """
+        """Remove the same document (by its id span) from every live replica."""
         with self.add_lock:
-            primary_doc = self.primary.db.resolve_document(ref)
-            span_start = primary_doc.first_id
-            with self._maintain(0):
-                removed = self.primary.remove_document(primary_doc)
-                for position, replica in self._live_secondaries():
-                    with self._maintain(position):
-                        try:
-                            replica.remove_document(replica.document_at(span_start))
-                        except Exception as error:  # repro-lint: ignore[RPR005] -- the primary removal already landed; a failing secondary is quarantined for revive, not unwound
-                            self._quarantine(
-                                position, f"write-through remove failed: {error!r}"
-                            )
-            self._check_alignment()
-            return removed
+            document = self.primary.db.resolve_document(ref)
+            return self._write_through(
+                "remove",
+                lambda slot, replica: replica.remove_document(
+                    replica.document_at(document.first_id) if slot else document
+                ),
+            )
 
     def build_index(self, name: str, **options):
         """Build one index on every live replica (dead ones rebuild on revive)."""
-        with self.add_lock, self._maintain(0):
-            built = self.primary.service.build_index(name, **options)
-            for position, replica in self._live_secondaries():
-                with self._maintain(position):
-                    replica.service.build_index(name, **options)
-            return built
+        return self._write_through(
+            "build_index",
+            lambda slot, replica: replica.service.build_index(name, **options),
+        )
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
-        with self.add_lock, self._maintain(0):
-            self.primary.engine.ensure_indexes_for(strategy_name)
-            for position, replica in self._live_secondaries():
-                with self._maintain(position):
-                    replica.engine.ensure_indexes_for(strategy_name)
+        self._write_through(
+            "ensure_indexes_for",
+            lambda slot, replica: replica.engine.ensure_indexes_for(strategy_name),
+        )
 
     def invalidate(self, rebuilt: bool = True) -> None:
         """Invalidate every replica's caches, atomically with writes.
@@ -763,10 +752,6 @@ class Shard:
 
     def document_at(self, local_start: int) -> Document:
         return self.primary.document_at(local_start)
-
-    def _is_dead(self, position: int) -> bool:
-        with self._read_lock:
-            return self._health[position].state == REPLICA_DEAD
 
     def _quarantine(self, position: int, reason: str) -> None:
         """Mark one secondary dead (idempotent); never the primary."""
@@ -843,7 +828,7 @@ class Shard:
         options.  The slot is swapped in under both locks and its health
         reset to healthy; a fault injector wrapping the old replica is
         discarded with it.  The retired replica's cost counters fold
-        into :meth:`stats_snapshot` so shard totals never decrease.
+        into :meth:`_counter_totals` so shard totals never decrease.
         Works on any slot: a read-dead primary (the only replica of a
         set of one, say) re-syncs from its own documents, which every
         write kept current.  Counted in ``replicas_revived``.
@@ -873,7 +858,7 @@ class Shard:
                 )
             with self._read_lock:
                 retired = self.replicas[replica_index]
-                self._retired_stats.merge(retired.stats)
+                self.ops_stats.merge(retired.stats)
                 self.replicas[replica_index] = fresh
                 self._health[replica_index] = ReplicaHealth()
                 self.ops_stats.replicas_revived += 1
@@ -887,58 +872,47 @@ class Shard:
             return fresh
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Reporting: the two hooks, and what the set alone owns
     # ------------------------------------------------------------------
-    def stats_snapshot(self) -> dict[str, int]:
-        """All replicas' counters folded through ``StatsCollector.merge``.
+    def _counter_totals(self) -> dict[str, int]:
+        """All replicas' counters and :attr:`ops_stats`, summed.
 
-        Includes the shard's own failover activity counters
-        (:attr:`ops_stats`) and the retired counters of replicas
-        replaced by :meth:`revive`, so operations activity rides the
-        same snapshot / merge / diff machinery as engine cost and the
-        merged totals never decrease across a revive.
+        Operations activity rides the same snapshot / merge / diff
+        machinery as engine cost, and the totals never decrease across
+        a revive.
         """
-        return (
-            StatsCollector()
-            .merge(
-                self.ops_stats,
-                self._retired_stats,
-                *(replica.stats for replica in self.replicas),
-            )
-            .snapshot()
+        return sum_snapshots(
+            self.ops_stats.snapshot(),
+            *(replica.stats.snapshot() for replica in self.replicas),
         )
 
-    def stats_diff(self, before: dict[str, int]) -> dict[str, int]:
-        return diff_snapshots(self.stats_snapshot(), before)
+    #: The public name benchmarks and tests read the totals by.
+    stats_snapshot = _counter_totals
 
-    def service_report(self) -> dict[str, object]:
-        """Per-replica service reports summed into one shard report.
-
-        Counter values (and nested counter dicts) sum across replicas;
-        non-numeric leaves (TTL configuration, hit rates) are taken
-        from the primary.
-        """
-        return _sum_reports([replica.service.describe() for replica in self.replicas])
+    def _caches(self) -> list[tuple[str, LRUCache]]:
+        """Every replica's service caches; replicas share the names."""
+        return [pair for replica in self.replicas for pair in replica.service._caches()]
 
     def health_report(self) -> dict[str, object]:
         """Health states and failover activity of the replica set."""
         with self._read_lock:
             states = [health.state for health in self._health]
-            detail = [health.describe() for health in self._health]
             return {
                 "replicas": len(self.replicas),
                 "states": states,
                 "healthy": states.count(REPLICA_HEALTHY),
                 "suspect": states.count(REPLICA_SUSPECT),
                 "dead": states.count(REPLICA_DEAD),
-                "reads_retried": self.ops_stats.reads_retried,
-                "reads_rerouted": self.ops_stats.reads_rerouted,
-                "replicas_failed": self.ops_stats.replicas_failed,
-                "replicas_revived": self.ops_stats.replicas_revived,
-                "detail": detail,
+                **{name: getattr(self.ops_stats, name) for name in FAILOVER_COUNTERS},
+                "detail": [health.describe() for health in self._health],
             }
 
     def describe(self) -> dict[str, object]:
+        """The set's own state; ``service`` sums its replicas' counters.
+
+        The hub and each replica's strategy choices are not the set's
+        to sum: a replica's ``service.describe()`` reports its own.
+        """
         return {
             "documents": self.document_count,
             "node_watermark": self.watermark,
@@ -947,7 +921,10 @@ class Shard:
             "read_picker": self.picker.name,
             "replica_reads": list(self.replica_reads),
             "health": self.health_report(),
-            "service": self.service_report(),
+            "service": {
+                **cache_report(self._caches(), group=cache_section),
+                **service_counts(self._counter_totals()),
+            },
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -957,40 +934,3 @@ class Shard:
             f"documents={self.document_count})"
         )
 
-
-#: Report keys that are configuration, not additive counters: identical
-#: across replicas (or meaningless to sum), so the summed report
-#: carries the primary's value.
-_NON_ADDITIVE_KEYS = frozenset({"max_size", "ttl_seconds"})
-
-
-def _sum_reports(reports: list) -> dict[str, object]:
-    """Key-wise recursive sum of homogeneous counter reports.
-
-    Ints and floats sum, nested dicts recurse (with key union, so
-    per-strategy count maps merge), configuration keys
-    (:data:`_NON_ADDITIVE_KEYS`) and non-numeric leaves come from the
-    first report — booleans count as non-numeric configuration here.
-    Ratios are **recomputed** from the summed counters, never copied:
-    the primary's ``hit_rate`` is not the replica set's whenever
-    replicas diverge in traffic (a sticky picker guarantees they do).
-    """
-    merged: dict[str, object] = {}
-    for key in dict.fromkeys(k for report in reports for k in report):
-        values = [report[key] for report in reports if key in report]
-        first = values[0]
-        if key == "hit_rate":
-            continue  # recomputed below from the summed hits/misses
-        if key in _NON_ADDITIVE_KEYS:
-            merged[key] = first
-        elif isinstance(first, dict):
-            merged[key] = _sum_reports(values)
-        elif isinstance(first, (int, float)) and not isinstance(first, bool):
-            merged[key] = sum(values)
-        else:
-            merged[key] = first
-    if any("hit_rate" in report for report in reports):
-        hits = merged.get("hits", 0)
-        total = hits + merged.get("misses", 0)
-        merged["hit_rate"] = hits / total if total else 0.0
-    return merged

@@ -11,31 +11,14 @@ adding a document touches one shard's indexes and invalidates one
 shard's result cache, while the other shards keep serving cached
 answers.
 
-**Routing.**  Where documents live is an explicit, versioned routing
-table, :class:`~repro.shard.topology.ShardTopology`, of
-:class:`~repro.shard.topology.DocumentPlacement` records.  Every shard
-numbers nodes in a private id space starting at 1, so each placement
-records which shard took the document, the shard-local id interval it
-occupies, and the *global* id interval it would occupy in a single
-database that received the same documents in the same order.
-Translating shard-local answers through these spans makes the tier
-answer-identical to a single engine (the shard-equivalence differential
-tests pin this across shard counts, placement policies and strategies),
-and lets queries be scoped to named documents with shard pruning.
-
-**Online rebalancing.**  :meth:`ShardedQueryService.move_document`
-detaches a document from its source shard and re-adds it on a target
-shard — both halves through the shards' incremental index maintenance
-(:meth:`~repro.planner.evaluator.TwigQueryEngine.maintain_indexes`) —
-while :meth:`~repro.shard.topology.ShardTopology.record_move` swaps the
-routing entry in one critical section.  The document keeps its global
-id interval, so answers stay identical before, during and after the
-move; only the two shards touched drop their cached results.
-:meth:`ShardedQueryService.rebalance` plans and applies a batch of such
-moves under a placement policy.  Removal retires a placement: out of
-the live maps but still translatable, so in-flight answers computed
-against the pre-removal snapshot still map to global ids, until
-:meth:`ShardedQueryService.compact` prunes the span.
+**Routing and rebalancing.**  Where documents live is the routing
+table :class:`~repro.shard.topology.ShardTopology` (its module says how
+shard-local ids translate to the single-engine id space, and why a
+moved or removed document's span keeps translating until
+:meth:`~ShardedQueryService.compact`).  That translation makes the tier
+answer-identical to a single engine, before, during and after a
+:meth:`~ShardedQueryService.move_document` or
+:meth:`~ShardedQueryService.rebalance`.
 
 **Execution.**  Every query is sent to the relevant shards, one leg
 after the other on the calling thread, and the partial answers are
@@ -90,15 +73,16 @@ from ..errors import DocumentError
 from ..obs import Telemetry
 from ..obs.clock import now as _now
 from ..planner.evaluator import QueryResult
+from ..query.match import NaiveMatcher
 from ..query.parser import parse_xpath
 from ..query.twig import TwigPattern
-from ..storage.stats import maintenance_cost, sum_snapshots
+from ..storage.stats import StatsCollector, diff_snapshots, maintenance_cost, sum_snapshots
 from ..xmltree.document import Document
-from ..service.base import AUTO_STRATEGY, ServingFacade
+from ..service.base import AUTO_STRATEGY, ServingFacade, cache_report, cache_section
 from ..service.cache import LRUCache
 from .placement import PlacementPolicy, make_placement
 from .rebalance import AutoRebalancer, RebalanceMove, RebalanceReport
-from .replica import ReadPicker, Shard, _sum_reports
+from .replica import FAILOVER_COUNTERS, ReadPicker, Shard
 from .topology import DocumentPlacement, ShardTopology
 
 
@@ -164,11 +148,12 @@ class ShardedQueryService(ServingFacade):
         self.answer_cache = LRUCache(
             result_cache_size, ttl_seconds=result_cache_ttl
         )
-        self.queries_executed = 0
-        #: Replacements performed through :meth:`replace_document`; the
-        #: shard services see a replace as a remove + an add, so this is
-        #: the one place the operation is counted as itself.
-        self.documents_replaced = 0
+        #: The tier's own activity: ``queries_executed``, one per
+        #: :meth:`execute`; ``documents_replaced``, since the shards see
+        #: a replace as a remove + an add; and the rebalancer's
+        #: ``auto_rebalances``.  The tier bumps its two under
+        #: :attr:`_counter_lock`, the rebalancer under its own lock.
+        self.stats = StatsCollector()
         self._counter_lock = threading.Lock()
         #: The last fingerprint :meth:`generation` returned.
         self._generation_read: tuple = ()
@@ -334,7 +319,7 @@ class ShardedQueryService(ServingFacade):
         self.remove_document(name)
         placement = self.add_document(replacement)
         with self._counter_lock:
-            self.documents_replaced += 1
+            self.stats.documents_replaced += 1
         return placement
 
     # ------------------------------------------------------------------
@@ -390,6 +375,7 @@ class ShardedQueryService(ServingFacade):
                     f"{target.watermark - local_start} ids on shard "
                     f"{target_shard} but its span reserved {moved.node_count}"
                 )
+            # The one count of a move, under the target's add lock.
             target.stats.documents_moved += 1
         return moved
 
@@ -457,7 +443,7 @@ class ShardedQueryService(ServingFacade):
         whole operation in the shared maintenance currency.
         """
         plan = self.plan_rebalance(policy)
-        before = [shard.stats_snapshot() for shard in self.shards]
+        before = self._counter_totals()
         moved = 0
         nodes_moved = 0
         for move in plan:
@@ -473,12 +459,7 @@ class ShardedQueryService(ServingFacade):
             moved += 1
             nodes_moved += applied.node_count
         pruned = self.compact() if compact else 0
-        spent = sum_snapshots(
-            *(
-                shard.stats_diff(snapshot)
-                for shard, snapshot in zip(self.shards, before)
-            )
-        )
+        spent = diff_snapshots(self._counter_totals(), before)
         return RebalanceReport(
             policy=make_placement(policy or "size_balanced").name,
             planned=len(plan),
@@ -647,7 +628,7 @@ class ShardedQueryService(ServingFacade):
             "sharded", result.strategy, root.duration_seconds, result.cached
         )
         with self._counter_lock:
-            self.queries_executed += 1
+            self.stats.queries_executed += 1
         if landed is None:
             # The between-queries heartbeat of the self-driving tier,
             # counted in gathers: the answer is already merged, so a due
@@ -770,7 +751,7 @@ class ShardedQueryService(ServingFacade):
         targets = self._target_shards(documents)
         merged: list[int] = []
         for shard, scope in targets:
-            ids = shard.oracle_ids(twig)
+            ids = NaiveMatcher(shard.db).match_ids(twig)
             merged.extend(
                 self.topology.translate_sorted(shard.index, sorted(ids), scope=scope)
             )
@@ -778,54 +759,46 @@ class ShardedQueryService(ServingFacade):
         return merged
 
     # ------------------------------------------------------------------
-    # Counter and scrape hooks
+    # Reporting hooks
     # ------------------------------------------------------------------
     def _counter_totals(self) -> dict[str, int]:
-        """All shards' merged counters plus the rebalancer's, summed.
+        """The tier's collector plus every shard's merged counters.
 
-        A shard's snapshot folds its replicas together, so replica write
-        amplification is priced; the rebalancer's collector is in, so a
-        batch that fires one shows it in its cost.
+        A shard's totals fold its replicas together, so replica write
+        amplification is priced; the tier's collector carries the
+        rebalancer's runs, so a batch that fires one shows it in its
+        cost.
         """
         return sum_snapshots(
-            self.operations.stats.snapshot(),
-            *(shard.stats_snapshot() for shard in self.shards),
+            self.stats.snapshot(),
+            *(shard._counter_totals() for shard in self.shards),
         )
 
-    def _cache_reports(self) -> dict[str, dict[str, object]]:
-        reports: dict[str, dict[str, object]] = {
-            "plan": self.plan_cache.describe(),
-            "answer": self.answer_cache.describe(),
-        }
-        for shard in self.shards:
-            service_report = shard.service_report()
-            for cache_name, short in (
-                ("plan_cache", "plan"),
-                ("result_cache", "result"),
-                ("choice_cache", "choice"),
-            ):
-                reports[f"shard{shard.index}-{short}"] = service_report[cache_name]
-        return reports
+    def _caches(self) -> list[tuple[str, LRUCache]]:
+        """The tier's plan and answer caches (requests count there), then
+        every shard's (only what reaches a leg counts there)."""
+        return [("plan", self.plan_cache), ("answer", self.answer_cache)] + [
+            (f"shard{shard.index}-{name}", cache)
+            for shard in self.shards
+            for name, cache in shard._caches()
+        ]
 
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, object]:
-        """Topology, per-shard summaries and one summed service report."""
-        # shard.describe() takes each shard's own service locks and may
-        # wait behind a write there; no tier-level lock is held around
-        # it, so it cannot stall other shards' gather phases.
+        """Topology, per-shard reports and the tier's counts, each once.
+
+        Counts come from one :meth:`_counter_totals` reading, caches
+        from one :func:`~repro.service.base.cache_report`; the hub,
+        topology, rebalancer and health states from their owners.
+        A replace or a move reaches the shards as a remove + an add
+        (counted per replica); ``documents_replaced`` and
+        ``documents_moved`` count the operations.
+        """
+        # shard.describe() takes each shard's own locks and may wait
+        # behind a write there; no tier-level lock is held around it,
+        # so it cannot stall other shards' gather phases.
         shards = [shard.describe() for shard in self.shards]
-        # Requests look plans and landed answers up in the tier's own
-        # caches and count there; the replicas' caches see only what
-        # reaches a leg, and count beside them.
-        summed = _sum_reports(
-            [shard["service"] for shard in shards]
-            + [
-                {
-                    "plan_cache": self.plan_cache.describe(),
-                    "result_cache": self.answer_cache.describe(),
-                }
-            ]
-        )
+        totals = self._counter_totals()
         return {
             "num_shards": self.num_shards,
             "placement": self.placement.name,
@@ -835,46 +808,30 @@ class ShardedQueryService(ServingFacade):
             "topology": self.topology.describe(),
             "shards": shards,
             "telemetry": self.telemetry.describe(),
-            "caches": {
-                name: summed[name]
-                for name in ("plan_cache", "result_cache", "choice_cache")
-            },
+            "caches": cache_report(self._caches(), group=cache_section),
             "answer_cache": self.answer_cache.describe(),
             "invalidations": {
-                "total": summed["invalidations"],
-                "result_only": summed["result_invalidations"],
-                "full": summed["full_invalidations"],
+                "total": totals["invalidations"],
+                "result_only": totals["result_invalidations"],
+                "full": totals["full_invalidations"],
             },
-            # A replace or a move decomposes into a remove + an add at
-            # the shard services, so the shard counters record the
-            # decomposition; the tier and the topology count the
-            # operations themselves.
             "maintenance": {
-                **summed["maintenance"],
-                "documents_replaced": self.documents_replaced,
-                "documents_moved": self.topology.documents_moved,
+                name: totals[name]
+                for name in ("documents_added", "documents_removed", "documents_replaced", "documents_moved")
             },
             "replica_reads": {
                 "picker": self.shards[0].picker.name,
                 "per_shard": [list(shard.replica_reads) for shard in self.shards],
                 "total": sum(sum(shard.replica_reads) for shard in self.shards),
             },
-            "queries_executed": self.queries_executed,
+            "queries_executed": totals["queries_executed"],
             "operations": {
                 "auto_rebalance": self.operations.describe(),
-                "failover": self._failover_report(),
+                "failover": {
+                    "per_shard": [shard["health"] for shard in shards],
+                    **{name: totals[name] for name in FAILOVER_COUNTERS},
+                },
             },
-        }
-
-    def _failover_report(self) -> dict[str, object]:
-        """Replica health and failover activity, aggregated over shards."""
-        per_shard = [shard.health_report() for shard in self.shards]
-        return {
-            "per_shard": per_shard,
-            "reads_retried": sum(r["reads_retried"] for r in per_shard),
-            "reads_rerouted": sum(r["reads_rerouted"] for r in per_shard),
-            "replicas_failed": sum(r["replicas_failed"] for r in per_shard),
-            "replicas_revived": sum(r["replicas_revived"] for r in per_shard),
         }
 
     def close(self) -> None:

@@ -124,7 +124,6 @@ class ShardTopology:
         self._retired_spans: list[list[DocumentPlacement]] = [
             [] for _ in range(num_shards)
         ]
-        self.documents_moved = 0
         self.spans_retired = 0
         self.spans_pruned = 0
         self.compactions = 0
@@ -132,10 +131,6 @@ class ShardTopology:
     # ------------------------------------------------------------------
     # Versioning and sizes
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self._num_shards
-
     @property
     def epoch(self) -> int:
         """Routing-table version; any mutation makes it grow."""
@@ -184,11 +179,7 @@ class ShardTopology:
         three values come from a single critical section.
         """
         with self._lock:
-            counts = [len(spans) for spans in self._live_spans]
-            weights = [
-                sum(placement.node_count for placement in spans)
-                for spans in self._live_spans
-            ]
+            counts, weights = self.live_counts(), self.shard_node_weights()
         total = sum(weights)
         ratio = (max(weights) * self._num_shards / total) if total else 1.0
         return {
@@ -271,7 +262,6 @@ class ShardTopology:
             )
             self._retire_live(placement)
             self._record_live(moved)
-            self.documents_moved += 1
             self._epoch += 1
             return moved
 
@@ -469,7 +459,6 @@ class ShardTopology:
                 "documents": len(self._by_ordinal),
                 "documents_per_shard": [len(s) for s in self._live_spans],
                 "global_watermark": self._global_next,
-                "documents_moved": self.documents_moved,
                 "retired_spans": sum(len(s) for s in self._retired_spans),
                 "spans_retired": self.spans_retired,
                 "spans_pruned": self.spans_pruned,

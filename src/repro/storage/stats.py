@@ -41,12 +41,21 @@ PAGE_READ_WEIGHT = 10
 PAGE_WRITE_WEIGHT = 10
 
 
-#: The StatsCollector counters that record self-driving *activity*
-#: (retries, failovers, revives, rebalances, moves) rather than logical
-#: cost.  The observability scrape exports these — alongside the cost
-#: counters — as ``repro_stats_<name>`` gauges; keeping the list here
+#: The StatsCollector counters that record serving *activity* (writes,
+#: cache invalidations, tier queries, retries, failovers, revives,
+#: rebalances, moves) rather than logical cost.  Each is counted once,
+#: where it happens, and every report reads it back from a summed
+#: snapshot; the observability scrape exports these — alongside the
+#: cost counters — as ``repro_stats`` gauges.  Keeping the list here
 #: means the metric surface and the dataclass cannot drift apart.
 ACTIVITY_COUNTERS = (
+    "documents_added",
+    "documents_removed",
+    "documents_replaced",
+    "invalidations",
+    "result_invalidations",
+    "full_invalidations",
+    "queries_executed",
     "documents_moved",
     "reads_retried",
     "reads_rerouted",
@@ -142,6 +151,17 @@ class StatsCollector:
     join_probes: int = 0
     join_comparisons: int = 0
     tuples_produced: int = 0
+    #: Service activity: document writes as a service saw them, cache
+    #: invalidations (result-only or full), and queries the sharded tier
+    #: answered.  Activity records, not cost terms — the work behind
+    #: them is charged through the counters above.
+    documents_added: int = 0
+    documents_removed: int = 0
+    documents_replaced: int = 0
+    invalidations: int = 0
+    result_invalidations: int = 0
+    full_invalidations: int = 0
+    queries_executed: int = 0
     #: Completed cross-shard document moves (online rebalancing).  Not a
     #: cost term of either formula — a move's real work is already
     #: charged as delete-side maintenance on the source shard and

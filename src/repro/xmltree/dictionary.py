@@ -107,14 +107,6 @@ class TagDictionary:
         self._live_counts[tag] = count
         return count
 
-    def live_count(self, tag: str) -> int:
-        """Number of live occurrences recorded for ``tag``.
-
-        Tags never acquired (interned by an index only, or unknown)
-        report zero.
-        """
-        return self._live_counts.get(tag, 0)
-
     def _is_live(self, tag: str) -> bool:
         """Refcounted tags are live above zero; untracked tags always."""
         count = self._live_counts.get(tag)

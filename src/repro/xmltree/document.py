@@ -116,10 +116,6 @@ class XmlDatabase:
         self.documents.append(document)
         return document
 
-    def add_tree(self, root: Node, name: str = "") -> Document:
-        """Wrap ``root`` in a :class:`Document` and add it."""
-        return self.add_document(Document(root, name=name))
-
     def skip_ids(self, count: int) -> None:
         """Advance the id watermark by ``count`` without assigning ids.
 

@@ -20,7 +20,7 @@ wall-clock randomness anywhere):
 * **watermark-triggered auto-rebalance** — the hysteresis band fires
   ``rebalance(policy)`` exactly once per sustained skew episode;
 * **the satellite regressions** — ``invalidate`` under the write lock,
-  ``_sum_reports`` recomputing ``hit_rate`` from summed counters, the
+  ``cache_report`` recomputing ``hit_rate`` from summed counters, the
   bounded round-robin cursor, and the first-id index behind
   ``document_at``.
 """
@@ -43,6 +43,7 @@ from repro.faults import (
     InjectedFault,
     inject,
 )
+from repro.service.base import cache_report
 from repro.service.cache import LRUCache
 from repro.shard import (
     REPLICA_DEAD,
@@ -52,7 +53,6 @@ from repro.shard import (
     RoundRobinPicker,
     Shard,
 )
-from repro.shard.replica import _sum_reports
 
 XPATH = "/site/people/person/name"
 
@@ -305,6 +305,37 @@ def test_divergent_secondary_is_quarantined_by_the_alignment_check():
     # The healthy replicas still agree and still serve.
     assert shard.replicas[0].watermark == shard.replicas[1].watermark
     shard.execute(XPATH)
+
+
+@pytest.mark.parametrize("entry", ["build_index", "ensure_indexes_for"])
+def test_a_failing_secondary_build_is_quarantined_and_every_shard_builds(
+    entry, monkeypatch
+):
+    service = ShardedQueryService.from_documents(
+        [_doc(i) for i in range(3)], num_shards=3, placement="round_robin", replicas=2
+    )
+    with service:
+        service.build_index("rootpaths")
+        victim = service.shards[0].replicas[1]
+
+        def refuse(name, **options):
+            raise InjectedFault(f"test: build of {name} refused")
+
+        monkeypatch.setattr(victim.engine, "build_index", refuse)
+        getattr(service, entry)("datapaths")  # the primary built: no raise
+        report = service.shards[0].health_report()
+        assert report["states"] == [REPLICA_HEALTHY, REPLICA_DEAD]
+        assert f"write-through {entry} failed" in report["detail"][1]["last_error"]
+        for shard in service.shards:
+            states = shard.health_report()["states"]
+            assert all(
+                "datapaths" in replica.engine.indexes
+                for replica, state in zip(shard.replicas, states)
+                if state != REPLICA_DEAD
+            ), shard.index
+        assert service.execute(XPATH, strategy="datapaths").ids == service.oracle(XPATH)
+        revived = service.revive_replica(0, 1)
+        assert sorted(revived.engine.indexes) == ["datapaths", "rootpaths"]
 
 
 # ----------------------------------------------------------------------
@@ -695,17 +726,25 @@ def test_invalidate_racing_write_through_leaves_replicas_consistent():
     assert len(answers) == 1
 
 
-def test_sum_reports_recomputes_hit_rate_from_summed_counters():
-    reports = [
-        {"hits": 9, "misses": 1, "hit_rate": 0.9, "max_size": 64},
-        {"hits": 0, "misses": 10, "hit_rate": 0.0, "max_size": 64},
-    ]
-    merged = _sum_reports(reports)
+def test_cache_report_recomputes_hit_rate_from_summed_counters():
+    warm, cold = LRUCache(64), LRUCache(64)
+    warm.put("q", 1)
+    for _ in range(9):
+        warm.get("q")
+    for _ in range(10):
+        cold.get("q")
+    warm.get("other")
+    assert (warm.hit_rate, cold.hit_rate) == (0.9, 0.0)
+    pairs = [("result", warm), ("shard0-result", cold), ("answer", cold)]
+    (merged,) = cache_report(pairs[:2], group=lambda name: "all").values()
     assert merged["hits"] == 9 and merged["misses"] == 11
-    assert merged["hit_rate"] == pytest.approx(0.45)  # not the primary's 0.9
-    assert merged["max_size"] == 64
-    nested = _sum_reports([{"cache": r} for r in reports])
-    assert nested["cache"]["hit_rate"] == pytest.approx(0.45)
+    assert merged["hit_rate"] == pytest.approx(0.45)  # not the first's 0.9
+    # Configuration is never summed (two 64-entry caches are not one
+    # of 128): it stays on each cache's own describe().
+    assert "max_size" not in merged and "ttl_seconds" not in merged
+    per_name = cache_report(pairs + [("result", cold)])
+    assert per_name["result"]["hit_rate"] == pytest.approx(0.45)
+    assert per_name["shard0-result"]["hit_rate"] == 0.0
 
 
 def test_replicated_shard_hit_rate_reflects_all_replicas():
@@ -715,7 +754,7 @@ def test_replicated_shard_hit_rate_reflects_all_replicas():
     shard = _replicated(read_picker="sticky")
     for _ in range(6):
         shard.execute(XPATH)
-    report = shard.service_report()["result_cache"]
+    report = shard.describe()["service"]["result_cache"]
     assert report["hit_rate"] == pytest.approx(
         report["hits"] / (report["hits"] + report["misses"])
     )

@@ -192,7 +192,7 @@ def test_concurrent_identical_queries_execute_once(service):
 
     responses = asyncio.run(main())
     assert gate.calls == 1
-    assert service.queries_executed == 1
+    assert service.stats.queries_executed == 1
     answers = {response.ids for response in responses}
     assert len(answers) == 1
     assert sum(1 for r in responses if not r.coalesced) == 1

@@ -29,7 +29,7 @@ from repro.shard import (
     StickyPicker,
     make_picker,
 )
-from repro.storage.stats import sum_snapshots
+from repro.storage.stats import diff_snapshots, sum_snapshots
 
 
 def _doc(i: int, scale: float = 0.01):
@@ -354,16 +354,16 @@ def test_replica_stats_merge_through_the_one_aggregation_path():
     )
     before = shard.stats_snapshot()
     shard.execute("/site/people/person/name", use_result_cache=False)
-    diff = shard.stats_diff(before)
+    diff = diff_snapshots(shard.stats_snapshot(), before)
     assert sum(diff.values()) > 0  # one replica's work shows in the fold
 
 
-def test_service_report_sums_counters_and_keeps_configuration():
+def test_shard_report_sums_counters_and_keeps_configuration_per_replica():
     shard = _replicated()
     xpath = "/site/people/person/name"
     for _ in range(3):
         shard.execute(xpath)
-    report = shard.service_report()
+    report = shard.describe()["service"]
     per_replica = [replica.service.describe() for replica in shard.replicas]
     assert report["result_cache"]["misses"] == sum(
         r["result_cache"]["misses"] for r in per_replica
@@ -371,10 +371,10 @@ def test_service_report_sums_counters_and_keeps_configuration():
     assert report["maintenance"]["documents_added"] == sum(
         r["maintenance"]["documents_added"] for r in per_replica
     )
-    # Configuration keys are not summed across replicas.
-    assert report["result_cache"]["max_size"] == (
-        per_replica[0]["result_cache"]["max_size"]
-    )
+    # Configuration keys are not summed across replicas: each replica's
+    # own report keeps them, the summed one carries counters only.
+    assert "max_size" not in report["result_cache"]
+    assert all(r["result_cache"]["max_size"] == 1024 for r in per_replica)
     describe = shard.describe()
     assert describe["replicas"] == 3
     assert describe["read_picker"] == "round_robin"

@@ -289,8 +289,8 @@ def test_incremental_add_keeps_plans_and_strategies_drops_results(service_db):
     assert len(service.result_cache) == 0
     assert service.plan("/book/title").bound[0] is plan.bound[0]  # shape survived
     assert service.strategy_instance("rootpaths") is runner
-    assert service.result_invalidations == 1
-    assert service.full_invalidations >= 1  # the explicit build above
+    assert service.engine.stats.result_invalidations == 1
+    assert service.engine.stats.full_invalidations >= 1  # the explicit build above
 
 
 def test_rebuild_invalidates_everything(service_db):
@@ -299,14 +299,14 @@ def test_rebuild_invalidates_everything(service_db):
     service.execute("/book/title")
     plan = service.plan("/book/title")
     runner = service.strategy_instance("rootpaths")
-    full_before = service.full_invalidations
+    full_before = service.engine.stats.full_invalidations
 
     service_db.build_index("rootpaths")
     assert len(service.result_cache) == 0
     assert len(service.plan_cache) == 0
     assert service.plan("/book/title").bound[0] is not plan.bound[0]
     assert service.strategy_instance("rootpaths") is not runner
-    assert service.full_invalidations == full_before + 1
+    assert service.engine.stats.full_invalidations == full_before + 1
 
 
 def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db):
@@ -317,7 +317,7 @@ def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db)
     service_db.build_index("rootpaths")
     service.execute("/book/title")
     plan = service.plan("/book/title")
-    result_before = service.result_invalidations
+    result_before = service.engine.stats.result_invalidations
 
     service_db.engine.add_document(book_document(name="b2"))
     result = service.execute("/book/title")
@@ -325,7 +325,7 @@ def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db)
     assert result.ids == service_db.oracle("/book/title")
     assert len(result.ids) == 2
     assert service.plan("/book/title").bound[0] is plan.bound[0]
-    assert service.result_invalidations == result_before + 1
+    assert service.engine.stats.result_invalidations == result_before + 1
 
 
 def test_add_after_out_of_band_rebuild_escalates_to_full_flush(service_db):
@@ -337,11 +337,11 @@ def test_add_after_out_of_band_rebuild_escalates_to_full_flush(service_db):
     service_db.build_index("rootpaths")
     service.execute("/book/title")
     plan = service.plan("/book/title")
-    full_before = service.full_invalidations
+    full_before = service.engine.stats.full_invalidations
 
     service_db.engine.build_index("rootpaths")  # out-of-band rebuild
     service_db.add_document(book_document(name="b2"))
-    assert service.full_invalidations == full_before + 1
+    assert service.engine.stats.full_invalidations == full_before + 1
     assert len(service.plan_cache) == 0
     assert service.plan("/book/title") is not plan
 

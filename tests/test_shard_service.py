@@ -11,6 +11,7 @@ import pytest
 from repro import ShardedQueryService, TwigIndexDatabase, parse_string
 from repro.datasets import book_document, generate_xmark
 from repro.errors import DocumentError, PlanningError
+from repro.faults import FaultPlan, inject
 from repro.shard import (
     HashPlacement,
     PLACEMENT_POLICIES,
@@ -183,16 +184,16 @@ def test_add_document_invalidates_only_the_owning_shards_result_cache():
 
     shard0, shard1 = service.shards
     invalidations_before = (
-        shard0.service.result_invalidations,
-        shard1.service.result_invalidations,
+        shard0.service.engine.stats.result_invalidations,
+        shard1.service.engine.stats.result_invalidations,
     )
     # Ordinal 2 -> shard 0 under round-robin.
     placed = service.add_document(
         generate_xmark(scale=0.01, seed=999, name="doc-2")
     )
     assert placed.shard_index == 0
-    assert shard0.service.result_invalidations == invalidations_before[0] + 1
-    assert shard1.service.result_invalidations == invalidations_before[1]
+    assert shard0.service.engine.stats.result_invalidations == invalidations_before[0] + 1
+    assert shard1.service.engine.stats.result_invalidations == invalidations_before[1]
     # Shard 1 still holds its cached partial; shard 0 must re-execute.
     assert len(shard1.service.result_cache) > 0
     assert len(shard0.service.result_cache) == 0
@@ -320,7 +321,7 @@ def test_landed_answer_is_the_gathers_and_reaches_no_replica():
         assert _replica_reads(service) == reads
         # The rebalance heartbeat counts gathers, not lookups.
         assert service.operations.describe()["ticks"] == 1
-        assert service.queries_executed == 2
+        assert service.stats.queries_executed == 2
 
 
 def test_callers_cannot_poison_a_landed_answer():
@@ -398,7 +399,7 @@ def test_a_write_to_one_shard_costs_every_answer_one_miss():
         # Every answer re-gathered once, on both shards -- and the shard
         # the write did not touch answered from a replica's own cache.
         assert _replica_reads(service) == reads + 4
-        assert untouched.service_report()["result_cache"]["hits"] == 2
+        assert untouched.describe()["service"]["result_cache"]["hits"] == 2
         reads += 4
         for xpath in (XPATH, other):
             assert service.execute(xpath).cached
@@ -496,3 +497,58 @@ def test_describe_caches_equal_the_summed_cache_gauges(replicas):
                 )
                 assert caches[kind][counter] == exported, (kind, counter)
             assert caches[kind]["hits"] > 0 and caches[kind]["misses"] > 0, kind
+
+
+def _values_under(report, key: str) -> list:
+    """Every value stored under ``key`` anywhere in a nested report."""
+    if isinstance(report, list):
+        return [value for item in report for value in _values_under(item, key)]
+    if not isinstance(report, dict):
+        return []
+    found = []
+    for name, value in report.items():
+        found.extend([value] if name == key else _values_under(value, key))
+    return found
+
+
+def test_reports_show_the_hub_once_and_counts_equal_their_gauges():
+    with ShardedQueryService.from_documents(
+        _named_docs(4), num_shards=2, placement="round_robin", replicas=2
+    ) as service:
+        service.build_index("rootpaths")
+        for xpath in (XPATH, "//item/name", XPATH):
+            service.execute(xpath)
+        service.move_document("doc-0", 1)
+        # Replica 1 of shard 0 fails every read (each one retried), is
+        # taken down, and is revived.
+        inject(service.shards[0], 1, FaultPlan.failing_at(*range(1, 100)))
+        for _ in range(8):
+            service.execute(XPATH, use_result_cache=False)
+        service.shards[0]._quarantine(1, "test: taken down")
+        service.revive_replica(0, 1)
+        service.replace_document("doc-1", _named_docs(2)[1])
+        report = service.describe()
+        # The hub every shard and replica shares is reported by the tier,
+        # once, with its own numbers -- never once per replica.
+        assert _values_under(report, "telemetry") == [service.telemetry.describe()]
+        (family,) = [
+            family
+            for family in service.metrics()["gauges"]
+            if family["name"] == "repro_stats"
+        ]
+        gauges = {
+            series["labels"]["counter"]: series["value"]
+            for series in family["series"]
+        }
+    failover = report["operations"]["failover"]
+    for counter in ("reads_retried", "reads_rerouted", "replicas_failed", "replicas_revived"):
+        assert failover[counter] == gauges[counter], counter
+    assert failover["reads_retried"] > 0
+    assert failover["replicas_failed"] == failover["replicas_revived"] == 1
+    maintenance = report["maintenance"]
+    for counter in ("documents_added", "documents_removed", "documents_replaced", "documents_moved"):
+        assert maintenance[counter] == gauges[counter], counter
+    assert maintenance["documents_moved"] == maintenance["documents_replaced"] == 1
+    assert report["topology"].get("documents_moved") is None  # counted once
+    assert report["invalidations"]["total"] == gauges["invalidations"]
+    assert report["queries_executed"] == gauges["queries_executed"] == 11

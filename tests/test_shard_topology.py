@@ -29,6 +29,7 @@ from repro.shard import (
     ShardTopology,
     SizeBalancedPlacement,
 )
+from repro.storage.stats import diff_snapshots
 
 
 def _placement(topology: ShardTopology, name: str, shard: int, local_start: int, count: int) -> DocumentPlacement:
@@ -84,7 +85,7 @@ def test_record_move_preserves_global_span_and_identity():
     )
     assert (moved.shard_index, moved.local_start, moved.local_end) == (1, 1, 10)
     assert topology.placements() == [moved]
-    assert topology.documents_moved == 1
+    assert topology.describe()["spans_retired"] == 1
     # The old record is no longer live: moving it again is an error.
     with pytest.raises(DocumentError):
         topology.record_move(original, 1, 20)
@@ -194,9 +195,9 @@ def test_move_invalidates_only_the_two_shards_touched():
     service.build_index("rootpaths")
     xpath = "/site/people/person/name"
     service.execute(xpath)  # warm all four shards' result caches
-    before = [shard.service.result_invalidations for shard in service.shards]
+    before = [shard.service.engine.stats.result_invalidations for shard in service.shards]
     service.move_document("doc-0", 1)  # shard 0 -> shard 1
-    after = [shard.service.result_invalidations for shard in service.shards]
+    after = [shard.service.engine.stats.result_invalidations for shard in service.shards]
     assert after[0] == before[0] + 1  # source: removal invalidation
     assert after[1] == before[1] + 1  # target: add invalidation
     assert after[2] == before[2] and after[3] == before[3]
@@ -213,14 +214,14 @@ def test_move_charges_maintenance_on_both_sides_and_counts_itself():
     service.build_index("rootpaths")
     before = [shard.stats_snapshot() for shard in service.shards]
     service.move_document("doc-0", 1)
-    source_diff = service.shards[0].stats_diff(before[0])
-    target_diff = service.shards[1].stats_diff(before[1])
+    source_diff = diff_snapshots(service.shards[0].stats_snapshot(), before[0])
+    target_diff = diff_snapshots(service.shards[1].stats_snapshot(), before[1])
     # Source paid delete-side maintenance, target insert-side — the two
     # halves of a move in the shared cost currency.
     assert source_diff["btree_deletes"] > 0
     assert target_diff["btree_writes"] > 0
     assert target_diff["documents_moved"] == 1
-    assert service.topology.documents_moved == 1
+    assert service.describe()["maintenance"]["documents_moved"] == 1
 
 
 # ----------------------------------------------------------------------
