@@ -78,7 +78,7 @@ class AccessSupportRelationsIndex(PathIndex):
         self.relations: dict[LabelPath, AccessSupportRelation] = {}
 
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         # No incremental ``update()``: adding a document can create new
         # schema paths (new relations plus catalog churn), so ASR takes
         # the base-class full-rebuild fall-back — the manageability cost

@@ -10,25 +10,21 @@ each implementation so the framework itself is inspectable at runtime.
 Every concrete index implements :class:`PathIndex`:
 
 * ``build(db)`` — construct the index from an :class:`XmlDatabase`,
-* ``update(db, document)`` — absorb one newly added document; indexes
-  that support true incremental insertion (ROOTPATHS, DATAPATHS, Edge,
-  DataGuide) extend their structures in place, the rest fall back to a
-  full rebuild (the default ``_update``),
-* ``remove(db, document)`` — forget one just-removed document; the same
-  four indexes delete exactly the rows the document contributed
-  (IdList shrink, exact catalog-statistic decrements), the rest fall
-  back to a full rebuild over the post-removal database (the default
-  ``_remove``),
+* ``update(db, document)`` / ``remove(db, document)`` — absorb one
+  added or forget one removed document: ROOTPATHS, DATAPATHS, Edge and
+  DataGuide insert or delete exactly its rows, the rest fall back to a
+  full rebuild (the default ``_update`` / ``_remove``),
 * ``estimated_size_bytes()`` — the space number reported in Figure 9,
 * index-specific lookup methods used by the evaluation strategies in
   :mod:`repro.planner.strategies`.
 
-ROOTPATHS, DATAPATHS and DataGuide map a set of documents to one *entry
-batch* — the ``(key, payload, stat_key)`` list of their rows, keys ending
-in a :class:`KeySuffixMemo` suffix — and hand it to
-``BPlusTree.insert_many`` (build, update) or ``delete_many`` (remove).
-A DATAPATHS removal batches only its virtual-root rows: the rest are one
-HeadId key range, cut with ``BPlusTree.delete_range``.
+ROOTPATHS, DATAPATHS and DataGuide are entry-batch indexes
+(:class:`EntryBatchIndex`): a pure *derive* step turns documents into
+one key-sorted :class:`EntryBatch`, and an *apply* step, the only one
+that touches the tree and the counters, takes it in.  Build, update
+and remove are each apply(derive(...)); a replica set derives every
+write once, on its primary, and each secondary applies the same batch
+(the ``batches`` argument of ``build`` / ``update`` / ``remove``).
 
 See ``docs/ARCHITECTURE.md`` ("Indexes") for how the maintenance family
 fits the serving stack.
@@ -37,13 +33,17 @@ fits the serving stack.
 from __future__ import annotations
 
 import abc
+import copy
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from ..errors import IndexNotBuiltError
+from ..errors import DocumentError, IndexNotBuiltError
 from ..paths.compression import SchemaPathDictionary
+from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..paths.schema_paths import LabelPath
+from ..storage.btree import BPlusTree
 from ..storage.keys import EncodedKey, encode_key
 from ..storage.stats import GLOBAL_STATS, PAGE_READ_WEIGHT, StatsCollector
 from ..xmltree.document import Document, XmlDatabase
@@ -51,6 +51,9 @@ from ..xmltree.document import Document, XmlDatabase
 #: Per-lookup descent charge assumed for an index that cannot report a
 #: tree height (a shallow three-level tree), in weighted-cost currency.
 DEFAULT_DESCENT_COST = 3 * PAGE_READ_WEIGHT
+
+#: Entry batches sort by key alone, so equal keys keep row order.
+_entry_key = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -120,15 +123,18 @@ class PathIndex(abc.ABC):
         self.db: Optional[XmlDatabase] = None
 
     # ------------------------------------------------------------------
-    def build(self, db: XmlDatabase) -> "PathIndex":
+    # ``batches``: one write's entry batches by index name, shared by its
+    # replicas (:class:`EntryBatchIndex`); other indexes ignore it.
+    # ------------------------------------------------------------------
+    def build(self, db: XmlDatabase, batches: Optional[dict] = None) -> "PathIndex":
         """Build the index over ``db`` and return ``self``."""
         self.db = db
-        self._build(db)
+        self._build(db, batches)
         self._built = True
         return self
 
     @abc.abstractmethod
-    def _build(self, db: XmlDatabase) -> None:
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         """Index-specific construction.
 
         Implementations must reset any per-build state (entry counters,
@@ -138,48 +144,38 @@ class PathIndex(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    def update(self, db: XmlDatabase, document: Document) -> "PathIndex":
-        """Absorb one document that was just added to ``db``.
+    def update(self, db: XmlDatabase, document: Document, batches: Optional[dict] = None) -> "PathIndex":
+        """Absorb one document just added to ``db`` (its nodes carry their final ids).
 
-        ``document`` must already be part of ``db`` (its nodes carry
-        their final ids).  Indexes with ``incremental = True`` insert
-        exactly the rows the new document contributes — B+-tree inserts
-        of its path/edge keys, IdList extension, tag-dictionary growth
-        for labels first seen here; the rest fall back to the default
-        ``_update``, a full rebuild over the whole database.  Either
-        way the index answers queries over the post-add snapshot when
-        this returns.
+        Indexes with ``incremental = True`` insert exactly the rows it
+        contributes; the rest fall back to ``_update``, a full rebuild.
+        Either way the index answers over the post-add snapshot.
         """
         self._require_built()
         self.db = db
-        self._update(db, document)
+        self._update(db, document, batches)
         return self
 
-    def _update(self, db: XmlDatabase, document: Document) -> None:
+    def _update(self, db: XmlDatabase, document: Document, batches: Optional[dict]) -> None:
         """Index-specific maintenance; the default is a full rebuild."""
         self.build(db)
 
     # ------------------------------------------------------------------
-    def remove(self, db: XmlDatabase, document: Document) -> "PathIndex":
-        """Forget one document that was just removed from ``db``.
+    def remove(self, db: XmlDatabase, document: Document, batches: Optional[dict] = None) -> "PathIndex":
+        """Forget one document just detached from ``db``, ids and tree kept
+        (what :meth:`~repro.xmltree.document.XmlDatabase.remove_document` returns).
 
-        ``document`` must already be detached from ``db`` but keep its
-        tree and node ids (exactly what
-        :meth:`~repro.xmltree.document.XmlDatabase.remove_document`
-        returns).  Indexes with ``incremental_removal = True`` delete
-        exactly the rows the document once contributed, with catalog
-        statistics decremented to what a from-scratch build over the
-        remaining documents would count; the rest fall back to the default
-        ``_remove``, a full rebuild over the post-removal database.
-        Either way the index answers queries over the post-removal
-        snapshot when this returns.
+        Indexes with ``incremental_removal = True`` delete exactly the
+        rows it contributed, catalog statistics included; the rest fall
+        back to ``_remove``, a full rebuild.  Either way the index
+        answers over the post-removal snapshot.
         """
         self._require_built()
         self.db = db
-        self._remove(db, document)
+        self._remove(db, document, batches)
         return self
 
-    def _remove(self, db: XmlDatabase, document: Document) -> None:
+    def _remove(self, db: XmlDatabase, document: Document, batches: Optional[dict]) -> None:
         """Index-specific removal; the default is a full rebuild."""
         self.build(db)
 
@@ -232,19 +228,13 @@ class KeySuffixMemo(dict):
     times, so the encoded suffix is assembled once per path and shared
     by every key that ends in it.
 
-    Tag ids and path ids are positional and never reassigned (a fully
-    released tag keeps its id), so an entry stays valid as long as the
-    tree it was made for: an index makes a new memo in ``_build`` and
-    never evicts from it.  Its size is bounded by the number of
-    distinct (sub)paths of the schema, not by traffic.
+    Tag ids and path ids are positional and never reassigned, so an
+    entry stays valid for the life of the tree it was made for: the memo
+    is made with the tree and never evicts.  Its size is bounded by the
+    schema's distinct (sub)paths, not by traffic.  Only derive reads it.
     """
 
-    def __init__(
-        self,
-        tags,
-        reverse: bool = True,
-        path_dictionary: Optional[SchemaPathDictionary] = None,
-    ) -> None:
+    def __init__(self, tags, reverse: bool = True, path_dictionary: Optional[SchemaPathDictionary] = None):
         super().__init__()
         self._tags = tags
         self._reverse = reverse
@@ -260,20 +250,169 @@ class KeySuffixMemo(dict):
         return suffix
 
 
-def adjust_counts(counts: dict, stat_keys: Iterable, sign: int) -> None:
-    """Add ``sign`` to ``counts`` once per occurrence in ``stat_keys``.
+class EntryBatch(NamedTuple):
+    """One write's derived entries, applied alike by every replica.
 
-    The catalog statistics of an entry batch: new keys are appended in
-    first-seen order and a key whose count reaches zero is dropped, so
-    after any churn ``counts`` is what a from-scratch build over the
-    remaining documents would hold.
+    ``entries``: ``(key, payload, stat_key)`` in stable key order, bytes
+    keys and tuple-of-atom payloads, never mutated, so replicas share
+    them.  A removal deletes them after the key range ``head_range``.
+    ``ids``: the tag and path ids assigned before the derive, which an
+    applying index must match; ``paths``: the path ids it assigned.
     """
-    for stat_key, occurrences in Counter(stat_keys).items():
-        total = counts.get(stat_key, 0) + sign * occurrences
-        if total > 0:
-            counts[stat_key] = total
+
+    entries: list
+    ids: tuple[int, int]
+    removal: bool = False
+    head_range: Optional[tuple[EncodedKey, EncodedKey]] = None
+    pruned: int = 0
+    paths: tuple = ()
+
+
+class EntryBatchIndex(PathIndex):
+    """An index kept as one B+-tree of entry batches.
+
+    Build, update and remove are each :meth:`apply` of :meth:`derive`,
+    which maps rows to entries with the subclass's :meth:`_entry_batch`
+    (and :meth:`_removal_batch`).
+    """
+
+    incremental = True
+    incremental_removal = True
+    #: Key suffixes read the schema path backwards (Section 3.2).
+    reverse_schema_path = True
+    #: Key suffixes are whole-path ids (Section 4.2).
+    schema_path_dictionary = False
+
+    def __init__(self, stats: Optional[StatsCollector] = None, order: int = 128) -> None:
+        super().__init__(stats)
+        self.order = order
+        self._tree: Optional[BPlusTree] = None
+        self._path_dictionary: Optional[SchemaPathDictionary] = None
+        self._key_suffixes: Optional[KeySuffixMemo] = None
+        self.entry_count = 0
+        self.pruned_count = 0
+        #: Entries per ``stat_key`` in first-seen order: the catalog
+        #: statistics, or the DataGuide's skeleton.
+        self.stat_counts: dict = {}
+
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
+        self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
+        self._path_dictionary = SchemaPathDictionary() if self.schema_path_dictionary else None
+        self._key_suffixes = KeySuffixMemo(db.tags, self.reverse_schema_path, self._path_dictionary)
+        self.entry_count = self.pruned_count = 0
+        self.stat_counts = {}
+        self.apply(self._shared(db, batches, lambda: self.derive(db, db.documents)))
+
+    def _update(self, db: XmlDatabase, document: Document, batches: Optional[dict]) -> None:
+        self.apply(self._shared(db, batches, lambda: self.derive(db, (document,))))
+
+    def _remove(self, db: XmlDatabase, document: Document, batches: Optional[dict]) -> None:
+        self.apply(self._shared(db, batches, lambda: self.derive(db, (document,), removal=True)))
+
+    def _assigned_ids(self, db: XmlDatabase) -> tuple[int, int]:
+        return len(db.tags), len(self._path_dictionary or ())
+
+    def _shared(self, db: XmlDatabase, batches: Optional[dict], derive) -> EntryBatch:
+        """``derive()``, or the batch a replica before this one derived and
+        recorded in ``batches``: that one only while both assigned the
+        same ids before it, or this replica diverged and raises."""
+        if batches is None:
+            return derive()
+        batch = batches.get(self.name)
+        if batch is None:
+            batch = batches[self.name] = derive()
+        elif batch.ids != self._assigned_ids(db):
+            raise DocumentError(
+                f"{self.name} diverged: tag and path ids {self._assigned_ids(db)} "
+                f"!= {batch.ids} where the batch was derived"
+            )
+        return batch
+
+    def derive(self, db: XmlDatabase, documents: Sequence[Document], removal: bool = False) -> EntryBatch:
+        """The pure step: ``documents``' entries as one key-sorted batch.
+
+        Touches neither the tree nor the counters, only the dictionaries
+        keys are spelt in, and records the path ids it assigned.
+        """
+        ids = self._assigned_ids(db)
+        if removal:
+            (document,) = documents
+            batch = self._removal_batch(db, document, ids)
         else:
-            counts.pop(stat_key, None)
+            entries, pruned = self._entry_batch(db, documents)
+            batch = EntryBatch(entries, ids, pruned=pruned)
+        batch.entries.sort(key=_entry_key)
+        if self._path_dictionary is not None:
+            batch = batch._replace(paths=self._path_dictionary.paths_since(ids[1]))
+        return batch
+
+    def apply(self, batch: EntryBatch) -> None:
+        """The only step that touches the tree and the counters.
+
+        One tree pass; ``entry_count`` and :attr:`stat_counts` move by
+        the entries inserted or actually found (a count reaching zero
+        is dropped), so after any churn they are what a from-scratch
+        build over the remaining documents counts.
+        """
+        assert self._tree is not None
+        for path in batch.paths:
+            self._path_dictionary.intern(path)
+        sign = -1 if batch.removal else 1
+        if batch.removal:
+            if batch.head_range is not None:
+                self.entry_count -= self._tree.delete_range(*batch.head_range)
+            applied = self._tree.delete_many(batch.entries)
+        else:
+            self._tree.insert_many(batch.entries)
+            applied = batch.entries
+        self.pruned_count += sign * batch.pruned
+        self.entry_count += sign * len(applied)
+        counts = self.stat_counts
+        for stat_key, occurrences in Counter(entry[2] for entry in applied if entry[2] is not None).items():
+            total = counts.get(stat_key, 0) + sign * occurrences
+            if total > 0:
+                counts[stat_key] = total
+            else:
+                counts.pop(stat_key, None)
+
+    @abc.abstractmethod
+    def _entry_batch(self, db: XmlDatabase, documents: Sequence[Document]) -> tuple[list, int]:
+        """``documents``' rows as ``(key, payload, stat_key)`` entries in
+        row order, and how many rows head pruning dropped."""
+
+    def _removal_batch(self, db: XmlDatabase, document: Document, ids: tuple[int, int]) -> EntryBatch:
+        """What deletes ``document``'s entries: by default all of them."""
+        entries, pruned = self._entry_batch(db, (document,))
+        return EntryBatch(entries, ids, removal=True, pruned=pruned)
+
+    def _idlist_size_bytes(self, key_size) -> int:
+        """Figure 9 size of a tree of IdList payloads (ROOTPATHS, DATAPATHS),
+        with the dictionaries its keys are spelt in."""
+        db = self._require_built()
+        assert self._tree is not None
+        encoded = encoded_size_bytes if self.differential_idlists else raw_size_bytes
+        size = self._tree.estimated_size_bytes(
+            key_size_of=key_size,
+            value_size_of=lambda payload: encoded(present_ids(payload[1])),
+            prefix_compression=True,
+        )
+        size += db.tags.estimated_size_bytes()
+        if self._path_dictionary is not None:
+            size += self._path_dictionary.estimated_size_bytes()
+        return size
+
+    def copy_for(self, db: XmlDatabase, stats: StatsCollector) -> "EntryBatchIndex":
+        """This built index as another replica's over ``db`` (same tag ids):
+        the shared entries in a node-for-node copy of the tree, and copies
+        of the counters and the path dictionary."""
+        assert self._tree is not None
+        twin = copy.copy(self)
+        twin.stats, twin.db = stats, db
+        twin._tree = self._tree.copy(stats)
+        twin._path_dictionary = copy.deepcopy(self._path_dictionary)
+        twin._key_suffixes = KeySuffixMemo(db.tags, self.reverse_schema_path, twin._path_dictionary)
+        twin.stat_counts = dict(self.stat_counts)
+        return twin
 
 
 def labels_to_tag_ids(db: XmlDatabase, labels: Sequence[str]) -> Optional[tuple[int, ...]]:

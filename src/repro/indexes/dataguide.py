@@ -14,18 +14,16 @@ keyed by the (forward) schema path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..paths.fourary import iter_rootpaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
-from ..storage.btree import BPlusTree
 from ..storage.keys import encode_key
-from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, adjust_counts, labels_to_tag_ids
+from .base import EntryBatchIndex, FamilyDescriptor, labels_to_tag_ids
 
 
-class DataGuideIndex(PathIndex):
+class DataGuideIndex(EntryBatchIndex):
     """B+-tree on the rooted SchemaPath returning the last id of the path."""
 
     name = "dataguide"
@@ -34,76 +32,27 @@ class DataGuideIndex(PathIndex):
         id_list_sublist="only last ID",
         indexed_columns=("SchemaPath",),
     )
-    #: ``update()`` extends the summary (new entries and, when the new
-    #: document introduces unseen rooted paths, new skeleton paths).
-    incremental = True
-    #: ``remove()`` deletes the removed document's entries and shrinks
-    #: the skeleton when a rooted path loses its last occurrence.
-    incremental_removal = True
-
-    def __init__(self, stats: Optional[StatsCollector] = None, order: int = 128) -> None:
-        super().__init__(stats)
-        self.order = order
-        self._tree: Optional[BPlusTree] = None
-        self._key_suffixes: Optional[KeySuffixMemo] = None
-        #: Occurrences per distinct rooted path, in first-seen order:
-        #: the DataGuide's skeleton, and the refcounts that retire a
-        #: path exactly when its last node disappears.
-        self._path_counts: dict[LabelPath, int] = {}
-        self.entry_count = 0
+    #: Keys spell the rooted schema path forward.
+    reverse_schema_path = False
 
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
-        self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
-        self._key_suffixes = KeySuffixMemo(db.tags, reverse=False)
-        self._path_counts = {}
-        self.entry_count = 0
-        self._insert_documents(db, db.documents)
+    # Derivation (the tree and the skeleton are maintained by ``apply``)
+    # ------------------------------------------------------------------
+    def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
+        """One ``(key, last id, schema_path)`` entry per structural node.
 
-    def _update(self, db: XmlDatabase, document) -> None:
-        """DataGuide summary extension for one new document.
-
-        Every rooted path prefix of the new document contributes one
-        B+-tree entry, inserted as one batch; rooted schema paths never
-        seen before also extend the DataGuide skeleton
-        (``distinct_paths``), so later recursive pattern matching
-        enumerates them too.
+        Keyed by ``schema_path``, :attr:`stat_counts` is the DataGuide's
+        skeleton (``distinct_paths``) in first-seen order, and the
+        refcounts that retire a path when a removal takes its last node.
         """
-        self._insert_documents(db, (document,))
-
-    def _remove(self, db: XmlDatabase, document) -> None:
-        """DataGuide summary shrink for one removed document.
-
-        Deletes the removed document's entries (one per structural
-        node) as one batch and decrements the per-path refcounts by the
-        entries actually found; a rooted path whose count reaches zero
-        is retired from the skeleton, so recursive pattern matching
-        stops enumerating (and probing) it — exactly the skeleton a
-        from-scratch build over the remaining documents would produce.
-        """
-        assert self._tree is not None
-        removed = self._tree.delete_many(self._entry_batch(db, (document,)))
-        self.entry_count -= len(removed)
-        adjust_counts(self._path_counts, (entry[2] for entry in removed), -1)
-
-    def _insert_documents(self, db: XmlDatabase, documents) -> None:
-        """Build and incremental insert: one entry batch, one tree pass."""
-        assert self._tree is not None
-        batch = self._entry_batch(db, documents)
-        self.entry_count += len(batch)
-        adjust_counts(self._path_counts, (entry[2] for entry in batch), 1)
-        self._tree.insert_many(batch)
-
-    def _entry_batch(self, db: XmlDatabase, documents) -> list[tuple]:
-        """One ``(key, last id, schema_path)`` summary entry per
-        structural node of ``documents``, in row order."""
         suffixes = self._key_suffixes
-        return [
+        batch = [
             (suffixes[schema_path], id_list[-1], schema_path)
             for _head, schema_path, _value, id_list in iter_rootpaths_rows(
                 db, include_values=False, documents=documents
             )
         ]
+        return batch, 0
 
     # ------------------------------------------------------------------
     def lookup_path(self, labels: Sequence[str]) -> list[int]:
@@ -118,7 +67,7 @@ class DataGuideIndex(PathIndex):
     def distinct_paths(self) -> list[LabelPath]:
         """Every distinct rooted schema path (the DataGuide's skeleton)."""
         self._require_built()
-        return list(self._path_counts)
+        return list(self.stat_counts)
 
     def paths_matching(self, pattern: PathPattern) -> list[LabelPath]:
         """Distinct rooted paths that a (possibly recursive) pattern matches.
@@ -128,7 +77,7 @@ class DataGuideIndex(PathIndex):
         paper attributes to path-id-style structures.
         """
         self._require_built()
-        return matching_schema_paths(pattern, self._path_counts)
+        return matching_schema_paths(pattern, self.stat_counts)
 
     # ------------------------------------------------------------------
     def estimated_size_bytes(self) -> int:

@@ -23,17 +23,15 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
-from ..paths.compression import HeadIdPruner, SchemaPathDictionary
+from ..paths.compression import HeadIdPruner
 from ..paths.fourary import PathRow, iter_datapaths_rows, iter_rootpaths_rows
-from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
-from ..storage.btree import BPlusTree
 from ..storage.keys import encode_component, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
-from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, PathMatch, adjust_counts, labels_to_tag_ids
+from .base import EntryBatch, EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids
 
 
-class DataPathsIndex(PathIndex):
+class DataPathsIndex(EntryBatchIndex):
     """B+-tree on ``HeadId · LeafValue · ReverseSchemaPath`` over all subpaths."""
 
     name = "datapaths"
@@ -42,10 +40,6 @@ class DataPathsIndex(PathIndex):
         id_list_sublist="full IdList",
         indexed_columns=("LeafValue", "HeadId", "reverse SchemaPath"),
     )
-    #: ``update()`` inserts the new document's subpath rows in place.
-    incremental = True
-    #: ``remove()`` deletes the removed document's subpath rows in place.
-    incremental_removal = True
 
     def __init__(
         self,
@@ -55,96 +49,26 @@ class DataPathsIndex(PathIndex):
         schema_path_dictionary: bool = False,
         head_pruner: Optional[HeadIdPruner] = None,
     ) -> None:
-        super().__init__(stats)
-        self.order = order
+        super().__init__(stats, order)
         self.differential_idlists = differential_idlists
         self.schema_path_dictionary = schema_path_dictionary
         self.head_pruner = head_pruner
-        self._tree: Optional[BPlusTree] = None
-        self._path_dictionary = SchemaPathDictionary() if schema_path_dictionary else None
-        self._key_suffixes: Optional[KeySuffixMemo] = None
-        self.entry_count = 0
-        self.pruned_count = 0
-        self.value_counts: dict[tuple[str, Optional[str]], int] = {}
+
+    @property
+    def value_counts(self) -> dict[tuple[str, Optional[str]], int]:
+        """Virtual-root paths per ``(leaf label, leaf value)``."""
+        return self.stat_counts
 
     # ------------------------------------------------------------------
-    # Construction and maintenance
+    # Derivation (the tree and counters are maintained by ``apply``)
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
-        self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
-        self._path_dictionary = (
-            SchemaPathDictionary() if self.schema_path_dictionary else None
-        )
-        self._key_suffixes = KeySuffixMemo(
-            db.tags, reverse=True, path_dictionary=self._path_dictionary
-        )
-        self.entry_count = 0
-        self.pruned_count = 0
-        self.value_counts = {}
-        self._insert_documents(db, db.documents)
-
-    def _update(self, db: XmlDatabase, document) -> None:
-        """Incremental insertion of the new document's subpath rows.
-
-        The entry batch of its rows (every (ancestor-or-self head, node)
-        pair, plus the virtual-root rows) goes into the tree in one
-        finger pass; head pruning, dictionary growth and the catalog
-        statistics behave exactly as in a full build.
-        """
-        self._insert_documents(db, (document,))
-
-    def _remove(self, db: XmlDatabase, document) -> None:
-        """Incremental deletion of one removed document's subpath rows.
-
-        Ids are preorder and never reused, so the detached document
-        (which keeps its ids) owns the id span ``[first_id, end_id)``
-        alone, and every row headed inside it sits in one ``HeadId`` key
-        range: those go in one :meth:`~BPlusTree.delete_range` slice.
-        Only the virtual-root rows are scattered through the tree; they
-        are enumerated and deleted as an entry batch.  Each one's schema
-        path lists the labels of the document's real heads above and at
-        its node, so the rows head pruning dropped are counted off those
-        labels in the same pass.  The counters end where a from-scratch
-        build over the remaining documents would start.
-        """
-        assert self._tree is not None
-        pruner = self.head_pruner
-        batch = []
-        pruned = 0
-        for row in iter_rootpaths_rows(db, documents=(document,)):
-            batch.append(self._entry(row))
-            if pruner is not None:
-                pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
-        self.pruned_count -= pruned
-        self.entry_count -= self._tree.delete_range(
-            encode_component(document.first_id), encode_component(document.end_id)
-        )
-        self._count_entries(self._tree.delete_many(batch), -1)
-
-    def _insert_documents(self, db: XmlDatabase, documents) -> None:
-        """Build and incremental insert: one entry batch, one tree pass."""
-        assert self._tree is not None
-        batch, pruned = self._entry_batch(db, documents)
-        self.pruned_count += pruned
-        self._count_entries(batch, 1)
-        self._tree.insert_many(batch)
-
-    def _count_entries(self, entries: list[tuple], sign: int) -> None:
-        """Entry counter and virtual-root catalog statistics of a batch."""
-        self.entry_count += sign * len(entries)
-        adjust_counts(
-            self.value_counts,
-            (entry[2] for entry in entries if entry[2] is not None),
-            sign,
-        )
-
     def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
         """``documents``' rows as :meth:`_entry` entries, and how many
         rows head pruning dropped.
 
-        Build and insert enumerate every row; removal only the
-        virtual-root ones.  Entries come in row order; the tree applies
-        a batch in stable key order, which keeps equal keys in row order.
+        Every (ancestor-or-self head, node) pair, plus the virtual-root
+        rows; head pruning and dictionary growth behave exactly as in a
+        full build.
         """
         entry = self._entry
         pruner = self.head_pruner
@@ -160,6 +84,25 @@ class DataPathsIndex(PathIndex):
                 continue
             batch.append(entry(row))
         return batch, pruned
+
+    def _removal_batch(self, db: XmlDatabase, document, ids: tuple[int, int]) -> EntryBatch:
+        """One removed document's rows: a key range and the virtual-root rows.
+
+        Ids are never reused, so the document's id span ``[first_id,
+        end_id)`` holds every row headed inside it: one ``HeadId`` key
+        range.  Only its virtual-root rows are enumerated; each one's
+        schema path lists the real heads above and at its node, so the
+        rows head pruning dropped are counted off those labels.
+        """
+        pruner = self.head_pruner
+        batch = []
+        pruned = 0
+        for row in iter_rootpaths_rows(db, documents=(document,)):
+            batch.append(self._entry(row))
+            if pruner is not None:
+                pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
+        head_range = (encode_component(document.first_id), encode_component(document.end_id))
+        return EntryBatch(batch, ids, removal=True, head_range=head_range, pruned=pruned)
 
     def _entry(self, row: PathRow) -> tuple:
         """One row's ``(key, payload, stat_key)`` entry.
@@ -344,11 +287,6 @@ class DataPathsIndex(PathIndex):
     # Space
     # ------------------------------------------------------------------
     def estimated_size_bytes(self) -> int:
-        self._require_built()
-        assert self._tree is not None
-        db = self.db
-        assert db is not None
-
         def key_size(key) -> int:
             total = 0
             for index, component in enumerate(key):
@@ -362,16 +300,4 @@ class DataPathsIndex(PathIndex):
                     total += len(component[1]) + 1
             return total
 
-        def value_size(payload) -> int:
-            _labels, ids, _value, _head = payload
-            if self.differential_idlists:
-                return encoded_size_bytes(present_ids(ids))
-            return raw_size_bytes(present_ids(ids))
-
-        size = self._tree.estimated_size_bytes(
-            key_size_of=key_size, value_size_of=value_size, prefix_compression=True
-        )
-        size += db.tags.estimated_size_bytes()
-        if self._path_dictionary is not None:
-            size += self._path_dictionary.estimated_size_bytes()
-        return size
+        return self._idlist_size_bytes(key_size)

@@ -52,7 +52,7 @@ class EdgeIndex(PathIndex):
         self.edge_count = 0
 
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         self.heap = HeapFile(stats=self.stats, name="edge_table")
         self._value_index = BPlusTree(self.order, self.stats, "edge_value")
         self._tag_index = BPlusTree(self.order, self.stats, "edge_tag")
@@ -62,7 +62,7 @@ class EdgeIndex(PathIndex):
         for node in db.iter_structural():
             self._insert_node(node)
 
-    def _update(self, db: XmlDatabase, document) -> None:
+    def _update(self, db: XmlDatabase, document, batches: Optional[dict]) -> None:
         """Incremental insertion: one Edge-table row (plus the value,
         tag and link index entries) per structural node of the new
         document — the per-edge layout makes Edge the cheapest index to
@@ -70,7 +70,7 @@ class EdgeIndex(PathIndex):
         for node in document.iter_structural():
             self._insert_node(node)
 
-    def _remove(self, db: XmlDatabase, document) -> None:
+    def _remove(self, db: XmlDatabase, document, batches: Optional[dict]) -> None:
         """Incremental deletion of one removed document's edges.
 
         Every structural node's tag, value and link index entries are

@@ -59,7 +59,7 @@ class IndexFabricIndex(PathIndex):
         self.entry_count = 0
 
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         # No incremental ``update()``: the simulated fabric is rebuilt in
         # full when a document is added (the base-class fall-back), as
         # the layered-trie original would re-layer anyway.

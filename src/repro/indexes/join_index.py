@@ -93,7 +93,7 @@ class JoinIndicesIndex(PathIndex):
         self.relations: dict[LabelPath, JoinIndexRelation] = {}
 
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
+    def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         # No incremental ``update()``: like ASR, join indices are one
         # relation pair per schema path, so document adds fall back to
         # the base-class full rebuild.

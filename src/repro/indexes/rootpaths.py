@@ -32,17 +32,14 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
-from ..paths.compression import SchemaPathDictionary
 from ..paths.fourary import iter_rootpaths_rows
-from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
-from ..storage.btree import BPlusTree
 from ..storage.keys import encode_component, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, KeySuffixMemo, PathIndex, PathMatch, adjust_counts, labels_to_tag_ids
+from .base import EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids
 
 
-class RootPathsIndex(PathIndex):
+class RootPathsIndex(EntryBatchIndex):
     """B+-tree on ``LeafValue · ReverseSchemaPath`` returning full IdLists."""
 
     name = "rootpaths"
@@ -51,10 +48,6 @@ class RootPathsIndex(PathIndex):
         id_list_sublist="full IdList",
         indexed_columns=("LeafValue", "reverse SchemaPath"),
     )
-    #: ``update()`` inserts the new document's rows in place.
-    incremental = True
-    #: ``remove()`` deletes the removed document's rows in place.
-    incremental_removal = True
 
     def __init__(
         self,
@@ -65,76 +58,27 @@ class RootPathsIndex(PathIndex):
         differential_idlists: bool = True,
         schema_path_dictionary: bool = False,
     ) -> None:
-        super().__init__(stats)
-        self.order = order
+        super().__init__(stats, order)
         self.store_full_idlist = store_full_idlist
         self.reverse_schema_path = reverse_schema_path
         self.differential_idlists = differential_idlists
         self.schema_path_dictionary = schema_path_dictionary
-        self._tree: Optional[BPlusTree] = None
-        self._path_dictionary = SchemaPathDictionary() if schema_path_dictionary else None
-        self._key_suffixes: Optional[KeySuffixMemo] = None
-        self.entry_count = 0
-        self.value_counts: dict[tuple[str, Optional[str]], int] = {}
+
+    @property
+    def value_counts(self) -> dict[tuple[str, Optional[str]], int]:
+        """Paths per ``(leaf label, leaf value)``: the catalog statistics."""
+        return self.stat_counts
 
     # ------------------------------------------------------------------
-    # Construction and maintenance
+    # Derivation (the tree and counters are maintained by ``apply``)
     # ------------------------------------------------------------------
-    def _build(self, db: XmlDatabase) -> None:
-        self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
-        self._path_dictionary = (
-            SchemaPathDictionary() if self.schema_path_dictionary else None
-        )
-        self._key_suffixes = KeySuffixMemo(
-            db.tags, self.reverse_schema_path, path_dictionary=self._path_dictionary
-        )
-        self.entry_count = 0
-        self.value_counts = {}
-        self._insert_documents(db, db.documents)
+    def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
+        """The ``(key, payload, stat_key)`` entries of ``documents``' rows,
+        which a removal deletes again; nothing is pruned.
 
-    def _update(self, db: XmlDatabase, document) -> None:
-        """Incremental insertion (Section 3.2 layout, maintained in place).
-
-        Only ``document``'s rows are enumerated; their entry batch goes
-        into the tree in one finger pass.  Tags (and, under Section 4.2
-        compression, whole schema paths) first seen here grow the
-        dictionaries exactly as a full build would, and the catalog
-        statistics in ``value_counts`` stay exact.
-        """
-        self._insert_documents(db, (document,))
-
-    def _remove(self, db: XmlDatabase, document) -> None:
-        """Incremental deletion of one removed document's rows.
-
-        The detached document still carries its node ids, so the exact
-        entries it contributed are recomputed and deleted in one finger
-        pass, and ``entry_count`` / ``value_counts`` drop by the entries
-        actually found — to what a from-scratch build over the
-        remaining documents would count.  Dictionaries never shrink
-        (ids are positional); that costs a few dead designators, not
-        correctness: lookups translate through the database dictionary,
-        which reports fully released tags as unknown.
-        """
-        assert self._tree is not None
-        removed = self._tree.delete_many(self._entry_batch(db, (document,)))
-        self.entry_count -= len(removed)
-        adjust_counts(self.value_counts, (entry[2] for entry in removed), -1)
-
-    def _insert_documents(self, db: XmlDatabase, documents) -> None:
-        """Build and incremental insert: one entry batch, one tree pass."""
-        assert self._tree is not None
-        batch = self._entry_batch(db, documents)
-        self.entry_count += len(batch)
-        adjust_counts(self.value_counts, (entry[2] for entry in batch), 1)
-        self._tree.insert_many(batch)
-
-    def _entry_batch(self, db: XmlDatabase, documents) -> list[tuple]:
-        """The ``(key, payload, stat_key)`` entries of ``documents``' rows.
-
-        The one row-to-entry mapping build, insert and delete share, so
-        the three cannot disagree about what a row looks like in the
-        tree.  Entries come in row order; the tree applies a batch in
-        stable key order, which keeps equal keys in row order.
+        Dictionaries never shrink (ids are positional): a few dead
+        designators, not wrong answers, as lookups translate through the
+        database dictionary, which reports released tags as unknown.
         """
         suffixes = self._key_suffixes
         full = self.store_full_idlist
@@ -147,7 +91,7 @@ class RootPathsIndex(PathIndex):
             batch.append(
                 (key, (schema_path, ids, leaf_value), (schema_path[-1], leaf_value))
             )
-        return batch
+        return batch, 0
 
     def _key_labels(self, labels: Sequence[str]) -> tuple[str, ...]:
         if self.reverse_schema_path:
@@ -275,11 +219,6 @@ class RootPathsIndex(PathIndex):
     # Space
     # ------------------------------------------------------------------
     def estimated_size_bytes(self) -> int:
-        self._require_built()
-        assert self._tree is not None
-        db = self.db
-        assert db is not None
-
         def key_size(key) -> int:
             # First component: leaf value; remaining: schema path designators
             # (about one byte per tag with a small dictionary) or a path id.
@@ -293,16 +232,4 @@ class RootPathsIndex(PathIndex):
                     total += len(component[1]) + 1
             return total
 
-        def value_size(payload) -> int:
-            _labels, ids, _value = payload
-            if self.differential_idlists:
-                return encoded_size_bytes(present_ids(ids))
-            return raw_size_bytes(present_ids(ids))
-
-        size = self._tree.estimated_size_bytes(
-            key_size_of=key_size, value_size_of=value_size, prefix_compression=True
-        )
-        size += db.tags.estimated_size_bytes()
-        if self._path_dictionary is not None:
-            size += self._path_dictionary.estimated_size_bytes()
-        return size
+        return self._idlist_size_bytes(key_size)

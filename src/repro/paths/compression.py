@@ -53,6 +53,10 @@ class SchemaPathDictionary:
         """The schema path for an id."""
         return self._id_to_path[path_id - 1]
 
+    def paths_since(self, count: int) -> tuple[LabelPath, ...]:
+        """The paths assigned ids after the first ``count``, in id order."""
+        return tuple(self._id_to_path[count:])
+
     def estimated_size_bytes(self) -> int:
         """Space of the dictionary itself (id + label bytes per entry)."""
         return sum(4 + sum(len(label) + 1 for label in path) for path in self._id_to_path)

@@ -123,12 +123,13 @@ class TwigQueryEngine:
     # ------------------------------------------------------------------
     # Index management
     # ------------------------------------------------------------------
-    def build_index(self, name: str, **options) -> PathIndex:
+    def build_index(self, name: str, batches: Optional[dict] = None, **options) -> PathIndex:
         """Build (or rebuild) one index by its short name.
 
         The options are recorded so a later on-demand rebuild (for
         example after the index was evicted) reuses them instead of
-        silently reverting to defaults.
+        silently reverting to defaults.  ``batches`` shares the derived
+        build between replicas (:meth:`~repro.indexes.base.PathIndex.build`).
         """
         try:
             index_class = INDEX_TYPES[name]
@@ -137,13 +138,17 @@ class TwigQueryEngine:
                 f"unknown index {name!r}; known: {sorted(INDEX_TYPES)}"
             ) from None
         index = index_class(stats=self.stats, **options)
-        index.build(self.db)
+        index.build(self.db, batches)
+        return self.adopt_index(name, index, options)
+
+    def adopt_index(self, name: str, index: PathIndex, options: dict) -> PathIndex:
+        """Install a built ``index`` as ``name``, built with ``options``."""
         self.indexes[name] = index
         self.build_options[name] = dict(options)
         self.build_count += 1
         return index
 
-    def ensure_indexes_for(self, strategy_name: str) -> None:
+    def ensure_indexes_for(self, strategy_name: str, batches: Optional[dict] = None) -> None:
         """Build whatever indices the strategy needs and are missing.
 
         Missing indices are (re)built with the options recorded by their
@@ -151,7 +156,7 @@ class TwigQueryEngine:
         """
         for index_name in strategy_class(strategy_name).required_indexes:
             if index_name not in self.indexes:
-                self.build_index(index_name, **self.build_options.get(index_name, {}))
+                self.build_index(index_name, batches=batches, **self.build_options.get(index_name, {}))
 
     def index_sizes_mb(self) -> dict[str, float]:
         """Sizes of every built index in MB (the Figure 9 row)."""
@@ -160,7 +165,7 @@ class TwigQueryEngine:
     # ------------------------------------------------------------------
     # Document maintenance
     # ------------------------------------------------------------------
-    def add_document(self, document: Document) -> Document:
+    def add_document(self, document: Document, batches: Optional[dict] = None) -> Document:
         """Add a document and maintain every built index.
 
         The document is numbered into the database, then routed to each
@@ -169,13 +174,14 @@ class TwigQueryEngine:
         rebuild otherwise — so no index keeps answering from the
         pre-add snapshot.  The write work is charged to the shared
         stats collector in the maintenance-cost currency
-        (:func:`~repro.storage.stats.maintenance_cost`).
+        (:func:`~repro.storage.stats.maintenance_cost`).  ``batches``
+        shares the derived entries between replicas.
         """
         added = self.db.add_document(document)
-        self.maintain_indexes(added)
+        self.maintain_indexes(added, batches=batches)
         return added
 
-    def remove_document(self, ref: Union[Document, str]) -> Document:
+    def remove_document(self, ref: Union[Document, str], batches: Optional[dict] = None) -> Document:
         """Remove a document (by object or unique name), maintaining indexes.
 
         The database detaches the document and reclaims its node-id
@@ -189,7 +195,7 @@ class TwigQueryEngine:
         Returns the detached document.
         """
         removed = self.db.remove_document(ref)
-        self.maintain_indexes(removed, removal=True)
+        self.maintain_indexes(removed, removal=True, batches=batches)
         return removed
 
     def replace_document(
@@ -206,7 +212,7 @@ class TwigQueryEngine:
         return self.add_document(replacement)
 
     def maintain_indexes(
-        self, document: Document, removal: bool = False
+        self, document: Document, removal: bool = False, batches: Optional[dict] = None
     ) -> dict[str, bool]:
         """The maintenance dispatcher: one document add or removal.
 
@@ -222,10 +228,10 @@ class TwigQueryEngine:
         for name in sorted(self.indexes):
             index = self.indexes[name]
             if removal:
-                index.remove(self.db, document)
+                index.remove(self.db, document, batches)
                 maintained[name] = index.incremental_removal
             else:
-                index.update(self.db, document)
+                index.update(self.db, document, batches)
                 maintained[name] = index.incremental
         self.update_count += 1
         return maintained

@@ -132,11 +132,12 @@ class QueryService(ServingFacade):
     # ------------------------------------------------------------------
     # Mutation (locked against execution)
     # ------------------------------------------------------------------
-    def add_document(self, document: Document) -> Document:
+    def add_document(self, document: Document, batches: Optional[dict] = None) -> Document:
         """Add a document through the engine under the service lock.
 
         Built indexes absorb the document incrementally where they can
-        (see :meth:`TwigQueryEngine.add_document`); cached results and
+        (see :meth:`TwigQueryEngine.add_document`; ``batches`` shares
+        their derived entries between replicas); cached results and
         optimizer choices are dropped, parsed plans and strategy
         instances survive.  Readers in other threads never observe the
         half-maintained state because they serialize on the same lock.
@@ -145,12 +146,12 @@ class QueryService(ServingFacade):
             "index-maintain", stats=self.engine.stats, operation="add-document"
         ):
             with self._lock:
-                added = self.engine.add_document(document)
+                added = self.engine.add_document(document, batches)
                 self.engine.stats.documents_added += 1
                 self.invalidate(rebuilt=False)
                 return added
 
-    def remove_document(self, ref: Union[Document, str]) -> Document:
+    def remove_document(self, ref: Union[Document, str], batches: Optional[dict] = None) -> Document:
         """Remove a document through the engine under the service lock.
 
         Built indexes forget the document incrementally where they can
@@ -164,7 +165,7 @@ class QueryService(ServingFacade):
             "index-maintain", stats=self.engine.stats, operation="remove-document"
         ):
             with self._lock:
-                removed = self.engine.remove_document(ref)
+                removed = self.engine.remove_document(ref, batches)
                 self.engine.stats.documents_removed += 1
                 self.invalidate(rebuilt=False)
                 return removed
@@ -188,11 +189,12 @@ class QueryService(ServingFacade):
                 self.invalidate(rebuilt=False)
                 return added
 
-    def build_index(self, name: str, **options):
+    def build_index(self, name: str, batches: Optional[dict] = None, **options):
         """Build (or rebuild) an index under the service lock.
 
         Flushes every cache tier: a rebuild invalidates results, plans,
-        optimizer choices and strategy instances alike.
+        optimizer choices and strategy instances alike.  ``batches``
+        shares the derived build between replicas.
         """
         with self.telemetry.span(
             "index-maintain",
@@ -201,7 +203,7 @@ class QueryService(ServingFacade):
             index=name,
         ):
             with self._lock:
-                index = self.engine.build_index(name, **options)
+                index = self.engine.build_index(name, batches=batches, **options)
                 self.invalidate(rebuilt=True)
                 return index
 

@@ -2,50 +2,38 @@
 
 A :class:`Shard` is one partition of the sharded tier
 (:class:`~repro.shard.service.ShardedQueryService`): a set of N >= 1
-identical :class:`Replica` engine slices, each a fully independent
-vertical slice of the stack with its own
+identical :class:`Replica` engine slices, each with its own
 :class:`~repro.xmltree.document.XmlDatabase`,
 :class:`~repro.storage.stats.StatsCollector`,
-:class:`~repro.planner.evaluator.TwigQueryEngine` (with its own index
-family) and :class:`~repro.service.QueryService` (with its own caches,
-lock and generation fingerprint).  A set of one is the plain shard;
-more replicas scale reads out past one engine per shard:
+:class:`~repro.planner.evaluator.TwigQueryEngine` and
+:class:`~repro.service.QueryService` (caches, lock, generation).  A set
+of one is the plain shard; more replicas scale reads out:
 
-* **writes go through to every replica** — ``add_document`` adds the
-  original to the primary and a :meth:`~repro.xmltree.document.Document.clone`
-  to each secondary, ``remove_document`` removes the same id span from
-  all of them, ``build_index`` builds everywhere.  Replicas receive the
-  same documents in the same order, so they assign identical node ids
-  and identical answers — which is what lets any replica serve any
-  read;
-* **reads fan out to one replica** — a pluggable
-  :class:`ReadPicker` (:data:`READ_PICKERS`: round-robin,
-  least-loaded, sticky) chooses which replica executes each query —
-  never the one a write is updating while another is live — and
-  per-replica read counters make the fan-out observable;
+* **writes go through to every replica** — the primary takes the
+  document, each live secondary a
+  :meth:`~repro.xmltree.document.Document.clone`, in the same order, so
+  every replica assigns the same node ids and serves the same answers.
+  The primary derives each write's index entries once and every
+  secondary applies the same :class:`~repro.indexes.base.EntryBatch`;
+  each still applies, so the N-fold write cost is counted;
+* **reads fan out to one replica** — a :class:`ReadPicker`
+  (:data:`READ_PICKERS`: round-robin, least-loaded, sticky) chooses
+  among the healthy replicas, never the one a write is updating while
+  another is live, and per-replica read counters show the fan-out;
 * **counts sum through the one aggregation path** —
   :meth:`Shard._counter_totals` sums every replica's collector with
-  :func:`~repro.storage.stats.sum_snapshots`, so the N-fold write
-  amplification of replication is priced in the same currency as
-  everything else;
-* **failures are survived, not propagated** — every replica carries a
-  health state machine (``healthy`` → ``suspect`` → ``dead``, driven by
-  consecutive *infrastructure* ``execute`` failures; deterministic
-  query errors (:data:`QUERY_ERRORS`) fail identically on every
-  replica, so they re-raise to the caller without demoting anything),
-  reads that fail are retried on the
-  next healthy replica (:class:`~repro.storage.stats.StatsCollector`
-  counters ``reads_retried`` / ``replicas_failed`` /
-  ``replicas_revived`` record the activity), pickers only see healthy
-  candidates, a dead replica is quarantined out of both the read pool
-  and the write fan-out, and :meth:`Shard.revive` re-syncs a
-  quarantined replica from the primary's live documents, replayed in
-  first-id order across the id gaps removals left, so the rebuilt
-  replica assigns exactly the primary's node ids.  Divergence (a
-  replica whose watermark drifts from the primary's) is caught by the
-  write-through alignment check and quarantined the same way.  The
-  fault-injection module (:mod:`repro.faults`) exists to exercise all
-  of this deterministically from tests and benches.
+  :func:`~repro.storage.stats.sum_snapshots`;
+* **failures are survived, not propagated** — a per-replica health
+  machine (``healthy`` → ``suspect`` → ``dead``) is driven by
+  consecutive *infrastructure* ``execute`` failures (query errors,
+  :data:`QUERY_ERRORS`, fail alike everywhere and demote nothing);
+  failed reads retry on the next healthy replica (``reads_retried`` /
+  ``replicas_failed`` / ``replicas_revived`` count it); a dead replica
+  leaves the read pool and the write fan-out, as does one that diverged
+  (its watermark or dictionaries left the primary's), until
+  :meth:`Shard.revive` re-syncs it from the primary's live documents,
+  tag ids, id gaps and index trees.  :mod:`repro.faults` drives all of
+  this deterministically from tests and benches.
 """
 
 from __future__ import annotations
@@ -64,7 +52,9 @@ from ..errors import (
     QueryNotSupportedError,
     QueryParseError,
 )
+from ..indexes.base import EntryBatchIndex
 from ..obs import Telemetry
+from ..obs.clock import now
 from ..planner.evaluator import QueryResult, TwigQueryEngine
 from ..query.twig import TwigPattern
 from ..service.base import AUTO_STRATEGY, cache_report, cache_section, service_counts
@@ -145,15 +135,15 @@ class Replica:
         """One read, through this replica's service."""
         return self.service.execute(query, **options)
 
-    def add_document(self, document: Document) -> Document:
+    def add_document(self, document: Document, batches: Optional[dict] = None) -> Document:
         """Add one document through the replica's service."""
-        added = self.service.add_document(document)
+        added = self.service.add_document(document, batches)
         self._by_first_id[added.first_id] = added
         return added
 
-    def remove_document(self, ref: Union[Document, str]) -> Document:
+    def remove_document(self, ref: Union[Document, str], batches: Optional[dict] = None) -> Document:
         """Remove one document through the replica's service."""
-        removed = self.service.remove_document(ref)
+        removed = self.service.remove_document(ref, batches)
         self._by_first_id.pop(removed.first_id, None)
         return removed
 
@@ -663,22 +653,25 @@ class Shard:
                 if slot and self._health[slot].state != REPLICA_DEAD
             ]
 
-    def _write_through(self, action: str, write: Callable[[int, Replica], object]):
-        """``write(slot, replica)`` on the primary, then each live secondary.
+    def _write_through(self, action: str, write: Callable[[int, Replica, dict], object]):
+        """``write(slot, replica, batches)`` on the primary, then each live secondary.
 
         Under :attr:`add_lock`, each replica marked by :meth:`_maintain`
-        while written.  The primary is the source of truth (its error
-        reaches the caller before any secondary is touched); a failing
-        secondary is quarantined for :meth:`revive`, not unwound, and
-        dead ones are skipped.  Returns the primary's result.
+        while written.  The primary derives each index's entry batch into
+        ``batches``; every secondary applies the same one, or raises as
+        diverged.  The primary is the source of truth (its error reaches
+        the caller before any secondary is touched); a failing secondary
+        is quarantined for :meth:`revive`, not unwound, and dead ones are
+        skipped.  Returns the primary's result.
         """
+        batches: dict = {}
         with self.add_lock:
             with self._maintain(0):
-                result = write(0, self.primary)
+                result = write(0, self.primary, batches)
                 for position, replica in self._live_secondaries():
                     with self._maintain(position):
                         try:
-                            write(position, replica)
+                            write(position, replica, batches)
                         except Exception as error:  # repro-lint: ignore[RPR005] -- the primary write already landed; a failing secondary is quarantined for revive, not unwound
                             self._quarantine(
                                 position,
@@ -693,12 +686,13 @@ class Shard:
         The primary takes ``document`` itself; each live secondary
         takes a :meth:`~repro.xmltree.document.Document.clone` (trees
         cannot be shared between databases).  Identical add order means
-        identical node ids on every replica.
+        identical node ids on every replica, so the index entries the
+        primary derives are every secondary's too.
         """
         return self._write_through(
             "add",
-            lambda slot, replica: replica.add_document(
-                document.clone() if slot else document
+            lambda slot, replica, batches: replica.add_document(
+                document.clone() if slot else document, batches
             ),
         )
 
@@ -708,8 +702,9 @@ class Shard:
             document = self.primary.db.resolve_document(ref)
             return self._write_through(
                 "remove",
-                lambda slot, replica: replica.remove_document(
-                    replica.document_at(document.first_id) if slot else document
+                lambda slot, replica, batches: replica.remove_document(
+                    replica.document_at(document.first_id) if slot else document,
+                    batches,
                 ),
             )
 
@@ -717,13 +712,13 @@ class Shard:
         """Build one index on every live replica (dead ones rebuild on revive)."""
         return self._write_through(
             "build_index",
-            lambda slot, replica: replica.service.build_index(name, **options),
+            lambda slot, replica, batches: replica.service.build_index(name, batches=batches, **options),
         )
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
         self._write_through(
             "ensure_indexes_for",
-            lambda slot, replica: replica.engine.ensure_indexes_for(strategy_name),
+            lambda slot, replica, batches: replica.engine.ensure_indexes_for(strategy_name, batches),
         )
 
     def invalidate(self, rebuilt: bool = True) -> None:
@@ -820,18 +815,24 @@ class Shard:
     def revive(self, replica_index: int) -> Replica:
         """Rebuild one replica slot from the primary's live documents.
 
-        A fresh :class:`Replica` replays :meth:`_replay` — a clone of
-        every live document in first-id order, with the id gaps between
-        them skipped (:meth:`~repro.xmltree.document.XmlDatabase.skip_ids`)
-        — so it assigns exactly the primary's node ids; the primary's
-        built indexes are then rebuilt from their recorded build
-        options.  The slot is swapped in under both locks and its health
-        reset to healthy; a fault injector wrapping the old replica is
-        discarded with it.  The retired replica's cost counters fold
+        A fresh :class:`Replica` reserves the primary's tag ids
+        (:meth:`~repro.xmltree.dictionary.TagDictionary.reserve`), then
+        replays :meth:`_replay` — a clone of every live document in
+        first-id order, with the id gaps between them skipped
+        (:meth:`~repro.xmltree.document.XmlDatabase.skip_ids`) — so it
+        assigns exactly the primary's tag and node ids.  It copies the
+        primary's entry-batch indexes node for node
+        (:meth:`~repro.indexes.base.EntryBatchIndex.copy_for`), so the
+        primary's next batches apply to them as to the primary's own,
+        and rebuilds the rest from their recorded build options.  The
+        slot is swapped in under both locks and its health reset to
+        healthy; a fault injector wrapping the old replica is discarded
+        with it.  The retired replica's cost counters fold
         into :meth:`_counter_totals` so shard totals never decrease.
         Works on any slot: a read-dead primary (the only replica of a
         set of one, say) re-syncs from its own documents, which every
-        write kept current.  Counted in ``replicas_revived``.
+        write kept current.  Counted in ``replicas_revived``; the
+        ``replica-revived`` event reports the seconds it took.
         """
         with self.add_lock:
             if not 0 <= replica_index < len(self.replicas):
@@ -839,17 +840,24 @@ class Shard:
                     f"shard {self.index} has no replica {replica_index} "
                     f"(replicas: {len(self.replicas)})"
                 )
+            started = now()
             fresh = Replica(self.index, **self._replica_options)
+            source = self.primary.engine
+            fresh.db.tags.reserve(source.db.tags)
             replay = self._replay()
             for action, payload in replay:
                 if action == "gap":
                     fresh.db.skip_ids(payload)
                 else:
                     fresh.add_document(payload.clone())
-            for name in sorted(self.primary.engine.indexes):
-                fresh.service.build_index(
-                    name, **self.primary.engine.build_options.get(name, {})
-                )
+            for name, index in sorted(source.indexes.items()):
+                options = source.build_options.get(name, {})
+                if isinstance(index, EntryBatchIndex):
+                    fresh.engine.adopt_index(
+                        name, index.copy_for(fresh.db, fresh.stats), options
+                    )
+                else:
+                    fresh.service.build_index(name, **options)
             if fresh.watermark != self.primary.watermark:
                 raise DocumentError(
                     f"revive of shard {self.index} replica {replica_index} "
@@ -868,6 +876,7 @@ class Shard:
                 replica=replica_index,
                 replayed=len(replay),
                 watermark=fresh.watermark,
+                seconds=round(now() - started, 6),
             )
             return fresh
 

@@ -227,6 +227,30 @@ class BPlusTree:
         node.children = node.children[: middle + 1]
         return separator, right
 
+    def copy(self, stats: Optional[StatsCollector] = None) -> "BPlusTree":
+        """A node-for-node copy sharing the (immutable) keys and values,
+        charged one ``btree_page_writes`` per node: unlike a fresh load,
+        it keeps this tree's leaf boundaries, emptied leaves and height."""
+        twin = type(self)(self.order, stats, self.name)
+        twin._height, twin._size = self._height, self._size
+        leaves: list[_Leaf] = []
+
+        def copied(node: Any) -> Any:
+            twin.stats.btree_page_writes += 1  # the node's page, written once
+            clone = type(node)()
+            clone.keys = list(node.keys)
+            if isinstance(node, _Leaf):
+                clone.values = list(node.values)
+                leaves.append(clone)
+            else:
+                clone.children = [copied(child) for child in node.children]
+            return clone
+
+        twin._root = copied(self._root)
+        for leaf, following in zip(leaves, leaves[1:]):
+            leaf.next = following
+        return twin
+
     # ------------------------------------------------------------------
     # Deletion (entry-level; used by the maintenance extension)
     # ------------------------------------------------------------------

@@ -80,6 +80,19 @@ class TagDictionary:
         """Intern every tag in ``tags`` and return their ids in order."""
         return [self.intern(t) for t in tags]
 
+    def reserve(self, other: "TagDictionary") -> None:
+        """Take ``other``'s ids, every tag with no live occurrence yet.
+
+        What a database re-synced from ``other``'s live documents calls
+        first (:meth:`~repro.shard.replica.Shard.revive`): their tags
+        then keep ``other``'s ids, released tags included.
+        """
+        if self._id_to_tag:
+            raise ValueError("can only reserve ids in an empty dictionary")
+        self._id_to_tag = list(other._id_to_tag)
+        self._tag_to_id = dict(other._tag_to_id)
+        self._live_counts = dict.fromkeys(other._live_counts, 0)
+
     # ------------------------------------------------------------------
     # Live-occurrence reference counting (document adds and removals)
     # ------------------------------------------------------------------

@@ -24,3 +24,27 @@ class DeadHook(PathIndex):
 
     def _update(self, db, doc):
         return doc
+
+
+class EntryBatchIndex(PathIndex):
+    """Local stand-in for the entry-batch base: a base, not registered."""
+
+    incremental = True
+    incremental_removal = True
+
+    def _update(self, db, doc):
+        return doc
+
+    def _remove(self, db, doc):
+        return doc
+
+
+class NoDerive(EntryBatchIndex):
+    pass  # inherits apply(derive(...)) with nothing to derive: both flags
+
+
+class DeadDerive(EntryBatchIndex):
+    incremental = False  # hides the derive hook it ships
+
+    def _entry_batch(self, db, documents):
+        return [], 0

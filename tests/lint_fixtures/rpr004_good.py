@@ -22,3 +22,21 @@ class GoodIncremental(PathIndex):
 class GoodFallback(PathIndex):
     incremental = False
     incremental_removal = False
+
+
+class EntryBatchIndex(PathIndex):
+    """Local stand-in for the entry-batch base: a base, not registered."""
+
+    incremental = True
+    incremental_removal = True
+
+    def _update(self, db, doc):
+        return doc
+
+    def _remove(self, db, doc):
+        return doc
+
+
+class GoodEntryBatch(EntryBatchIndex):
+    def _entry_batch(self, db, documents):
+        return [], 0

@@ -1,11 +1,11 @@
 """DATAPATHS removal as one HeadId key range, against the enumerated removal.
 
-``DataPathsIndex._remove`` deletes a removed document's real-head rows
-as one :meth:`~repro.storage.btree.BPlusTree.delete_range` slice of its
-id span and enumerates only its virtual-root rows.  The reference kept
-here is the removal that path replaced: enumerate every subpath row of
-the document, delete the whole batch with ``delete_many`` and take the
-pruned rows off ``pruned_count``.
+``DataPathsIndex._removal_batch`` derives a removed document's
+real-head rows as one :meth:`~repro.storage.btree.BPlusTree.delete_range`
+key range of its id span and enumerates only its virtual-root rows.
+The reference kept here is the removal that path replaced: enumerate
+every subpath row of the document, delete the whole batch with
+``delete_many`` and take the pruned rows off ``pruned_count``.
 
 Both must leave byte-identical state after every removal: the leaf
 chain (emptied leaves included), height and size of the tree,
@@ -13,7 +13,10 @@ chain (emptied leaves included), height and size of the tree,
 ``StatsCollector`` counters.  Checked on fuzz seeds 0-2 for every
 DATAPATHS option, and through the replicated tier's write paths
 (replace, move, rebalance, and removals after a revive that replayed
-the primary's live documents with id-gap entries).
+the primary's live documents with id-gap entries).  There, every
+secondary applies the batches its primary derived, so each one must
+also end byte-identical to its primary, Section 4.2 path dictionary
+included.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 
 from repro import ShardedQueryService
 from repro.indexes import DataPathsIndex
+from repro.indexes.base import EntryBatch
 from repro.paths import HeadIdPruner
 from repro.storage import StatsCollector
 from repro.storage.btree import _Internal
@@ -32,17 +36,16 @@ from repro.workloads.fuzz import random_document
 from repro.xmltree import XmlDatabase
 
 
-def enumerated_remove(index: DataPathsIndex, db, document) -> None:
+def enumerated_removal(index: DataPathsIndex, db, document, ids) -> EntryBatch:
     """The reference removal: every subpath row, one ``delete_many``."""
     batch, pruned = index._entry_batch(db, (document,))
-    index.pruned_count -= pruned
-    index._count_entries(index._tree.delete_many(batch), -1)
+    return EntryBatch(batch, ids, removal=True, pruned=pruned)
 
 
 class EnumeratedRemoval(DataPathsIndex):
     """DATAPATHS with the reference removal."""
 
-    _remove = enumerated_remove
+    _removal_batch = enumerated_removal
 
 
 def index_state(index) -> dict:
@@ -62,6 +65,7 @@ def index_state(index) -> dict:
         "entry_count": index.entry_count,
         "value_counts": list(index.value_counts.items()),
         "pruned_count": getattr(index, "pruned_count", None),
+        "paths": list(getattr(index._path_dictionary, "_id_to_path", ())),
         "stats": index.stats.snapshot(),
     }
 
@@ -130,18 +134,34 @@ def test_range_removal_leaves_the_enumerated_removals_state(config, seed):
 # The replicated tier's write paths
 # ----------------------------------------------------------------------
 def _tier_state(service: ShardedQueryService) -> list:
+    """Per shard, per replica: spans, tag ids, index states, counters."""
     return [
-        (
-            replica.db.document_spans(),
-            {
-                name: index_state(replica.engine.indexes[name])
-                for name in ("rootpaths", "datapaths")
-            },
-            replica.stats.snapshot(),
-        )
+        [
+            (
+                replica.db.document_spans(),
+                list(replica.db.tags),
+                {
+                    name: index_state(replica.engine.indexes[name])
+                    for name in ("rootpaths", "datapaths")
+                },
+                replica.stats.snapshot(),
+            )
+            for replica in shard.replicas
+        ]
         for shard in service.shards
-        for replica in shard.replicas
     ]
+
+
+def _without_stats(state: tuple) -> tuple:
+    spans, tags, indexes, _stats = state
+    return (
+        spans,
+        tags,
+        {
+            name: {key: value for key, value in fields.items() if key != "stats"}
+            for name, fields in indexes.items()
+        },
+    )
 
 
 def _run_tier_writes(seed: int, datapaths_options: dict) -> list:
@@ -172,19 +192,38 @@ def _run_tier_writes(seed: int, datapaths_options: dict) -> list:
         service.move_document(
             names[3], 1 - service.topology.placements_for(names[3])[0].shard_index
         )
+        for shard in service.shards:
+            assert shard.health_report()["states"] == ["healthy", "healthy"]
         return _tier_state(service)
     finally:
         service.close()
 
 
-@pytest.mark.parametrize("pruned", [False, True], ids=["default", "pruned"])
+TIER_OPTIONS = {
+    "default": {},
+    "pruned": {"head_pruner": HeadIdPruner(KEPT)},
+    "dictionary": {"schema_path_dictionary": True},
+}
+
+
+@pytest.mark.parametrize("config", sorted(TIER_OPTIONS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_tier_write_paths_leave_the_enumerated_removals_state(
-    monkeypatch, seed, pruned
+    monkeypatch, seed, config
 ):
-    options = {"head_pruner": HeadIdPruner(KEPT)} if pruned else {}
+    options = TIER_OPTIONS[config]
     sliced = _run_tier_writes(seed, options)
     with monkeypatch.context() as patch:
-        patch.setattr(DataPathsIndex, "_remove", enumerated_remove)
+        patch.setattr(DataPathsIndex, "_removal_batch", enumerated_removal)
         reference = _run_tier_writes(seed, options)
     assert sliced == reference
+
+
+@pytest.mark.parametrize("config", sorted(TIER_OPTIONS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tier_secondaries_are_byte_identical_to_their_primary(seed, config):
+    for shard in _run_tier_writes(seed, TIER_OPTIONS[config]):
+        primary, *secondaries = map(_without_stats, shard)
+        assert secondaries
+        for secondary in secondaries:
+            assert secondary == primary

@@ -15,8 +15,12 @@ wall-clock randomness anywhere):
   3-replica shard mid-workload leaves every query answer bit-identical
   to a never-faulted single engine;
 * **revive / re-sync** — a quarantined replica that missed writes is
-  rebuilt from the primary's live documents (id gaps skipped, so they
-  reproduce) and passes the alignment check — in a set of one too;
+  rebuilt from the primary's live documents (id gaps skipped and tag
+  ids reserved, so both reproduce) and passes the alignment check — in
+  a set of one too;
+* **shared entry batches** — a secondary whose dictionaries diverged
+  from the primary's is quarantined before it applies anything, and
+  one whose apply raises is quarantined and revived;
 * **watermark-triggered auto-rebalance** — the hysteresis band fires
   ``rebalance(policy)`` exactly once per sustained skew episode;
 * **the satellite regressions** — ``invalidate`` under the write lock,
@@ -32,7 +36,7 @@ import zlib
 
 import pytest
 
-from repro import ShardedQueryService, TwigIndexDatabase
+from repro import ShardedQueryService, TwigIndexDatabase, parse_string
 from repro.datasets import generate_xmark
 from repro.errors import DocumentError, PlanningError, QueryParseError
 from repro.faults import (
@@ -454,6 +458,74 @@ def test_revive_stays_exact_under_remove_readd_churn():
     revived = shard.revive(1)
     assert revived.watermark == shard.primary.watermark
     assert revived.document_count == shard.primary.document_count
+    assert (
+        revived.service.execute(XPATH, strategy="rootpaths").ids
+        == shard.primary.service.execute(XPATH, strategy="rootpaths").ids
+    )
+
+
+def _index_snapshot(replica) -> dict:
+    """Every built index's entries and counters, in comparable form."""
+    return {
+        name: (list(index._tree.scan_all()), index.entry_count, dict(index.stat_counts))
+        for name, index in sorted(replica.engine.indexes.items())
+    }
+
+
+def test_revive_reproduces_the_primarys_tag_ids():
+    shard = Shard(0, replicas=2)
+    shard.add_document(parse_string("<a><x>1</x></a>", name="A"))
+    shard.add_document(parse_string("<b><y>2</y></b>", name="B"))
+    shard.build_index("rootpaths")
+    shard.remove_document("A")  # releases a and x; the replay never sees them
+    revived = shard.revive(1)
+    tags, revived_tags = shard.primary.db.tags, revived.db.tags
+    assert list(revived_tags) == list(tags) == ["a", "x", "b", "y"]
+    for label in ("a", "x", "b", "y"):
+        assert revived_tags.id_of(label) == tags.id_of(label), label
+    assert tags.id_of("a") is None and tags.id_of("b") == 3
+    # The revived replica applies the primary's next batches exactly.
+    shard.add_document(parse_string("<a><z>3</z></a>", name="C"))
+    assert shard.health_report()["states"] == [REPLICA_HEALTHY, REPLICA_HEALTHY]
+    assert _index_snapshot(revived) == _index_snapshot(shard.primary)
+    assert list(revived_tags) == list(tags)
+
+
+def test_a_secondary_with_a_planted_tag_id_is_quarantined_untouched():
+    shard = _replicated(replicas=2)
+    secondary = shard.replicas[1]
+    secondary.db.tags.intern("planted")  # one id the primary never assigned
+    before = _index_snapshot(secondary)
+    shard.add_document(_doc(7))
+    report = shard.health_report()
+    assert report["states"] == [REPLICA_HEALTHY, REPLICA_DEAD]
+    assert "rootpaths diverged: tag and path ids" in report["detail"][1]["last_error"]
+    assert _index_snapshot(secondary) == before
+    revived = shard.revive(1)
+    assert _index_snapshot(revived) == _index_snapshot(shard.primary)
+
+
+@pytest.mark.parametrize("write", ["add", "remove"])
+def test_a_secondary_whose_apply_raises_is_quarantined_and_revived(write, monkeypatch):
+    shard = _replicated(replicas=2)
+
+    def refuse(batch):
+        raise InjectedFault("test: apply refused")
+
+    monkeypatch.setattr(shard.replicas[1].engine.indexes["rootpaths"], "apply", refuse)
+    if write == "add":
+        shard.add_document(_doc(7))
+    else:
+        shard.remove_document("doc-0")
+    report = shard.health_report()
+    assert report["states"] == [REPLICA_HEALTHY, REPLICA_DEAD]
+    assert f"write-through {write} failed" in report["detail"][1]["last_error"]
+    assert "apply refused" in report["detail"][1]["last_error"]
+    revived = shard.revive(1)
+    assert shard.health_report()["states"] == [REPLICA_HEALTHY, REPLICA_HEALTHY]
+    assert _index_snapshot(revived) == _index_snapshot(shard.primary)
+    shard.add_document(_doc(8))
+    assert shard.health_report()["states"] == [REPLICA_HEALTHY, REPLICA_HEALTHY]
     assert (
         revived.service.execute(XPATH, strategy="rootpaths").ids
         == shard.primary.service.execute(XPATH, strategy="rootpaths").ids

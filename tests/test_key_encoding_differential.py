@@ -62,7 +62,7 @@ INDEX_CONFIGS = {
 }
 
 #: Index modules that construct trees by the module-level name.
-_TREE_USERS = ("rootpaths", "datapaths", "dataguide", "edge", "index_fabric", "asr", "join_index")
+_TREE_USERS = ("base", "edge", "index_fabric", "asr", "join_index")
 
 
 def _as_tuple(key):

@@ -48,7 +48,7 @@ PAIRS = [
     ("RPR001", FIXTURES / "rpr001_good.py", FIXTURES / "rpr001_bad.py", 1),
     ("RPR002", FIXTURES / "rpr002_good.py", FIXTURES / "rpr002_bad.py", 2),
     ("RPR003", FIXTURES / "indexes/good.py", FIXTURES / "indexes/bad.py", 2),
-    ("RPR004", FIXTURES / "rpr004_good.py", FIXTURES / "rpr004_bad.py", 4),
+    ("RPR004", FIXTURES / "rpr004_good.py", FIXTURES / "rpr004_bad.py", 7),
     ("RPR005", FIXTURES / "rpr005_good.py", FIXTURES / "rpr005_bad.py", 4),
     ("RPR006", FIXTURES / "rpr006_good.py", FIXTURES / "rpr006_bad.py", 4),
 ]

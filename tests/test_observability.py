@@ -622,6 +622,7 @@ def test_revive_publishes_a_replay_event():
     assert revived.attributes["replica"] == 1
     assert revived.attributes["replayed"] >= 1
     assert revived.attributes["watermark"] == shard.watermark
+    assert revived.attributes["seconds"] >= 0
 
 
 def test_auto_rebalance_publishes_triggered_and_completed_events():

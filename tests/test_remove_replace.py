@@ -498,7 +498,7 @@ def test_churned_batches_leave_a_from_scratch_builds_entries_and_counters(
         assert _entry_multiset(churned) == _entry_multiset(fresh)
         assert churned.entry_count == fresh.entry_count == len(churned._tree)
         if isinstance(churned, DataGuideIndex):
-            assert churned._path_counts == fresh._path_counts
+            assert churned.stat_counts == fresh.stat_counts
             assert sorted(churned.distinct_paths()) == sorted(fresh.distinct_paths())
         else:
             assert churned.value_counts == fresh.value_counts

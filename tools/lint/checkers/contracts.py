@@ -4,10 +4,13 @@ Every ``PathIndex`` subclass must make its incremental-maintenance
 story explicit (``docs/ANALYSIS.md``): either override the
 ``_update`` / ``_remove`` hooks, or declare the corresponding
 ``incremental`` / ``incremental_removal`` flag so the full-rebuild
-fall-back is a visible decision rather than a silent default.  The
-checker also keeps the ``INDEX_TYPES`` registry honest: every subclass
-defined next to a registry must be registered, and every registry entry
-must resolve to a class defined there.
+fall-back is a visible decision rather than a silent default.  An
+``EntryBatchIndex`` subclass inherits both hooks, as apply(derive(...));
+what it must supply is the derive hook ``_entry_batch``, which both
+directions read.  The checker also keeps the ``INDEX_TYPES`` registry
+honest: every subclass defined next to a registry must be registered
+(the bases named in :data:`CONTRACTS` excepted), and every registry
+entry must resolve to a class defined there.
 
 The registry comparison is a whole-run check (:meth:`finalize`): the
 classes live in sibling modules of the registry's package, so the
@@ -24,19 +27,26 @@ from ..findings import Finding
 from ..walker import iter_classes, iter_methods
 from .base import Checker
 
+#: Base-class name -> the ``(flag, hook)`` pairs its subclasses must
+#: state: declare the flag, or override the hook.
+CONTRACTS = {
+    "PathIndex": (
+        ("incremental", "_update"),
+        ("incremental_removal", "_remove"),
+    ),
+    "EntryBatchIndex": (
+        ("incremental", "_entry_batch"),
+        ("incremental_removal", "_entry_batch"),
+    ),
+}
+
 #: Base-class names that opt a class into the maintenance contract.
-INDEX_BASES = frozenset({"PathIndex"})
+INDEX_BASES = frozenset(CONTRACTS)
 
 #: The registry mapping ``name -> class`` kept in the package init.
 #: (Held as a constant so this file never contains a bare assignment to
 #: that name — the checker must not flag itself.)
 REGISTRY_NAME = "INDEX_TYPES"
-
-#: ``(flag, hook)`` pairs the contract covers.
-CONTRACT = (
-    ("incremental", "_update"),
-    ("incremental_removal", "_remove"),
-)
 
 
 def _base_names(cls: ast.ClassDef) -> set[str]:
@@ -67,8 +77,9 @@ class MaintenanceContractChecker(Checker):
     code = "RPR004"
     name = "maintenance-contract"
     description = (
-        "PathIndex subclasses must override _update/_remove or declare "
-        "the incremental flags; INDEX_TYPES must match the class set"
+        "PathIndex subclasses must override _update/_remove (EntryBatchIndex "
+        "subclasses _entry_batch) or declare the incremental flags; "
+        "INDEX_TYPES must match the class set"
     )
 
     def __init__(self) -> None:
@@ -81,18 +92,23 @@ class MaintenanceContractChecker(Checker):
         findings: list[Finding] = []
         directory = posixpath.dirname(path)
         for cls in iter_classes(tree):
-            if not (_base_names(cls) & INDEX_BASES):
+            bases = _base_names(cls) & INDEX_BASES
+            if not bases:
                 continue
-            self._classes[cls.name] = directory
-            findings.extend(self._check_contract(path, cls))
+            if cls.name not in INDEX_BASES:
+                self._classes[cls.name] = directory
+            contract = [pair for base in sorted(bases) for pair in CONTRACTS[base]]
+            findings.extend(self._check_contract(path, cls, contract))
         self._record_registry(path, tree)
         return findings
 
-    def _check_contract(self, path: str, cls: ast.ClassDef) -> list[Finding]:
+    def _check_contract(
+        self, path: str, cls: ast.ClassDef, contract: list[tuple[str, str]]
+    ) -> list[Finding]:
         findings: list[Finding] = []
         flags = _class_level_flags(cls)
         methods = {m.name for m in iter_methods(cls)}
-        for flag, hook in CONTRACT:
+        for flag, hook in contract:
             declared = flags.get(flag)
             overrides = hook in methods
             if declared is None and not overrides:
