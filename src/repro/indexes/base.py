@@ -261,10 +261,10 @@ class EntryBatch(NamedTuple):
     """
 
     entries: list
-    ids: tuple[int, int]
     removal: bool = False
     head_range: Optional[tuple[EncodedKey, EncodedKey]] = None
     pruned: int = 0
+    ids: tuple = ()
     paths: tuple = ()
 
 
@@ -337,14 +337,14 @@ class EntryBatchIndex(PathIndex):
         ids = self._assigned_ids(db)
         if removal:
             (document,) = documents
-            batch = self._removal_batch(db, document, ids)
+            batch = self._removal_batch(db, document)
         else:
             entries, pruned = self._entry_batch(db, documents)
-            batch = EntryBatch(entries, ids, pruned=pruned)
+            batch = EntryBatch(entries, pruned=pruned)
         batch.entries.sort(key=_entry_key)
-        if self._path_dictionary is not None:
-            batch = batch._replace(paths=self._path_dictionary.paths_since(ids[1]))
-        return batch
+        dictionary = self._path_dictionary
+        paths = dictionary.paths_since(ids[1]) if dictionary is not None else ()
+        return batch._replace(ids=ids, paths=paths)
 
     def apply(self, batch: EntryBatch) -> None:
         """The only step that touches the tree and the counters.
@@ -380,10 +380,10 @@ class EntryBatchIndex(PathIndex):
         """``documents``' rows as ``(key, payload, stat_key)`` entries in
         row order, and how many rows head pruning dropped."""
 
-    def _removal_batch(self, db: XmlDatabase, document: Document, ids: tuple[int, int]) -> EntryBatch:
+    def _removal_batch(self, db: XmlDatabase, document: Document) -> EntryBatch:
         """What deletes ``document``'s entries: by default all of them."""
         entries, pruned = self._entry_batch(db, (document,))
-        return EntryBatch(entries, ids, removal=True, pruned=pruned)
+        return EntryBatch(entries, removal=True, pruned=pruned)
 
     def _idlist_size_bytes(self, key_size) -> int:
         """Figure 9 size of a tree of IdList payloads (ROOTPATHS, DATAPATHS),

@@ -85,7 +85,7 @@ class DataPathsIndex(EntryBatchIndex):
             batch.append(entry(row))
         return batch, pruned
 
-    def _removal_batch(self, db: XmlDatabase, document, ids: tuple[int, int]) -> EntryBatch:
+    def _removal_batch(self, db: XmlDatabase, document) -> EntryBatch:
         """One removed document's rows: a key range and the virtual-root rows.
 
         Ids are never reused, so the document's id span ``[first_id,
@@ -102,7 +102,7 @@ class DataPathsIndex(EntryBatchIndex):
             if pruner is not None:
                 pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
         head_range = (encode_component(document.first_id), encode_component(document.end_id))
-        return EntryBatch(batch, ids, removal=True, head_range=head_range, pruned=pruned)
+        return EntryBatch(batch, removal=True, head_range=head_range, pruned=pruned)
 
     def _entry(self, row: PathRow) -> tuple:
         """One row's ``(key, payload, stat_key)`` entry.

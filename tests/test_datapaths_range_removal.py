@@ -36,10 +36,10 @@ from repro.workloads.fuzz import random_document
 from repro.xmltree import XmlDatabase
 
 
-def enumerated_removal(index: DataPathsIndex, db, document, ids) -> EntryBatch:
+def enumerated_removal(index: DataPathsIndex, db, document) -> EntryBatch:
     """The reference removal: every subpath row, one ``delete_many``."""
     batch, pruned = index._entry_batch(db, (document,))
-    return EntryBatch(batch, ids, removal=True, pruned=pruned)
+    return EntryBatch(batch, removal=True, pruned=pruned)
 
 
 class EnumeratedRemoval(DataPathsIndex):
