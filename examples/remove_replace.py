@@ -49,12 +49,11 @@ def main() -> None:
     print(f"\nReplaced 'doc-2': {QUERY!r} matches: {len(db.query(QUERY).ids)}")
     assert db.query(QUERY).ids == db.oracle(QUERY)
 
-    # 4. The service layer treats both as *incremental* changes: cached
-    #    results were dropped, parsed plans survived.
+    # 4. Every write moved the engine's epoch once: cached results were
+    #    dropped, parsed plans survived.
     report = db.service.describe()
     print("Service maintenance counters:", report["maintenance"])
-    print("Invalidations: result-only =", report["result_invalidations"],
-          "| full =", report["full_invalidations"])
+    print("Invalidations:", report["invalidations"])
 
     # 5. The same mutations on a sharded service route to the owning
     #    shard only and stay answer-identical to the single engine.

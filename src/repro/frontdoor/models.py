@@ -5,9 +5,9 @@ a body is validated into a :class:`QueryRequest` at the door (unknown
 fields, wrong types and missing requireds are rejected with a ``400``
 before any engine work), and every answer leaves as a
 :class:`QueryResponse`.  This is the pydantic request-model idiom
-(cf. ``/root/related/acl-org__acl-2023-miniconf``) rebuilt on stdlib
-dataclasses, because the container bakes in no pydantic — the explicit
-``from_dict`` validators play the role of pydantic's parsing layer.
+redone on stdlib dataclasses, since the package depends on nothing
+outside the standard library — the explicit ``from_dict`` validators
+play the role of pydantic's parsing layer.
 
 Rejections are *typed*: every fast-reject raises a
 :class:`RejectedError` subclass carrying its HTTP status (429 for

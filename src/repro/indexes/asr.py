@@ -63,7 +63,7 @@ class AccessSupportRelationsIndex(PathIndex):
         indexed_columns=("LeafValue per relation",),
     )
 
-    # Per-path relations are rebuilt wholesale; no incremental path.
+    # Per-path relations are built again wholesale; no incremental path.
     incremental = False
     incremental_removal = False
 

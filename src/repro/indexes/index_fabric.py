@@ -60,7 +60,7 @@ class IndexFabricIndex(PathIndex):
 
     # ------------------------------------------------------------------
     def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
-        # No incremental ``update()``: the simulated fabric is rebuilt in
+        # No incremental ``update()``: the simulated fabric is built again in
         # full when a document is added (the base-class fall-back), as
         # the layered-trie original would re-layer anyway.
         self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)

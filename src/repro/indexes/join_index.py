@@ -80,7 +80,7 @@ class JoinIndicesIndex(PathIndex):
         indexed_columns=("HeadId (forward)", "LeafValue, TailId (backward)"),
     )
 
-    # Endpoint relations are rebuilt wholesale; no incremental path.
+    # Endpoint relations are built again wholesale; no incremental path.
     incremental = False
     incremental_removal = False
 

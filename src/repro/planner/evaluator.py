@@ -107,18 +107,14 @@ class TwigQueryEngine:
         self.stats = stats if stats is not None else StatsCollector()
         self.indexes: dict[str, PathIndex] = {}
         #: Options used for the most recent build of each index, replayed
-        #: when an evicted index is rebuilt on demand (so ablation
+        #: when an evicted index is built again on demand (so ablation
         #: switches like ``store_full_idlist=False`` survive rebuilds).
         self.build_options: dict[str, dict[str, object]] = {}
-        #: Monotonic count of index builds — a cheap change signal for
-        #: the service layer's cache invalidation.
-        self.build_count = 0
-        #: Monotonic count of incremental maintenance passes (one per
-        #: :meth:`add_document` with built indexes).  The service layer
-        #: uses the distinction between this and ``build_count`` to keep
-        #: plan caches across incremental updates while invalidating
-        #: everything on rebuilds.
-        self.update_count = 0
+        #: The write epoch: advanced by one for every document write
+        #: (:meth:`maintain_indexes`) and index build (:meth:`adopt_index`)
+        #: this engine applies.  Whatever caches answers or choices is
+        #: keyed on it or flushed when it moves.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Index management
@@ -145,7 +141,7 @@ class TwigQueryEngine:
         """Install a built ``index`` as ``name``, built with ``options``."""
         self.indexes[name] = index
         self.build_options[name] = dict(options)
-        self.build_count += 1
+        self.epoch += 1
         return index
 
     def ensure_indexes_for(self, strategy_name: str, batches: Optional[dict] = None) -> None:
@@ -221,9 +217,11 @@ class TwigQueryEngine:
         :meth:`~repro.indexes.base.PathIndex.remove` for removals — and
         returns a map of index name to whether it was maintained
         incrementally (``True``) or fell back to a full rebuild
-        (``False``).  Bumps :attr:`update_count` so service-layer
-        generations notice the change even when the facade is bypassed.
+        (``False``).  Advances :attr:`epoch`, so service-layer caches
+        notice the write even when the facade is bypassed.
         """
+        # First, so a maintenance pass that raises part-way still moves it.
+        self.epoch += 1
         maintained = {}
         for name in sorted(self.indexes):
             index = self.indexes[name]
@@ -233,7 +231,6 @@ class TwigQueryEngine:
             else:
                 index.update(self.db, document, batches)
                 maintained[name] = index.incremental
-        self.update_count += 1
         return maintained
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..obs import Telemetry, Trace
 from ..obs.clock import now as _now
@@ -84,8 +84,6 @@ def service_counts(totals: Mapping[str, int]) -> dict[str, object]:
     read from one :meth:`~ServingFacade._counter_totals` reading."""
     return {
         "invalidations": totals["invalidations"],
-        "result_invalidations": totals["result_invalidations"],
-        "full_invalidations": totals["full_invalidations"],
         "maintenance": {
             "documents_added": totals["documents_added"],
             "documents_removed": totals["documents_removed"],
@@ -196,10 +194,10 @@ class ServingFacade:
         """
         raise NotImplementedError
 
-    def generation(self) -> tuple:
+    def generation(self) -> Hashable:
         """A cheap fingerprint of everything that can change answers.
 
-        Subclasses return a hashable tuple that moves on every
+        Subclasses return a hashable value that moves on every
         client-visible write (document add/remove/replace/move, index
         build).  It closes every :meth:`answer_key`, so two requests
         may share one execution -- in flight or landed -- only when no

@@ -15,26 +15,20 @@ repeated-query serving workload all of that is pure overhead.
   catalog's ``estimate_matches`` statistics) for the estimated-cheapest
   strategy per query,
 * an optional LRU **result cache** (with an optional TTL admission
-  policy), invalidated whenever the document set or the built indexes
-  change,
+  policy), flushed whenever the engine's write epoch moves,
 * :meth:`~QueryService.execute_batch`, which runs many queries under a
   single shared stats snapshot and reports batch-level totals.
 
-The service watches a generation fingerprint of the database and the
-engine's index-build and index-maintenance counters, so results cached
-before an ``add_document`` / ``remove_document`` / ``build_index`` can
-never be served afterwards even when the mutation bypassed the
-service's own :meth:`~QueryService.invalidate`.  The fingerprint
-distinguishes two kinds of change (see ``docs/ARCHITECTURE.md``,
-"Generations and invalidation"):
-
-* **incremental update** (a document was added, removed or replaced
-  and the built indexes absorbed the change in place): cached results
-  and optimizer choices are stale and dropped, but parsed plans and
-  strategy instances stay — a document mutation changes answers, not
-  the query language or the index set;
-* **rebuild** (an index was built or rebuilt): everything is dropped,
-  including the plan cache and the reusable strategy instances.
+The service's fingerprint is the engine's write ``epoch``
+(:class:`~repro.planner.evaluator.TwigQueryEngine`), which every
+document write and index build advances by one.  Reads and writes flush
+the result and choice caches when it moved, so nothing cached before an
+``add_document`` / ``remove_document`` / ``build_index`` is served
+afterwards, even when the write bypassed the service.  Plan shapes and
+strategy instances are never flushed: a strategy reads its indexes from
+the engine's one dict at evaluation time, and a compiled plan depends
+on the query's labels alone (see ``docs/ARCHITECTURE.md``, "Generations
+and invalidation").
 
 Every public entry point runs under one re-entrant lock, so a service
 (and therefore one shard of a
@@ -52,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 from ..errors import PlanningError
 from ..obs import Telemetry
-from ..planner.evaluator import QueryResult, STRATEGY_TYPES, TwigQueryEngine
+from ..planner.evaluator import QueryResult, STRATEGY_TYPES, TwigQueryEngine, strategy_class
 from ..planner.analysis import TwigAnalysis
 from ..planner.optimizer import AUTO_CANDIDATES, StrategyChoice, choose_strategy
 from ..planner.strategies import EvaluationStrategy
@@ -94,7 +88,8 @@ class QueryService(ServingFacade):
         self.answer_cache = LRUCache(0)
         #: Memoised StrategyChoice per normalized query for :meth:`choose`
         #: callers; flushed with the result cache (a choice depends on the
-        #: built-index generation), which is why execution goes around it.
+        #: built indexes and their statistics), which is why execution
+        #: goes around it.
         self.choice_cache = LRUCache(
             plan_cache_size, on_clear=self._cache_clear_listener("choice")
         )
@@ -105,10 +100,11 @@ class QueryService(ServingFacade):
                     f"unknown auto candidate {name!r}; known: {sorted(STRATEGY_TYPES)}"
                 )
         self._strategies: dict[tuple, EvaluationStrategy] = {}
-        self._generation: Optional[tuple] = None
+        #: The engine epoch the result and choice caches hold entries of.
+        self._epoch = engine.epoch
         #: Serializes execution against document adds and index builds.
         #: Writes and invalidations count into the engine's collector
-        #: (``documents_added`` ... ``full_invalidations``) under it.
+        #: (``documents_added`` ... ``invalidations``) under it.
         self._lock = threading.RLock()
         self.auto_choice_counts: dict[str, int] = {}
         self.last_choice: Optional[StrategyChoice] = None
@@ -137,10 +133,10 @@ class QueryService(ServingFacade):
 
         Built indexes absorb the document incrementally where they can
         (see :meth:`TwigQueryEngine.add_document`; ``batches`` shares
-        their derived entries between replicas); cached results and
-        optimizer choices are dropped, parsed plans and strategy
-        instances survive.  Readers in other threads never observe the
-        half-maintained state because they serialize on the same lock.
+        their derived entries between replicas), and the moved epoch
+        drops cached results and optimizer choices.  Readers in other
+        threads never observe the half-maintained state because they
+        serialize on the same lock.
         """
         with self.telemetry.span(
             "index-maintain", stats=self.engine.stats, operation="add-document"
@@ -148,18 +144,16 @@ class QueryService(ServingFacade):
             with self._lock:
                 added = self.engine.add_document(document, batches)
                 self.engine.stats.documents_added += 1
-                self.invalidate(rebuilt=False)
+                self._check_epoch()
                 return added
 
     def remove_document(self, ref: Union[Document, str], batches: Optional[dict] = None) -> Document:
         """Remove a document through the engine under the service lock.
 
         Built indexes forget the document incrementally where they can
-        (see :meth:`TwigQueryEngine.remove_document`).  A removal is an
-        incremental update to the generation model: cached results and
-        optimizer choices are dropped, parsed plans and strategy
-        instances survive — removing data changes answers, not plans.
-        Returns the detached document.
+        (see :meth:`TwigQueryEngine.remove_document`), and the moved
+        epoch drops cached results and optimizer choices.  Returns the
+        detached document.
         """
         with self.telemetry.span(
             "index-maintain", stats=self.engine.stats, operation="remove-document"
@@ -167,7 +161,7 @@ class QueryService(ServingFacade):
             with self._lock:
                 removed = self.engine.remove_document(ref, batches)
                 self.engine.stats.documents_removed += 1
-                self.invalidate(rebuilt=False)
+                self._check_epoch()
                 return removed
 
     def replace_document(
@@ -177,8 +171,8 @@ class QueryService(ServingFacade):
 
         Readers serialize on the service lock, so no query can observe
         the half-replaced state (old version gone, new version not yet
-        added).  One incremental invalidation covers both halves.
-        Returns the added replacement.
+        added).  One flush covers both halves.  Returns the added
+        replacement.
         """
         with self.telemetry.span(
             "index-maintain", stats=self.engine.stats, operation="replace-document"
@@ -186,15 +180,15 @@ class QueryService(ServingFacade):
             with self._lock:
                 added = self.engine.replace_document(ref, replacement)
                 self.engine.stats.documents_replaced += 1
-                self.invalidate(rebuilt=False)
+                self._check_epoch()
                 return added
 
     def build_index(self, name: str, batches: Optional[dict] = None, **options):
         """Build (or rebuild) an index under the service lock.
 
-        Flushes every cache tier: a rebuild invalidates results, plans,
-        optimizer choices and strategy instances alike.  ``batches``
-        shares the derived build between replicas.
+        A write like any other: the moved epoch drops cached results and
+        optimizer choices.  ``batches`` shares the derived build between
+        replicas.
         """
         with self.telemetry.span(
             "index-maintain",
@@ -204,81 +198,48 @@ class QueryService(ServingFacade):
         ):
             with self._lock:
                 index = self.engine.build_index(name, batches=batches, **options)
-                self.invalidate(rebuilt=True)
+                self._check_epoch()
                 return index
+
+    def ensure_indexes_for(self, strategy_name: str, batches: Optional[dict] = None) -> None:
+        """Build the indexes ``strategy_name`` needs and lacks, under the lock."""
+        with self._lock:
+            self.engine.ensure_indexes_for(strategy_name, batches)
+            self._check_epoch()
 
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def invalidate(self, rebuilt: bool = True) -> None:
-        """Drop stale caches after a document or index change.
+    def invalidate(self) -> None:
+        """Drop the result and choice caches now.
 
-        ``rebuilt=True`` (an index was built or rebuilt) flushes
-        everything: results, optimizer choices, parsed plans and the
-        reusable strategy instances.  ``rebuilt=False`` (a document was
-        added, removed or replaced and the indexes were maintained in
-        place) drops only the result and choice caches — parsed plans
-        and strategy instances remain valid.  A ``rebuilt=False`` call
-        that finds an
-        unobserved index build in the generation fingerprint escalates
-        to a full flush — adopting the build silently would skip the
-        rebuild contract.
+        Reads and writes do this themselves whenever the engine epoch
+        moved; plan shapes and strategy instances are never dropped.
         """
         with self._lock:
-            current = self._current_generation()
-            if (
-                not rebuilt
-                and self._generation is not None
-                and current[1] != self._generation[1]
-            ):
-                rebuilt = True
-            self._flush(rebuilt)
-            self._generation = current
+            self._flush()
 
-    def _flush(self, rebuilt: bool) -> None:
-        stats = self.engine.stats
+    def _flush(self) -> None:
         self.result_cache.clear()
         self.choice_cache.clear()
-        if rebuilt:
-            self.plan_cache.clear()
-            self._strategies.clear()
-            stats.full_invalidations += 1
-        else:
-            stats.result_invalidations += 1
-        stats.invalidations += 1
+        self.engine.stats.invalidations += 1
+        self._epoch = self.engine.epoch
 
-    def _current_generation(self) -> tuple:
-        return (
-            self.engine.db.revision,
-            self.engine.build_count,
-            self.engine.update_count,
-        )
+    def _check_epoch(self) -> None:
+        if self.engine.epoch != self._epoch:
+            self._flush()
 
-    def generation(self) -> tuple:
-        """The service's change fingerprint, read lock-free.
+    def generation(self) -> int:
+        """The service's change fingerprint: the engine epoch, read lock-free.
 
         Deliberately *not* taken under the service lock: the front
         door's event loop reads it on every request, and queuing behind
         an executing query would serialize the whole front door on one
-        shard's lock.  The components are single attribute reads, each
-        updated before its write returns to the caller, so any
-        client-visible write is reflected in every later ``generation``
-        read — a torn read during a racing write can only produce a
-        transient extra value, which merely splits one coalescing group
-        in two (correct, just less shared).
+        shard's lock.  A write advances the epoch before it returns to
+        its caller, so any client-visible write is reflected in every
+        later ``generation`` read.
         """
-        return self._current_generation()
-
-    def _check_generation(self) -> None:
-        current = self._current_generation()
-        if self._generation is None:
-            self._generation = current
-        elif current != self._generation:
-            # A build_count move means an index was (re)built; a move in
-            # the database revision or the maintenance counter alone is
-            # an incremental update.
-            self._flush(rebuilt=current[1] != self._generation[1])
-            self._generation = current
+        return self.engine.epoch
 
     # ------------------------------------------------------------------
     # Strategy reuse and auto choice
@@ -310,11 +271,11 @@ class QueryService(ServingFacade):
         Candidates are restricted to strategies whose indexes are
         already built; with none built, the first candidate's indexes
         are built (with their recorded options) and it is chosen.
-        Choices are memoised per normalized query until the document
-        set or the built indexes change.
+        Choices are memoised per normalized query until the engine
+        epoch moves.
         """
         with self._lock:
-            self._check_generation()
+            self._check_epoch()
             twig = self.plan(query)
             choice = self.choice_cache.get(twig.key)
             if choice is None:
@@ -343,18 +304,28 @@ class QueryService(ServingFacade):
             indexes=self.engine.indexes,
         )
 
+    def _built(self, strategy: str) -> bool:
+        """Whether every index ``strategy`` needs is built."""
+        return all(map(self.engine.indexes.__contains__, strategy_class(strategy).required_indexes))
+
+    def on_demand_strategy(self, strategy: str) -> Optional[str]:
+        """The strategy whose missing indexes a read with ``strategy``
+        would build on demand, or ``None`` when it builds nothing.
+
+        ``auto`` builds only when none of its candidates is built, and
+        then its first.  The sharded tier asks this before a leg, so the
+        build goes through to every replica instead of the one read.
+        """
+        if strategy == AUTO_STRATEGY:
+            if any(map(self._built, self.auto_candidates)):
+                return None
+            strategy = self.auto_candidates[0]
+        return None if self._built(strategy) else strategy
+
     def _available_candidates(self) -> tuple[str, ...]:
-        available = tuple(
-            name
-            for name in self.auto_candidates
-            if all(
-                index_name in self.engine.indexes
-                for index_name in STRATEGY_TYPES[name].required_indexes
-            )
-        )
-        if available:
-            return available
-        fallback = self.auto_candidates[0]
+        fallback = self.on_demand_strategy(AUTO_STRATEGY)
+        if fallback is None:
+            return tuple(filter(self._built, self.auto_candidates))
         self.engine.ensure_indexes_for(fallback)
         return (fallback,)
 
@@ -419,7 +390,7 @@ class QueryService(ServingFacade):
         strategy_options: dict,
     ) -> QueryResult:
         with self._lock:
-            self._check_generation()
+            self._check_epoch()
             with self.telemetry.span("plan"):
                 twig = self.plan(query)
             # A text caller's own spelling names the request; the plan,
@@ -435,11 +406,9 @@ class QueryService(ServingFacade):
                 if hit is not None:
                     return self._copy_result(hit, cached=True)
             result = self._execute_uncached(twig, xpath, strategy, strategy_options)
-            # An on-demand index build during execution bumps the
-            # generation; the result reflects the post-build state, so
-            # adopt it before caching rather than letting the next call
-            # flush this entry.
-            self._generation = self._current_generation()
+            # An on-demand index build during execution moved the epoch:
+            # flush what was cached before it, then file this answer.
+            self._check_epoch()
             if use_result_cache and cache_key is not None:
                 # Cache a private copy: the caller owns the returned object
                 # and may mutate its ids/cost without poisoning later hits.
@@ -498,16 +467,13 @@ class QueryService(ServingFacade):
     def describe(self) -> dict[str, object]:
         """Cache and optimizer counters (for logs and benchmarks)."""
         with self._lock:
-            report = {
+            return {
                 "telemetry": self.telemetry.describe(),
                 **{f"{name}_cache": cache.describe() for name, cache in self._caches()},
                 "strategy_instances": len(self._strategies),
                 "auto_choice_counts": dict(self.auto_choice_counts),
                 **service_counts(self._counter_totals()),
             }
-            report["maintenance"]["index_builds"] = self.engine.build_count
-            report["maintenance"]["index_updates"] = self.engine.update_count
-            return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

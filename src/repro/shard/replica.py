@@ -6,7 +6,7 @@ identical :class:`Replica` engine slices, each with its own
 :class:`~repro.xmltree.document.XmlDatabase`,
 :class:`~repro.storage.stats.StatsCollector`,
 :class:`~repro.planner.evaluator.TwigQueryEngine` and
-:class:`~repro.service.QueryService` (caches, lock, generation).  A set
+:class:`~repro.service.QueryService` (caches, lock, epoch).  A set
 of one is the plain shard; more replicas scale reads out:
 
 * **writes go through to every replica** — the primary takes the
@@ -469,6 +469,10 @@ class Shard:
         error) next to the retry that answered.
         """
         query_key = query if isinstance(query, str) else query.source
+        missing = self.primary.service.on_demand_strategy(strategy)
+        if missing is not None:
+            # Built through to every live replica, not only the one read.
+            self.ensure_indexes_for(missing)
         attempted: set[int] = set()
         while True:
             choice = self._pick_replica(query_key, attempted)
@@ -716,26 +720,24 @@ class Shard:
         )
 
     def ensure_indexes_for(self, strategy_name: str) -> None:
+        """Build the indexes one strategy needs and lacks on every live replica."""
         self._write_through(
             "ensure_indexes_for",
-            lambda slot, replica, batches: replica.engine.ensure_indexes_for(strategy_name, batches),
+            lambda slot, replica, batches: replica.service.ensure_indexes_for(strategy_name, batches),
         )
 
-    def invalidate(self, rebuilt: bool = True) -> None:
+    def invalidate(self) -> None:
         """Invalidate every replica's caches, atomically with writes.
 
-        Holds :attr:`add_lock` so the sweep cannot interleave with a
-        write-through: without it, replica 0 could be invalidated, a
-        concurrent ``add_document`` bump every replica's generation,
-        and the tail replicas then be invalidated again — leaving the
-        set at inconsistent cache generations.
+        Holds :attr:`add_lock` so the sweep never lands between the
+        halves of a write-through.
         """
         with self.add_lock:
             for replica in self.replicas:
-                replica.service.invalidate(rebuilt=rebuilt)
+                replica.service.invalidate()
 
-    def generation(self) -> tuple:
-        """Every replica's change fingerprint, in slot order.
+    def generation(self) -> tuple[int, ...]:
+        """Every replica's engine epoch, in slot order.
 
         Not the primary's alone: write-through maintains the primary
         first, so between the two halves a read can be handed a
@@ -743,7 +745,7 @@ class Shard:
         replica in the fingerprint that stretch has a generation of its
         own, and nothing keyed on it outlives the write.
         """
-        return tuple(replica.service.generation() for replica in self.replicas)
+        return tuple([replica.engine.epoch for replica in self.replicas])
 
     def document_at(self, local_start: int) -> Document:
         return self.primary.document_at(local_start)
@@ -828,7 +830,10 @@ class Shard:
         slot is swapped in under both locks and its health reset to
         healthy; a fault injector wrapping the old replica is discarded
         with it.  The retired replica's cost counters fold
-        into :meth:`_counter_totals` so shard totals never decrease.
+        into :meth:`_counter_totals` so shard totals never decrease, and
+        the fresh engine's epoch is seeded past the retired one's, so the
+        slot's :meth:`generation` component never goes back (a landed
+        answer keyed on an earlier value can never be served again).
         Works on any slot: a read-dead primary (the only replica of a
         set of one, say) re-syncs from its own documents, which every
         write kept current.  Counted in ``replicas_revived``; the
@@ -866,6 +871,7 @@ class Shard:
                 )
             with self._read_lock:
                 retired = self.replicas[replica_index]
+                fresh.engine.epoch += retired.engine.epoch + 1
                 self.ops_stats.merge(retired.stats)
                 self.replicas[replica_index] = fresh
                 self._health[replica_index] = ReplicaHealth()

@@ -155,8 +155,6 @@ class ShardedQueryService(ServingFacade):
         #: :attr:`_counter_lock`, the rebalancer under its own lock.
         self.stats = StatsCollector()
         self._counter_lock = threading.Lock()
-        #: The last fingerprint :meth:`generation` returned.
-        self._generation_read: tuple = ()
         #: The self-driving rebalance trigger; off unless
         #: ``auto_rebalance=True``.  ``execute`` ticks it after every
         #: query, so skew checks run *between* queries — never on a
@@ -523,17 +521,21 @@ class ShardedQueryService(ServingFacade):
         return self.topology.translate_sorted(shard_index, local_ids)
 
     def invalidate(self, rebuilt: bool = True) -> None:
-        """Flush the landed answers and every replica's service caches."""
+        """Flush the landed answers and every replica's service caches.
+
+        ``rebuilt`` is ignored: a flush is one kind.  The keyword stays
+        only because ``benchmarks/e2e/layers.py`` still passes it.
+        """
         self.answer_cache.clear()
         for shard in self.shards:
-            shard.invalidate(rebuilt=rebuilt)
+            shard.invalidate()
 
-    def generation(self) -> tuple:
+    def generation(self) -> tuple[int, ...]:
         """A cheap fingerprint of everything that can change answers.
 
-        The topology epoch (placements, moves, rebalances) plus every
-        replica's service generation (documents, index builds and
-        maintenance).  Read lock-free — see
+        The topology epoch (placements, moves, rebalances), then every
+        replica's engine epoch (document writes and index builds), shard
+        by shard: 1 + shards x replicas ints.  Read lock-free — see
         :meth:`QueryService.generation
         <repro.service.QueryService.generation>` for the contract: any
         client-visible write is reflected in every later read.  Every
@@ -541,19 +543,10 @@ class ShardedQueryService(ServingFacade):
         stretch in which nothing a query can see changed — the rule
         :meth:`execute` lands answers by.
         """
-        current = (self.topology.epoch,) + tuple(
-            shard.generation() for shard in self.shards
-        )
-        # Between writes every read is equal; hand out one object, so
-        # the keys that hold a generation (one per landed answer) keep
-        # one nest of tuples alive between them, not one each for the
-        # collector to count and walk.  A racing reader at worst keeps
-        # an equal tuple of its own.
-        last = self._generation_read
-        if current == last:
-            return last
-        self._generation_read = current
-        return current
+        current = [self.topology.epoch]
+        for shard in self.shards:
+            current += shard.generation()
+        return tuple(current)
 
     # ------------------------------------------------------------------
     # Execution: scatter, prune, gather
@@ -810,11 +803,7 @@ class ShardedQueryService(ServingFacade):
             "telemetry": self.telemetry.describe(),
             "caches": cache_report(self._caches(), group=cache_section),
             "answer_cache": self.answer_cache.describe(),
-            "invalidations": {
-                "total": totals["invalidations"],
-                "result_only": totals["result_invalidations"],
-                "full": totals["full_invalidations"],
-            },
+            "invalidations": {"total": totals["invalidations"]},
             "maintenance": {
                 name: totals[name]
                 for name in ("documents_added", "documents_removed", "documents_replaced", "documents_moved")

@@ -53,8 +53,6 @@ ACTIVITY_COUNTERS = (
     "documents_removed",
     "documents_replaced",
     "invalidations",
-    "result_invalidations",
-    "full_invalidations",
     "queries_executed",
     "documents_moved",
     "reads_retried",
@@ -152,15 +150,13 @@ class StatsCollector:
     join_comparisons: int = 0
     tuples_produced: int = 0
     #: Service activity: document writes as a service saw them, cache
-    #: invalidations (result-only or full), and queries the sharded tier
-    #: answered.  Activity records, not cost terms — the work behind
-    #: them is charged through the counters above.
+    #: invalidations (flushes of the result and choice caches), and
+    #: queries the sharded tier answered.  Activity records, not cost
+    #: terms — the work behind them is charged through the counters above.
     documents_added: int = 0
     documents_removed: int = 0
     documents_replaced: int = 0
     invalidations: int = 0
-    result_invalidations: int = 0
-    full_invalidations: int = 0
     queries_executed: int = 0
     #: Completed cross-shard document moves (online rebalancing).  Not a
     #: cost term of either formula — a move's real work is already

@@ -180,7 +180,7 @@ class TagDictionary:
         """Approximate space for the translation table (paper: one page).
 
         Only live tags are charged: removals reclaim the space a
-        rebuilt-from-scratch dictionary over the remaining documents
+        from-scratch dictionary over the remaining documents
         would not spend.
         """
         return sum(len(t) + 8 for t in self._id_to_tag if self._is_live(t))

@@ -438,6 +438,29 @@ def test_revive_is_monotone_in_the_merged_stats(replicas):
     assert after["replicas_revived"] == 1
 
 
+@pytest.mark.parametrize("replicas", [2, 1])
+def test_revive_never_moves_a_generation_component_back(replicas):
+    # Removals before the kill: the replay is shorter than the history,
+    # so a fresh engine counting only its replay would land its epoch
+    # below the retired one's.
+    victim = replicas - 1
+    with ShardedQueryService.from_documents(
+        [_doc(i) for i in range(6)], num_shards=1, replicas=replicas
+    ) as service:
+        service.build_index("rootpaths")
+        for i in range(1, 5):
+            service.remove_document(f"doc-{i}")
+        shard = service.shards[0]
+        shard.dead_after = 1
+        before = service.generation()
+        inject(shard, victim, FaultPlan.failing_at(*range(1, 100)))
+        _walk_to_dead(shard, victim)
+        service.revive_replica(0, victim)
+        after = service.generation()
+    assert all(new >= old for old, new in zip(before, after))
+    assert after[1 + victim] > before[1 + victim]
+
+
 def test_revive_stays_exact_under_remove_readd_churn():
     # Constant corpus, endless remove/re-add churn.  Small docs keep
     # the loop fast.
@@ -756,7 +779,7 @@ def test_invalidate_takes_the_write_lock():
     finished = threading.Event()
 
     def invalidate():
-        shard.invalidate(rebuilt=False)
+        shard.invalidate()
         finished.set()
 
     with shard.add_lock:
@@ -775,7 +798,7 @@ def test_invalidate_racing_write_through_leaves_replicas_consistent():
     def sweep():
         try:
             while not stop.is_set():
-                shard.invalidate(rebuilt=False)
+                shard.invalidate()
         except BaseException as error:  # pragma: no cover - failure path
             errors.append(error)
 

@@ -280,7 +280,7 @@ def test_plan_cache_counters_count_requests_not_legs():
         shape = service.plan(CATALOG[0]).bound[0]
         service.add_document(generate_xmark(scale=0.02, seed=398, name="late"))
         service.build_index("rootpaths", order=8)
-        service.invalidate(rebuilt=True)
+        service.invalidate()
         assert service.plan(CATALOG[0]).bound[0] is shape
         assert service.plan_cache.clears == 0
 

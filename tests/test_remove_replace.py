@@ -348,12 +348,10 @@ def test_service_generation_treats_removal_as_incremental():
     service = db.service
     service.execute("/book/title", strategy=AUTO_STRATEGY)
     assert len(service.plan_cache) == 1
-    result_before = service.engine.stats.result_invalidations
-    full_before = service.engine.stats.full_invalidations
+    invalidations_before = service.engine.stats.invalidations
 
     service.remove_document("b")
-    assert service.engine.stats.result_invalidations == result_before + 1
-    assert service.engine.stats.full_invalidations == full_before
+    assert service.engine.stats.invalidations == invalidations_before + 1
     assert len(service.plan_cache) == 1  # parsed plans survive
     assert len(service.result_cache) == 0
     report = service.describe()
@@ -417,13 +415,13 @@ def test_sharded_removal_invalidates_owning_shard_only():
         sharded.execute("/book/title", strategy="rootpaths")
         shard0, shard1 = sharded.shards
         before = (
-            shard0.service.engine.stats.result_invalidations,
-            shard1.service.engine.stats.result_invalidations,
+            shard0.service.engine.stats.invalidations,
+            shard1.service.engine.stats.invalidations,
         )
         placement = sharded.remove_document("b")
         assert placement.shard_index == 1
-        assert shard1.service.engine.stats.result_invalidations == before[1] + 1
-        assert shard0.service.engine.stats.result_invalidations == before[0]
+        assert shard1.service.engine.stats.invalidations == before[1] + 1
+        assert shard0.service.engine.stats.invalidations == before[0]
         report = sharded.describe()
         assert report["maintenance"]["documents_removed"] == 1
         assert report["documents"] == 1

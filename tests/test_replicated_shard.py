@@ -206,6 +206,50 @@ def test_generation_names_the_stretch_between_write_through_halves():
         assert after.ids == service.oracle(xpath) and len(after.ids) > len(before)
 
 
+def test_each_write_half_advances_its_own_epoch_once():
+    """An add or remove moves the topology epoch and the owning shard's
+    replica epochs by one each; a build moves every replica's by one."""
+    with ShardedQueryService.from_documents(
+        [_doc(i) for i in range(4)], num_shards=4, replicas=2
+    ) as service:
+        service.build_index("rootpaths")
+        before = service.generation()
+        placement = service.add_document(_doc(9))
+        added = service.generation()
+        assert len(added) == 1 + 4 * 2
+        # The topology epoch, then the owning shard's two replica epochs.
+        expected = [1] + [0] * 8
+        first = 1 + placement.shard_index * 2
+        expected[first:first + 2] = [1, 1]
+        assert [new - old for old, new in zip(before, added)] == expected
+        service.remove_document("doc-9")
+        removed = service.generation()
+        assert [new - old for old, new in zip(added, removed)] == expected
+        service.build_index("datapaths")
+        built = service.generation()
+        assert [new - old for old, new in zip(removed, built)] == [0] + [1] * 8
+
+
+@pytest.mark.parametrize(
+    "strategy, expected",
+    [("datapaths", ["datapaths", "rootpaths"]), ("auto", ["rootpaths"])],
+)
+def test_an_on_demand_build_reaches_every_live_replica(strategy, expected):
+    """A read whose strategy lacks an index builds it through the shard's
+    write-through, not on the one replica that served the read."""
+    with ShardedQueryService.from_documents(
+        [_doc(i) for i in range(6)], num_shards=1, replicas=2
+    ) as service:
+        if strategy != "auto":
+            service.build_index("rootpaths")
+        xpath = "//item/name"
+        result = service.execute(xpath, strategy=strategy, use_result_cache=False)
+        assert result.ids == service.oracle(xpath)
+        shard = service.shards[0]
+        assert [sorted(r.engine.indexes) for r in shard.replicas] == [expected] * 2
+        assert shard.health_report()["dead"] == 0
+
+
 # ----------------------------------------------------------------------
 # Reads route around the replica under maintenance
 # ----------------------------------------------------------------------

@@ -275,49 +275,64 @@ def test_auto_choices_are_memoised_per_generation(service_db):
 
 
 def test_incremental_add_keeps_plans_and_strategies_drops_results(service_db):
-    # Generation semantics: an add maintained incrementally invalidates
-    # answers (result + choice caches) but not plans or strategy
-    # instances — an add changes answers, not query plans.
+    # Epoch semantics: an add moves the epoch, which drops answers
+    # (result + choice caches) but not plans or strategy instances —
+    # an add changes answers, not query plans.
     service = service_db.service
     service_db.build_index("rootpaths")
     service.execute("/book/title")
     plan = service.plan("/book/title")
     runner = service.strategy_instance("rootpaths")
     assert len(service.result_cache) == 1
+    invalidations_before = service.engine.stats.invalidations
 
     service_db.add_document(book_document(name="b2"))
     assert len(service.result_cache) == 0
     assert service.plan("/book/title").bound[0] is plan.bound[0]  # shape survived
     assert service.strategy_instance("rootpaths") is runner
-    assert service.engine.stats.result_invalidations == 1
-    assert service.engine.stats.full_invalidations >= 1  # the explicit build above
+    assert service.engine.stats.invalidations == invalidations_before + 1
 
 
-def test_rebuild_invalidates_everything(service_db):
+def test_rebuild_with_new_options_drops_answers_keeps_shapes_and_strategies(service_db):
+    # A rebuild is a write like any other: it moves the epoch once,
+    # which drops results and choices.  Shapes and strategy instances
+    # stay: the instance reads the engine's index dict at evaluation
+    # time, so it runs on the rebuilt index without being replaced.
     service = service_db.service
-    service_db.build_index("rootpaths")
-    service.execute("/book/title")
-    plan = service.plan("/book/title")
-    runner = service.strategy_instance("rootpaths")
-    full_before = service.engine.stats.full_invalidations
+    service_db.add_document(book_document(name="b2"))
+    service_db.build_index("datapaths")
+    queries = ["/book/title", "//author[fn='jane']", "/book[title='XML']//ln"]
+    for xpath in queries:
+        service.execute(xpath, strategy="datapaths")
+        service.choose(xpath)
+    shape = service.plan(queries[0]).bound[0]
+    runner = service.strategy_instance("datapaths")
+    epoch = service.engine.epoch
+    invalidations_before = service.engine.stats.invalidations
 
-    service_db.build_index("rootpaths")
-    assert len(service.result_cache) == 0
-    assert len(service.plan_cache) == 0
-    assert service.plan("/book/title").bound[0] is not plan.bound[0]
-    assert service.strategy_instance("rootpaths") is not runner
-    assert service.engine.stats.full_invalidations == full_before + 1
+    service_db.build_index("datapaths", order=8)
+    assert service.engine.epoch == epoch + 1
+    assert service.engine.stats.invalidations == invalidations_before + 1
+    assert len(service.result_cache) == 0 and len(service.choice_cache) == 0
+    assert service.plan(queries[0]).bound[0] is shape
+    assert service.strategy_instance("datapaths") is runner
+    assert runner.index is service.engine.indexes["datapaths"]
+    assert runner.index.order == 8
+    for xpath in queries:
+        result = service.execute(xpath, strategy="datapaths")
+        assert not result.cached
+        assert result.ids == service_db.oracle(xpath)
+        assert service.execute(xpath, strategy=AUTO_STRATEGY).ids == result.ids
 
 
 def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db):
-    # engine.add_document bypasses the facade's invalidate(); the
-    # generation fingerprint must classify it as incremental (plans
-    # kept) rather than flushing everything.
+    # engine.add_document bypasses the facade; the moved epoch must
+    # still flush the results on the next read, and plans stay.
     service = service_db.service
     service_db.build_index("rootpaths")
     service.execute("/book/title")
     plan = service.plan("/book/title")
-    result_before = service.engine.stats.result_invalidations
+    invalidations_before = service.engine.stats.invalidations
 
     service_db.engine.add_document(book_document(name="b2"))
     result = service.execute("/book/title")
@@ -325,25 +340,7 @@ def test_out_of_band_incremental_add_detected_as_result_invalidation(service_db)
     assert result.ids == service_db.oracle("/book/title")
     assert len(result.ids) == 2
     assert service.plan("/book/title").bound[0] is plan.bound[0]
-    assert service.engine.stats.result_invalidations == result_before + 1
-
-
-def test_add_after_out_of_band_rebuild_escalates_to_full_flush(service_db):
-    # An index rebuilt behind the service's back must not be absorbed
-    # by the weaker add-document invalidation: the unobserved
-    # build_count move escalates invalidate(rebuilt=False) to a full
-    # flush, honouring the rebuild contract.
-    service = service_db.service
-    service_db.build_index("rootpaths")
-    service.execute("/book/title")
-    plan = service.plan("/book/title")
-    full_before = service.engine.stats.full_invalidations
-
-    service_db.engine.build_index("rootpaths")  # out-of-band rebuild
-    service_db.add_document(book_document(name="b2"))
-    assert service.engine.stats.full_invalidations == full_before + 1
-    assert len(service.plan_cache) == 0
-    assert service.plan("/book/title") is not plan
+    assert service.engine.stats.invalidations == invalidations_before + 1
 
 
 def test_execute_batch_correct_across_interleaved_adds(service_db):

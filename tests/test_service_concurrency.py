@@ -195,7 +195,7 @@ def test_single_service_race_no_stale_results(prefix_oracles):
         )
     report = service.describe()
     assert report["result_cache"]["size"] <= service.result_cache.max_size
-    assert report["result_invalidations"] >= EXTRA_DOCS
+    assert report["invalidations"] >= EXTRA_DOCS
 
 
 @pytest.mark.parametrize("placement", ["round_robin", "hash"])

@@ -184,16 +184,16 @@ def test_add_document_invalidates_only_the_owning_shards_result_cache():
 
     shard0, shard1 = service.shards
     invalidations_before = (
-        shard0.service.engine.stats.result_invalidations,
-        shard1.service.engine.stats.result_invalidations,
+        shard0.service.engine.stats.invalidations,
+        shard1.service.engine.stats.invalidations,
     )
     # Ordinal 2 -> shard 0 under round-robin.
     placed = service.add_document(
         generate_xmark(scale=0.01, seed=999, name="doc-2")
     )
     assert placed.shard_index == 0
-    assert shard0.service.engine.stats.result_invalidations == invalidations_before[0] + 1
-    assert shard1.service.engine.stats.result_invalidations == invalidations_before[1]
+    assert shard0.service.engine.stats.invalidations == invalidations_before[0] + 1
+    assert shard1.service.engine.stats.invalidations == invalidations_before[1]
     # Shard 1 still holds its cached partial; shard 0 must re-execute.
     assert len(shard1.service.result_cache) > 0
     assert len(shard0.service.result_cache) == 0
@@ -371,7 +371,7 @@ def test_invalidate_and_ttl_expiry_drop_landed_answers():
     with _landing_tier(result_cache_ttl=0.05) as service:
         service.execute(XPATH)
         assert service.execute(XPATH).cached
-        service.invalidate(rebuilt=False)
+        service.invalidate()
         assert len(service.answer_cache) == 0 and service.answer_cache.clears == 1
         assert not service.execute(XPATH).cached
         assert service.execute(XPATH).cached

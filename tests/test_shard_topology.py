@@ -195,9 +195,9 @@ def test_move_invalidates_only_the_two_shards_touched():
     service.build_index("rootpaths")
     xpath = "/site/people/person/name"
     service.execute(xpath)  # warm all four shards' result caches
-    before = [shard.service.engine.stats.result_invalidations for shard in service.shards]
+    before = [shard.service.engine.stats.invalidations for shard in service.shards]
     service.move_document("doc-0", 1)  # shard 0 -> shard 1
-    after = [shard.service.engine.stats.result_invalidations for shard in service.shards]
+    after = [shard.service.engine.stats.invalidations for shard in service.shards]
     assert after[0] == before[0] + 1  # source: removal invalidation
     assert after[1] == before[1] + 1  # target: add invalidation
     assert after[2] == before[2] and after[3] == before[3]
