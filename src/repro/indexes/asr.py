@@ -29,10 +29,10 @@ from ..paths.fourary import iter_rootpaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
 from ..storage.btree import BPlusTree
 from ..storage.heap import HeapFile
-from ..storage.keys import encode_key
+from ..storage.keys import encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, PathIndex
+from .base import FamilyDescriptor, PathIndex, rows_with_key
 
 
 @dataclass
@@ -46,7 +46,7 @@ class AccessSupportRelation:
 
     def rows_with_value(self, value: str) -> list[tuple]:
         """Rows whose leaf value equals ``value`` (via the value index)."""
-        return self.value_index.search(encode_key((value,)))
+        return rows_with_key(self.value_index, (value,))
 
     def scan(self) -> list[tuple]:
         """All rows of the relation (sequential scan)."""
@@ -97,7 +97,7 @@ class AccessSupportRelationsIndex(PathIndex):
             relation.heap.append(stored)
             relation.row_count += 1
             if row.leaf_value is not None:
-                relation.value_index.insert(encode_key((row.leaf_value,)), stored)
+                relation.value_index.insert(row_key(encode_key((row.leaf_value,)), row.tail_id), stored)
 
     # ------------------------------------------------------------------
     @property

@@ -44,7 +44,7 @@ from ..paths.compression import SchemaPathDictionary
 from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..paths.schema_paths import LabelPath
 from ..storage.btree import BPlusTree
-from ..storage.keys import EncodedKey, encode_key
+from ..storage.keys import EncodedKey, encode_key, exact_prefix
 from ..storage.stats import GLOBAL_STATS, PAGE_READ_WEIGHT, StatsCollector
 from ..xmltree.document import Document, XmlDatabase
 
@@ -52,7 +52,7 @@ from ..xmltree.document import Document, XmlDatabase
 #: tree height (a shallow three-level tree), in weighted-cost currency.
 DEFAULT_DESCENT_COST = 3 * PAGE_READ_WEIGHT
 
-#: Entry batches sort by key alone, so equal keys keep row order.
+#: Entry batches sort by key alone; payloads need not compare.
 _entry_key = operator.itemgetter(0)
 
 
@@ -413,6 +413,12 @@ class EntryBatchIndex(PathIndex):
         twin._key_suffixes = KeySuffixMemo(db.tags, self.reverse_schema_path, twin._path_dictionary)
         twin.stat_counts = dict(self.stat_counts)
         return twin
+
+
+def rows_with_key(tree: BPlusTree, components: Sequence) -> list:
+    """The values of every row whose logical key is ``components``, in
+    tail-id order: one prefix scan of the terminated key."""
+    return [value for _key, value in tree.scan_prefix_items(exact_prefix(encode_key(components)))]
 
 
 def labels_to_tag_ids(db: XmlDatabase, labels: Sequence[str]) -> Optional[tuple[int, ...]]:

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from ..paths.fourary import iter_rootpaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
-from ..storage.keys import encode_key
+from ..storage.keys import row_key
 from ..xmltree.document import XmlDatabase
-from .base import EntryBatchIndex, FamilyDescriptor, labels_to_tag_ids
+from .base import EntryBatchIndex, FamilyDescriptor, labels_to_tag_ids, rows_with_key
 
 
 class DataGuideIndex(EntryBatchIndex):
@@ -47,7 +47,7 @@ class DataGuideIndex(EntryBatchIndex):
         """
         suffixes = self._key_suffixes
         batch = [
-            (suffixes[schema_path], id_list[-1], schema_path)
+            (row_key(suffixes[schema_path], id_list[-1]), id_list[-1], schema_path)
             for _head, schema_path, _value, id_list in iter_rootpaths_rows(
                 db, include_values=False, documents=documents
             )
@@ -62,7 +62,7 @@ class DataGuideIndex(EntryBatchIndex):
         tag_ids = labels_to_tag_ids(db, labels)
         if tag_ids is None:
             return []
-        return self._tree.search(encode_key(tag_ids))
+        return rows_with_key(self._tree, tag_ids)
 
     def distinct_paths(self) -> list[LabelPath]:
         """Every distinct rooted schema path (the DataGuide's skeleton)."""

@@ -25,10 +25,10 @@ from typing import Iterator, Optional, Sequence
 from ..errors import UnsupportedLookupError
 from ..paths.compression import HeadIdPruner
 from ..paths.fourary import PathRow, iter_datapaths_rows, iter_rootpaths_rows
-from ..storage.keys import encode_component, encode_key
+from ..storage.keys import encode_component, encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
-from .base import EntryBatch, EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids
+from .base import EntryBatch, EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids, rows_with_key
 
 
 class DataPathsIndex(EntryBatchIndex):
@@ -111,10 +111,11 @@ class DataPathsIndex(EntryBatchIndex):
         ``stat_key`` is set on virtual-root rows only.
         """
         head_id, schema_path, leaf_value, id_list = row
-        key = (
+        key = row_key(
             encode_component(head_id)
             + encode_component(leaf_value)
-            + self._key_suffixes[schema_path]
+            + self._key_suffixes[schema_path],
+            id_list[-1] if id_list else head_id,
         )
         stat_key = (schema_path[-1], leaf_value) if head_id == VIRTUAL_ROOT_ID else None
         return (key, (schema_path, id_list, leaf_value, head_id), stat_key)
@@ -263,8 +264,7 @@ class DataPathsIndex(EntryBatchIndex):
         path_id = self._path_dictionary.id_of(full_path)
         if path_id is None:
             return
-        key = encode_key((head_id, value, path_id))
-        for payload in self._tree.search(key):
+        for payload in rows_with_key(self._tree, (head_id, value, path_id)):
             labels, ids, leaf_value, row_head = payload
             yield PathMatch(labels=labels, ids=ids, value=leaf_value, head_id=row_head)
 

@@ -21,10 +21,10 @@ from typing import Iterator, Optional
 
 from ..storage.btree import BPlusTree
 from ..storage.heap import HeapFile
-from ..storage.keys import encode_key
+from ..storage.keys import encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, VIRTUAL_ROOT_LABEL, XmlDatabase
-from .base import FamilyDescriptor, PathIndex
+from .base import FamilyDescriptor, PathIndex, rows_with_key
 
 
 class EdgeIndex(PathIndex):
@@ -74,19 +74,21 @@ class EdgeIndex(PathIndex):
         """Incremental deletion of one removed document's edges.
 
         Every structural node's tag, value and link index entries are
-        deleted by the exact keys :meth:`_insert_node` produced, and the
-        document's heap rows — contiguous, because adds append in
-        document order — are filtered out of the pages its id span
-        touches.
+        deleted by the exact keys :meth:`_insert_node` produced, one
+        ``delete_many`` per tree, and the document's heap rows —
+        contiguous, because adds append in document order — are
+        filtered out of the pages its id span touches.
         """
         assert self.heap is not None
-        deleted_nodes = 0
+        doomed: dict[BPlusTree, list] = {}
         for node in document.iter_structural():
-            self._delete_node_entries(node, document)
-            deleted_nodes += 1
+            for tree, key, _value in self._entries(node, document):
+                doomed.setdefault(tree, []).append((key,))
+            self.edge_count -= 1
+        for tree, entries in doomed.items():
+            tree.delete_many(entries)
         first_id, end_id = document.first_id, document.end_id
         self.heap.delete_where(lambda row: first_id <= row[1] < end_id)
-        self.edge_count -= deleted_nodes
 
     def _parent_edge(self, node, document=None):
         """The ``(parent_id, parent_label)`` an Edge row records.
@@ -105,30 +107,16 @@ class EdgeIndex(PathIndex):
 
     def _insert_node(self, node) -> None:
         """Append one structural node's Edge row and index entries."""
-        assert (
-            self.heap is not None
-            and self._value_index is not None
-            and self._tag_index is not None
-            and self._forward_index is not None
-            and self._backward_index is not None
-        )
+        assert self.heap is not None
         parent_id, parent_label = self._parent_edge(node)
-        value = node.first_value()
-        self.heap.append((parent_id, node.node_id, node.label, value))
+        self.heap.append((parent_id, node.node_id, node.label, node.first_value()))
         self.edge_count += 1
-        self._tag_index.insert(encode_key((node.label,)), node.node_id)
-        if value is not None:
-            self._value_index.insert(encode_key((node.label, value)), node.node_id)
-        if parent_id is not None:
-            self._forward_index.insert(
-                encode_key((parent_id, node.label)), node.node_id
-            )
-            self._backward_index.insert(
-                encode_key((node.node_id,)), (parent_id, parent_label)
-            )
+        for tree, key, value in self._entries(node):
+            tree.insert(key, value)
 
-    def _delete_node_entries(self, node, document) -> None:
-        """Delete one structural node's index entries (mirror of insert)."""
+    def _entries(self, node, document=None):
+        """One structural node's ``(tree, key, value)`` index entries, each
+        key ending in the node's id."""
         assert (
             self._value_index is not None
             and self._tag_index is not None
@@ -137,16 +125,13 @@ class EdgeIndex(PathIndex):
         )
         parent_id, parent_label = self._parent_edge(node, document)
         value = node.first_value()
-        self._tag_index.delete(encode_key((node.label,)), value=node.node_id)
+        node_id = node.node_id
+        yield self._tag_index, row_key(encode_key((node.label,)), node_id), node_id
         if value is not None:
-            self._value_index.delete(
-                encode_key((node.label, value)), value=node.node_id
-            )
+            yield self._value_index, row_key(encode_key((node.label, value)), node_id), node_id
         if parent_id is not None:
-            self._forward_index.delete(
-                encode_key((parent_id, node.label)), value=node.node_id
-            )
-            self._backward_index.delete(encode_key((node.node_id,)))
+            yield self._forward_index, row_key(encode_key((parent_id, node.label)), node_id), node_id
+            yield self._backward_index, row_key(encode_key((node_id,)), node_id), (parent_id, parent_label)
 
     # ------------------------------------------------------------------
     # Lookup primitives used by the Edge / DG+Edge / IF+Edge strategies
@@ -155,26 +140,26 @@ class EdgeIndex(PathIndex):
         """Ids of nodes labelled ``label`` whose direct value equals ``value``."""
         self._require_built()
         assert self._value_index is not None
-        return self._value_index.search(encode_key((label, value)))
+        return rows_with_key(self._value_index, (label, value))
 
     def nodes_with_label(self, label: str) -> list[int]:
         """Ids of nodes labelled ``label`` (the tag index)."""
         self._require_built()
         assert self._tag_index is not None
-        return self._tag_index.search(encode_key((label,)))
+        return rows_with_key(self._tag_index, (label,))
 
     def parent_of(self, node_id: int) -> Optional[tuple[int, str]]:
         """``(parent id, parent label)`` via the backward link index."""
         self._require_built()
         assert self._backward_index is not None
-        results = self._backward_index.search(encode_key((node_id,)))
+        results = rows_with_key(self._backward_index, (node_id,))
         return results[0] if results else None
 
     def children_of(self, node_id: int, label: str) -> list[int]:
         """Child ids with a given tag via the forward link index."""
         self._require_built()
         assert self._forward_index is not None
-        return self._forward_index.search(encode_key((node_id, label)))
+        return rows_with_key(self._forward_index, (node_id, label))
 
     def ancestors_of(self, node_id: int) -> Iterator[tuple[int, str]]:
         """Walk the backward links to the root, yielding ``(id, label)``.

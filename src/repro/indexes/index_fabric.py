@@ -25,10 +25,10 @@ from typing import Optional, Sequence
 from ..paths.fourary import iter_rootpaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
 from ..storage.btree import BPlusTree
-from ..storage.keys import encode_key
+from ..storage.keys import encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import FamilyDescriptor, PathIndex, labels_to_tag_ids
+from .base import FamilyDescriptor, PathIndex, labels_to_tag_ids, rows_with_key
 
 
 class IndexFabricIndex(PathIndex):
@@ -72,7 +72,7 @@ class IndexFabricIndex(PathIndex):
                 continue
             tag_ids = tuple(db.tags.intern(label) for label in row.schema_path)
             stored = row.id_list[0] if self.return_first else row.id_list[-1]
-            entries.append((encode_key((*tag_ids, row.leaf_value)), stored))
+            entries.append((row_key(encode_key((*tag_ids, row.leaf_value)), row.tail_id), stored))
             self.entry_count += 1
             seen_paths.setdefault(row.schema_path, None)
         self._tree.insert_many(entries)
@@ -86,7 +86,7 @@ class IndexFabricIndex(PathIndex):
         tag_ids = labels_to_tag_ids(db, labels)
         if tag_ids is None:
             return []
-        return self._tree.search(encode_key((*tag_ids, value)))
+        return rows_with_key(self._tree, (*tag_ids, value))
 
     def leaf_paths(self) -> list[LabelPath]:
         """Distinct root-to-leaf schema paths present in the fabric."""

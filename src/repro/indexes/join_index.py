@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 from ..paths.fourary import iter_datapaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
 from ..storage.btree import BPlusTree
-from ..storage.keys import decode_key, encode_key
+from ..storage.keys import decode_key, encode_component, encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
-from .base import FamilyDescriptor, PathIndex
+from .base import FamilyDescriptor, PathIndex, rows_with_key
 
 
 @dataclass
@@ -43,7 +43,7 @@ class JoinIndexRelation:
 
     def tails_for_head(self, head_id: int) -> list[tuple[int, Optional[str]]]:
         """Forward lookup: ``(tail id, value)`` pairs below ``head_id``."""
-        return self.forward.search(encode_key((head_id,)))
+        return rows_with_key(self.forward, (head_id,))
 
     def heads_for_value(self, value: Optional[str]) -> list[int]:
         """Backward lookup by leaf value: head ids whose path tail holds it."""
@@ -112,12 +112,15 @@ class JoinIndicesIndex(PathIndex):
                     backward=BPlusTree(self.order, self.stats, "ji_backward"),
                 )
                 self.relations[row.schema_path] = relation
-            tail_id = row.id_list[-1] if row.id_list else row.head_id
+            tail_id = row.tail_id
+            # A node's value rows share its tail id with its structural
+            # row, so the forward key names the value after it.
             relation.forward.insert(
-                encode_key((row.head_id,)), (tail_id, row.leaf_value)
+                row_key(encode_key((row.head_id,)), tail_id) + encode_component(row.leaf_value),
+                (tail_id, row.leaf_value),
             )
             relation.backward.insert(
-                encode_key((row.leaf_value, tail_id)), row.head_id
+                row_key(encode_key((row.leaf_value, tail_id)), tail_id), row.head_id
             )
             relation.pair_count += 1
 

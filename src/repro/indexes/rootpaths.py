@@ -33,10 +33,10 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
 from ..paths.fourary import iter_rootpaths_rows
-from ..storage.keys import encode_component, encode_key
+from ..storage.keys import encode_component, encode_key, row_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
-from .base import EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids
+from .base import EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids, rows_with_key
 
 
 class RootPathsIndex(EntryBatchIndex):
@@ -86,7 +86,7 @@ class RootPathsIndex(EntryBatchIndex):
         for _head, schema_path, leaf_value, id_list in iter_rootpaths_rows(
             db, documents=documents
         ):
-            key = encode_component(leaf_value) + suffixes[schema_path]
+            key = row_key(encode_component(leaf_value) + suffixes[schema_path], id_list[-1])
             ids = id_list if full else id_list[-1:]
             batch.append(
                 (key, (schema_path, ids, leaf_value), (schema_path[-1], leaf_value))
@@ -192,8 +192,7 @@ class RootPathsIndex(EntryBatchIndex):
         path_id = self._path_dictionary.id_of(tuple(segment_labels))
         if path_id is None:
             return
-        key = encode_key((value, path_id))
-        for payload in self._tree.search(key):
+        for payload in rows_with_key(self._tree, (value, path_id)):
             labels, ids, leaf_value = payload
             yield PathMatch(labels=labels, ids=ids, value=leaf_value, head_id=None)
 

@@ -12,12 +12,12 @@ from .heap import HeapFile
 from .keys import (
     EncodedKey,
     KeyComponent,
-    decode_component,
     decode_key,
     encode_component,
     encode_key,
+    exact_prefix,
     is_prefix,
-    key_byte_size,
+    row_key,
     split_key,
 )
 from .stats import GLOBAL_STATS, StatsCollector, sum_snapshots
@@ -29,12 +29,12 @@ __all__ = [
     "HeapFile",
     "KeyComponent",
     "StatsCollector",
-    "decode_component",
     "decode_key",
     "encode_component",
     "encode_key",
+    "exact_prefix",
     "is_prefix",
-    "key_byte_size",
+    "row_key",
     "split_key",
     "sum_snapshots",
 ]

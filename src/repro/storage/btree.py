@@ -1,42 +1,41 @@
-"""An in-memory B+-tree with composite keys, duplicates and prefix scans.
+"""An in-memory B+-tree over unique composite keys, with prefix scans.
 
 This is the "relational access method" every index in the paper's
 family is realised with (Section 3: "we only consider relational
 adaptations (using B+-trees)").  The tree supports:
 
-* duplicate keys (an index entry per matching data path),
 * exact-match lookups,
-* range scans,
 * **prefix scans** over composite keys — the operation that lets a
   reversed SchemaPath answer ``//`` (suffix) queries with a single
   lookup (Section 3.2),
-* deletion of individual entries and of key ranges (used by the
-  update extension),
+* deletion of entry batches and of key ranges (used by the update
+  extension),
 * logical-I/O accounting via :class:`~repro.storage.stats.StatsCollector`,
 * an on-disk size estimate with optional key prefix compression,
   mirroring the paper's note that DB2 prefix-compresses index keys.
 
 Keys handed to the tree are ``bytes`` built by
-:func:`repro.storage.keys.encode_key`, whose byte order is component
-order, so the tree only ever compares, bisects and slices them; values
-are arbitrary Python objects (the library stores tuple row-ids or
-packed IdLists).
+:mod:`repro.storage.keys`, whose byte order is component order, so the
+tree only ever compares, bisects and slices them.  Every stored key is
+unique: it ends in its row's tail id (:func:`~repro.storage.keys.row_key`),
+as a relational index tells rows with equal columns apart by row id, so
+the rows of one logical key are one prefix scan.  Values are arbitrary
+Python objects (the library stores tuple row-ids or packed IdLists).
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 from typing import Any, Iterable, Iterator, Optional
 
 from ..errors import StorageError
-from .keys import EncodedKey, is_prefix, split_key
+from .keys import EncodedKey, split_key
 from .stats import GLOBAL_STATS, StatsCollector
 
 __all__ = ["BPlusTree"]
 
-#: Batches are ordered and grouped by key alone, so equal keys keep batch order.
+#: Batches sort by key alone; fields after it need not compare.
 _entry_key = operator.itemgetter(0)
 
 
@@ -105,7 +104,7 @@ class BPlusTree:
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, key: EncodedKey, value: Any) -> None:
-        """Insert one entry; duplicate keys are allowed.
+        """Insert one entry under a key the tree does not hold yet.
 
         Charges one ``btree_writes`` (per-entry CPU work) plus
         ``btree_page_writes`` at page granularity: the leaf the entry
@@ -132,11 +131,10 @@ class BPlusTree:
         The loader and the batch form of :meth:`insert`: entries need
         not be sorted, and fields after the value are ignored.  What it
         guarantees is the tree and the counters that inserting the
-        entries one at a time in stable key order would leave — leaves
-        about half full after a sorted load, equal keys in batch order,
-        one ``btree_writes`` and one leaf ``btree_page_writes`` per
-        entry plus a page per split node and new root — and nothing
-        about balance beyond that.
+        entries one at a time in key order would leave — leaves about
+        half full after a sorted load, one ``btree_writes`` and one leaf
+        ``btree_page_writes`` per entry plus a page per split node and
+        new root — and nothing about balance beyond that.
 
         It gets there with a leaf finger instead of a descent per
         entry: the next key (never smaller than the last) belongs in
@@ -255,96 +253,48 @@ class BPlusTree:
     # Deletion (entry-level; used by the maintenance extension)
     # ------------------------------------------------------------------
     def delete(self, key: EncodedKey, value: Any = None) -> int:
-        """Delete entries with ``key``.
+        """Delete the entry with ``key``; return 1, or 0 when there is none.
 
-        When ``value`` is given only entries whose value equals it are
-        removed; otherwise every entry with the key is removed.  Returns
-        the number of entries deleted.  Underfull nodes are not
-        rebalanced — deletions here come from incremental index
-        maintenance (``remove_document``) and lookups stay correct
-        either way; the churn tests pin that every structural invariant
-        (leaf chain order, uniform leaf depth, size accounting) holds
-        through arbitrary delete/reinsert interleavings.
-
-        Charges ``btree_deletes`` per removed entry (per-entry CPU
-        work, the delete-side analogue of ``btree_writes``) plus one
-        ``btree_page_writes`` per leaf actually modified — the counters
-        :func:`~repro.storage.stats.maintenance_cost` prices.
+        ``value`` is not read (keys are unique); it keeps the signature
+        of the duplicate-key tree.  Charged as :meth:`delete_many` of one.
         """
-        leaf = self._find_leaf(key, count=False)
-        removed = 0
-        while leaf is not None:
-            removed_here = 0
-            index = bisect.bisect_left(leaf.keys, key)
-            while index < len(leaf.keys) and leaf.keys[index] == key:
-                if value is None or leaf.values[index] == value:
-                    del leaf.keys[index]
-                    del leaf.values[index]
-                    removed += 1
-                    removed_here += 1
-                    self._size -= 1
-                else:
-                    index += 1
-            if removed_here:
-                self.stats.btree_page_writes += 1  # the modified leaf
-            if leaf.keys and leaf.keys[-1] > key:
-                break
-            leaf = leaf.next
-            if leaf is None or (leaf.keys and leaf.keys[0] > key):
-                break
-        self.stats.btree_deletes += max(removed, 1)
-        return removed
+        return len(self.delete_many(((key, value),)))
 
     def delete_many(self, entries: Iterable[tuple]) -> list[tuple]:
-        """Delete a batch of ``(key, value, ...)`` entries in one pass.
+        """Delete a batch of ``(key, ...)`` entries in one pass.
 
-        The batch form of ``delete(key, value)``: entries need not be
-        sorted, values must be hashable, and fields after the value
-        ride along.  Returns the batch entries that were found, in key
-        order, once per tree entry removed — callers read their own
-        extra fields back from them to keep per-entry statistics exact.
+        Entries need not be sorted, and fields after the key ride along:
+        returns the batch entries whose key the tree held, in key order,
+        so callers read their own extra fields back from them to keep
+        per-entry statistics exact.  Underfull nodes are not rebalanced
+        — lookups stay correct either way, and the churn tests pin that
+        every structural invariant (leaf chain order, uniform leaf
+        depth, size accounting) holds through arbitrary interleavings.
 
-        The batch is grouped by key and each key's duplicate run is
-        walked once, dropping every entry whose value the group holds,
-        across leaf boundaries and emptied leaves exactly as
-        :meth:`delete` walks it (no rebalancing).  Between keys the
-        walk keeps a leaf finger: the next key is larger, so its run
-        starts in the leaf the last walk ended in when that leaf's last
-        key reaches it; else the next leaf is tried the same way before
-        descending again.
+        The sorted batch is merged against the leaf chain with a finger:
+        every entry before the finger leaf sorts below the next key, so
+        that key belongs to the finger leaf, or else to its successor,
+        when the leaf's last key reaches it; only then does it descend.
 
-        Charges what the per-entry loop charges when no ``(key, value)``
-        pair is stored twice (index payloads carry node ids, so none
-        is): one ``btree_deletes`` and one leaf ``btree_page_writes`` per
-        removed entry, and one ``btree_deletes`` for every batch entry
-        that found nothing — one per batch entry in all.
+        Charges one ``btree_deletes`` per batch entry (per-entry CPU
+        work, the delete-side analogue of ``btree_writes``) and one leaf
+        ``btree_page_writes`` per entry removed — the counters
+        :func:`~repro.storage.stats.maintenance_cost` prices.
         """
         batch = sorted(entries, key=_entry_key)
         removed: list[tuple] = []
         leaf: Optional[_Leaf] = None
-        for key, group in itertools.groupby(batch, _entry_key):
-            wanted = {entry[1]: entry for entry in group}
-            leaf = self._run_start_leaf(key, leaf)
-            while True:
-                keys = leaf.keys
-                values = leaf.values
-                index = bisect.bisect_left(keys, key)
-                while index < len(keys) and keys[index] == key:
-                    entry = wanted.get(values[index])
-                    if entry is None:
-                        index += 1
-                    else:
-                        del keys[index]
-                        del values[index]
-                        removed.append(entry)
-                if keys and keys[-1] > key:
-                    break
-                following = leaf.next
-                if following is None or (following.keys and following.keys[0] > key):
-                    break
-                leaf = following
+        for entry in batch:
+            key = entry[0]
+            leaf = self._finger_leaf(key, leaf)
+            keys = leaf.keys
+            index = bisect.bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                del keys[index]
+                del leaf.values[index]
+                removed.append(entry)
         self._size -= len(removed)
-        self.stats.btree_deletes += max(len(batch), len(removed))
+        self.stats.btree_deletes += len(batch)
         self.stats.btree_page_writes += len(removed)  # each removed entry's leaf
         return removed
 
@@ -377,15 +327,9 @@ class BPlusTree:
         self.stats.btree_page_writes += removed  # each removed entry's leaf
         return removed
 
-    def _run_start_leaf(self, key: EncodedKey, finger: Optional[_Leaf]) -> _Leaf:
-        """Leaf holding the first entry with ``key``, trying ``finger`` first.
-
-        ``finger`` is the leaf where the walk for a smaller key ended,
-        so every entry before it sorts below ``key``: the first leaf
-        from there on whose last key reaches ``key`` holds the start of
-        the key's run if the tree holds the key at all.  The finger and
-        its successor are tested before paying for a descent.
-        """
+    def _finger_leaf(self, key: EncodedKey, finger: Optional[_Leaf]) -> _Leaf:
+        """The leaf ``key`` belongs in: ``finger`` or its successor when
+        that leaf's last key reaches ``key``, else a descent's."""
         for leaf in (finger, finger.next) if finger is not None else ():
             if leaf is not None and leaf.keys and key <= leaf.keys[-1]:
                 return leaf
@@ -395,37 +339,58 @@ class BPlusTree:
     # Lookups
     # ------------------------------------------------------------------
     def _find_leaf(self, key: EncodedKey, count: bool = True) -> _Leaf:
-        """Leaf that holds the *first* entry with ``key`` (duplicates may
-        continue in following leaves).
-
-        The descent uses ``bisect_left`` so that, when a separator equals
-        the probe key, the left child — which may hold earlier duplicates
-        — is visited first; forward leaf scans then cover the rest.
-        """
+        """The leaf ``key`` belongs in; a separator is its right child's
+        smallest key, so equal keys descend right."""
         node = self._root
         if count:
             self.stats.btree_node_reads += 1
         while isinstance(node, _Internal):
-            index = bisect.bisect_left(node.keys, key)
-            node = node.children[index]
+            node = node.children[bisect.bisect_right(node.keys, key)]
             if count:
                 self.stats.btree_node_reads += 1
         return node
 
     def search(self, key: EncodedKey) -> list[Any]:
-        """All values stored under exactly ``key``."""
+        """The value stored under exactly ``key``, as a list of at most one.
+
+        A point lookup on a whole stored key: one descent and one entry
+        examined.  The rows of a logical key are a prefix scan of
+        :func:`~repro.storage.keys.exact_prefix`.
+        """
         self.stats.index_lookups += 1
-        return [value for _, value in self._scan_from(key, lambda k: k == key, key)]
+        self.stats.btree_entries_scanned += 1
+        leaf = self._find_leaf(key)
+        index = bisect.bisect_left(leaf.keys, key)
+        if index < len(leaf.keys) and leaf.keys[index] == key:
+            return [leaf.values[index]]
+        return []
 
     def scan_prefix(self, prefix: EncodedKey) -> Iterator[tuple[EncodedKey, Any]]:
         """All ``(key, value)`` entries whose key starts with ``prefix``.
 
         This is the single-lookup suffix match of Section 3.2: probing
         ``(leaf value, reversed subpath...)`` returns every data path
-        ending in that subpath.
+        ending in that subpath.  Charged as :meth:`scan_prefix_items`
+        once fully consumed.
         """
-        self.stats.index_lookups += 1
-        yield from self._scan_from(prefix, lambda k: is_prefix(prefix, k), prefix)
+        stats = self.stats
+        stats.index_lookups += 1
+        leaf = self._find_leaf(prefix)
+        index = bisect.bisect_left(leaf.keys, prefix)
+        length = len(prefix)
+        while True:
+            while index < len(leaf.keys):
+                key = leaf.keys[index]
+                stats.btree_entries_scanned += 1
+                if key[:length] != prefix:
+                    return
+                yield key, leaf.values[index]
+                index += 1
+            if leaf.next is None:
+                return
+            leaf = leaf.next
+            stats.btree_node_reads += 1
+            index = 0
 
     def scan_prefix_items(self, prefix: EncodedKey) -> list[tuple[EncodedKey, Any]]:
         """Materialised :meth:`scan_prefix` with identical cost accounting.
@@ -465,17 +430,6 @@ class BPlusTree:
             stats.btree_node_reads += 1
             index = 0
 
-    def scan_range(
-        self, low: EncodedKey, high: EncodedKey, include_high: bool = False
-    ) -> Iterator[tuple[EncodedKey, Any]]:
-        """Entries with ``low <= key < high`` (or ``<= high`` when asked)."""
-        self.stats.index_lookups += 1
-        if include_high:
-            predicate = lambda k: k <= high  # noqa: E731 - tiny local predicate
-        else:
-            predicate = lambda k: k < high  # noqa: E731
-        yield from self._scan_from(low, predicate, low)
-
     def scan_all(self) -> Iterator[tuple[EncodedKey, Any]]:
         """Every entry in key order (a full index scan)."""
         self.stats.index_lookups += 1
@@ -492,29 +446,6 @@ class BPlusTree:
             leaf = leaf.next
             if leaf is not None:
                 self.stats.btree_node_reads += 1
-
-    def _scan_from(self, start: EncodedKey, keep, lower_bound: EncodedKey):
-        """Scan leaf entries from the first key >= ``lower_bound`` while
-        ``keep(key)`` holds."""
-        leaf = self._find_leaf(start)
-        index = bisect.bisect_left(leaf.keys, lower_bound)
-        while True:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                self.stats.btree_entries_scanned += 1
-                if not keep(key):
-                    return
-                yield key, leaf.values[index]
-                index += 1
-            if leaf.next is None:
-                return
-            leaf = leaf.next
-            self.stats.btree_node_reads += 1
-            index = 0
-
-    def count_prefix(self, prefix: EncodedKey) -> int:
-        """Number of entries whose key starts with ``prefix``."""
-        return sum(1 for _ in self.scan_prefix(prefix))
 
     # ------------------------------------------------------------------
     # Space accounting

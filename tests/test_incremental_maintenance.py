@@ -34,7 +34,7 @@ from repro.indexes import DataGuideIndex, DataPathsIndex, RootPathsIndex
 from repro.paths import HeadIdPruner, iter_datapaths_rows, iter_rootpaths_rows
 from repro.planner import DEFAULT_STRATEGIES
 from repro.service.service import AUTO_STRATEGY
-from repro.storage import BPlusTree, StatsCollector, encode_key
+from repro.storage import BPlusTree, StatsCollector, encode_key, row_key
 from repro.storage.stats import maintenance_cost
 from repro.workloads import random_corpus, random_document
 from repro.workloads.generator import branch_count_sweep, generate_twig
@@ -246,14 +246,14 @@ def _reference_entries(index, db: XmlDatabase) -> list[tuple]:
 
     Each key is ``encode_key`` over the row's own components (Sections
     3.2 / 3.3 / 4.2), with tag ids read from the database dictionary
-    label by label.  Path-dictionary ids are positional in first-seen
+    label by label, made the row's key by its tail id.  Path-dictionary ids are positional in first-seen
     row order over the index's lifetime, so they are read back from the
     index's dictionary — and must exist there.
     """
     tag_id = db.tags.intern
     if isinstance(index, DataGuideIndex):
         return [
-            (encode_key(tag_id(label) for label in row.schema_path), row.id_list[-1])
+            (row_key(encode_key(tag_id(label) for label in row.schema_path), row.tail_id), row.tail_id)
             for row in iter_rootpaths_rows(db, include_values=False)
         ]
     entries = []
@@ -282,7 +282,7 @@ def _reference_entries(index, db: XmlDatabase) -> list[tuple]:
             path_component: tuple = (path_id,)
         else:
             path_component = tuple(tag_id(label) for label in labels)
-        entries.append((encode_key((*lead, *path_component)), payload))
+        entries.append((row_key(encode_key((*lead, *path_component)), row.tail_id), payload))
     return entries
 
 
@@ -307,7 +307,7 @@ def _stored(index) -> list[tuple]:
 
 
 def _assert_matches_reference(index, db: XmlDatabase) -> None:
-    """Stored entries are the reference entries, equal keys in row order."""
+    """Stored entries are the reference entries, in key order."""
     assert _stored(index) == sorted(_reference_entries(index, db), key=itemgetter(0))
     assert index.entry_count == len(index._tree)
 

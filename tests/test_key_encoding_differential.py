@@ -8,13 +8,18 @@ before keys became bytes — must end every operation with the same
 nodes, separators, leaf chain, size, height, counters and modelled
 size as the tree the indexes really use.
 
-The reference converts at the tree's edge only: keys go in as tuples
-and come out of scans as bytes again, so the indexes run unchanged on
-top of it.  Every B+-tree-backed index is checked under build plus
-add / remove / replace churn on the fuzz seeds, first index by index
-(with the DATAPATHS options that change its keys) and then end to end
-through the engine, where every strategy's answers and cost dicts must
-agree as well.
+A row key's reference tuple is its logical components, the empty
+tuple (the terminator, which sorts below every component) and what
+follows it — the tail id, and for the join index's forward tree the
+leaf value.  The reference converts at the tree's edge only: keys go in
+as tuples and come out of scans as bytes again, so the indexes run
+unchanged on top of it.  Every B+-tree-backed index is checked under
+build plus add / remove / replace churn on the fuzz seeds, first index
+by index (with the DATAPATHS options that change its keys) and then end
+to end through the engine, where every strategy's answers and cost
+dicts must agree as well.  After the build and after every write step,
+no index tree may hold a duplicate key: its leaf chain strictly
+increases (:func:`assert_unique_keys`).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.indexes import (
 )
 from repro.paths import HeadIdPruner
 from repro.planner import DEFAULT_STRATEGIES
-from repro.storage import BPlusTree, StatsCollector, encode_key, split_key
+from repro.storage import BPlusTree, StatsCollector, encode_key, exact_prefix, split_key
 from repro.storage import btree as btree_module
 from repro.workloads import clone_document, random_churn_ops, random_corpus, random_twig_xpath
 from repro.xmltree import XmlDatabase
@@ -65,12 +70,29 @@ INDEX_CONFIGS = {
 _TREE_USERS = ("base", "edge", "index_fabric", "asr", "join_index")
 
 
+def _encode(parts) -> bytes:
+    return encode_key(part[1] if part[0] else None for part in parts)
+
+
 def _as_tuple(key):
-    return key if isinstance(key, tuple) else split_key(key)
+    if isinstance(key, tuple):
+        return key
+    logical = split_key(key)
+    rest = key[len(_encode(logical)) :]  # the terminator and the row id
+    return logical + (((),) + split_key(rest[1:]) if rest else ())
 
 
 def _as_bytes(key) -> bytes:
-    return encode_key(part[1] if part[0] else None for part in key)
+    if () not in key:
+        return _encode(key)
+    cut = key.index(())
+    return exact_prefix(_encode(key[:cut])) + _encode(key[cut + 1 :])
+
+
+def _logical(key):
+    """What ``split_key`` returns for either key form."""
+    key = _as_tuple(key)
+    return key[: key.index(())] if () in key else key
 
 
 class _TupleKeyTree(BPlusTree):
@@ -107,10 +129,6 @@ class _TupleKeyTree(BPlusTree):
             for key, value in super().scan_prefix_items(_as_tuple(prefix))
         ]
 
-    def scan_range(self, low, high, include_high=False):
-        for key, value in super().scan_range(_as_tuple(low), _as_tuple(high), include_high):
-            yield _as_bytes(key), value
-
     def scan_all(self):
         for key, value in super().scan_all():
             yield _as_bytes(key), value
@@ -118,8 +136,8 @@ class _TupleKeyTree(BPlusTree):
 
 @pytest.fixture(autouse=True)
 def _size_model_reads_both_key_forms():
-    """``estimated_size_bytes`` splits byte keys; reference keys are split already."""
-    with mock.patch.object(btree_module, "split_key", _as_tuple):
+    """``estimated_size_bytes`` reads logical keys of both key forms."""
+    with mock.patch.object(btree_module, "split_key", _logical):
         yield
 
 
@@ -165,6 +183,20 @@ def _trees(obj, path: str) -> Iterator[tuple[str, BPlusTree]]:
                 yield from _trees(value, f"{path}.{name}")
 
 
+def assert_unique_keys(index) -> None:
+    """No tree of ``index`` holds a duplicate key: each leaf chain strictly
+    increases."""
+    for path, tree in _trees(index, "index"):
+        node = tree._root
+        while hasattr(node, "children"):
+            node = node.children[0]
+        keys = []
+        while node is not None:
+            keys.extend(node.keys)
+            node = node.next
+        assert all(a < b for a, b in zip(keys, keys[1:])), path
+
+
 def _assert_same_trees(actual, reference) -> None:
     actual_trees = dict(_trees(actual, "index"))
     reference_trees = dict(_trees(reference, "index"))
@@ -193,6 +225,7 @@ def test_byte_keys_build_and_maintain_the_tuple_keyed_tree(config, seed):
         reference = INDEX_CONFIGS[config](StatsCollector()).build(db)
     _assert_same_trees(actual, reference)
     assert actual.stats.snapshot() == reference.stats.snapshot()
+    assert_unique_keys(actual)
 
     for round_number in range(4):
         live = [document.name for document in db.documents]
@@ -209,6 +242,7 @@ def test_byte_keys_build_and_maintain_the_tuple_keyed_tree(config, seed):
                 actual.update(db, added)
                 with _reference_trees():
                     reference.update(db, added)
+            assert_unique_keys(actual)
         _assert_same_trees(actual, reference)
         assert actual.stats.snapshot() == reference.stats.snapshot()
 
@@ -238,6 +272,8 @@ def test_byte_keys_answer_and_charge_every_strategy_like_tuple_keys(seed):
     actual.build_all_indexes()
     with _reference_trees():
         reference.build_all_indexes()
+    for index in actual.indexes.values():
+        assert_unique_keys(index)
 
     for stage in range(3):
         documents = list(actual.db.documents)
@@ -258,6 +294,8 @@ def test_byte_keys_answer_and_charge_every_strategy_like_tuple_keys(seed):
             _apply(actual, op, name, document)
             with _reference_trees():
                 _apply(reference, op, name, document)
+            for index in actual.indexes.values():
+                assert_unique_keys(index)
 
     assert sorted(actual.indexes) == sorted(reference.indexes)
     for name, index in actual.indexes.items():

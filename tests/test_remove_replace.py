@@ -27,6 +27,9 @@ Also pinned here:
 * tag-dictionary refcount reclamation,
 * batched maintenance under seeded churn: entries and every counter of
   the B+-tree-backed indexes equal a from-scratch build's,
+* strict key order: no index tree of any replica holds a duplicate key
+  after the build and after every add, remove, replace, move, rebalance
+  and revive step,
 * error handling for unknown / ambiguous document names.
 """
 
@@ -48,6 +51,7 @@ from repro.storage import StatsCollector, split_key
 from repro.storage.stats import maintenance_cost
 from repro.workloads import random_churn_ops, random_corpus
 from repro.xmltree import XmlDatabase
+from test_key_encoding_differential import assert_unique_keys
 
 #: Every index of the family, by registry name.
 ALL_INDEXES = (
@@ -491,6 +495,7 @@ def test_churned_batches_leave_a_from_scratch_builds_entries_and_counters(
                 churned.remove(db, db.remove_document(name))
             if document is not None:
                 churned.update(db, db.add_document(document))
+            assert_unique_keys(churned)
 
         fresh = CHURNED_INDEXES[config]().build(db)
         assert _entry_multiset(churned) == _entry_multiset(fresh)
@@ -503,3 +508,53 @@ def test_churned_batches_leave_a_from_scratch_builds_entries_and_counters(
         if isinstance(churned, DataPathsIndex):
             assert churned.pruned_count == fresh.pruned_count
             assert (churned.pruned_count > 0) == (config == "datapaths-pruned")
+
+
+# ----------------------------------------------------------------------
+# Strict key order through the tier's write paths
+# ----------------------------------------------------------------------
+def _assert_every_tree_unique(service: ShardedQueryService) -> None:
+    for shard in service.shards:
+        for replica in shard.replicas:
+            assert sorted(replica.engine.indexes) == sorted(ALL_INDEXES)
+            for index in replica.engine.indexes.values():
+                assert_unique_keys(index)
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_index_tree_holds_a_duplicate_key_through_tier_churn(seed, replicas):
+    """Every index of the family, on every replica: each key ends in its
+    row's tail id, so no write step may leave two entries under one key."""
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, documents=5)
+    live = [document.name for document in corpus]
+    with ShardedQueryService(
+        num_shards=2, placement="round_robin", replicas=replicas
+    ) as service:
+        for document in corpus:
+            service.add_document(document)
+        for name in ALL_INDEXES:
+            service.build_index(name)
+        _assert_every_tree_unique(service)
+        for round_number in range(4):
+            for op, name, document in random_churn_ops(
+                rng, live, operations=3, name_prefix=f"round{round_number}"
+            ):
+                if op == "add":
+                    service.add_document(document)
+                    live.append(name)
+                elif op == "remove":
+                    service.remove_document(name)
+                    live.remove(name)
+                elif op == "replace":
+                    service.replace_document(name, document)
+                else:
+                    source = service.topology.placements_for(name)[0].shard_index
+                    service.move_document(name, 1 - source)
+                _assert_every_tree_unique(service)
+            service.rebalance("size_balanced")
+            _assert_every_tree_unique(service)
+            for replica_index in range(replicas):
+                service.revive_replica(round_number % 2, replica_index)
+                _assert_every_tree_unique(service)

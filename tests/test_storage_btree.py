@@ -1,4 +1,10 @@
-"""Unit and property tests for the B+-tree access method."""
+"""Unit and property tests for the B+-tree access method.
+
+Stored keys are unique row keys (:func:`~repro.storage.keys.row_key`):
+a logical key plus a row id.  The rows of one logical key are the
+prefix scan of :func:`~repro.storage.keys.exact_prefix`, in id order,
+and may span many leaves.
+"""
 
 import random
 
@@ -6,12 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
-from repro.storage import BPlusTree, StatsCollector, decode_key, encode_key
+from repro.storage import BPlusTree, StatsCollector, decode_key, encode_key, exact_prefix, row_key
 from repro.storage.btree import _Internal, _Leaf
 
 
 def make_tree(order=8, stats=None):
     return BPlusTree(order=order, stats=stats or StatsCollector())
+
+
+def rows(tree, components) -> list:
+    """Values of the rows of one logical key, in id order."""
+    return [value for _key, value in tree.scan_prefix(exact_prefix(encode_key(components)))]
 
 
 def test_order_must_be_reasonable():
@@ -28,21 +39,20 @@ def test_insert_and_exact_search():
     assert tree.search(encode_key((1000,))) == []
 
 
-def test_duplicate_keys_are_all_returned():
+def test_rows_of_one_logical_key_are_all_returned():
     tree = make_tree(order=4)
     for i in range(50):
-        tree.insert(encode_key(("dup",)), i)
-    tree.insert(encode_key(("other",)), "x")
-    assert sorted(tree.search(encode_key(("dup",)))) == list(range(50))
+        tree.insert(row_key(encode_key(("dup",)), i), i)
+    tree.insert(row_key(encode_key(("other",)), 0), "x")
+    assert rows(tree, ("dup",)) == list(range(50))
 
 
-def test_duplicates_spanning_many_leaves_found_from_first():
-    """Regression test: reads must descend to the *first* duplicate."""
+def test_rows_spanning_many_leaves_found_from_first():
+    """Regression test: a key's prefix scan must descend to its *first* row."""
     tree = make_tree(order=4)
     for i in range(200):
-        tree.insert(encode_key(("k", i % 3)), i)
-    found = tree.search(encode_key(("k", 1)))
-    assert sorted(found) == [i for i in range(200) if i % 3 == 1]
+        tree.insert(row_key(encode_key(("k", i % 3)), i), i)
+    assert rows(tree, ("k", 1)) == [i for i in range(200) if i % 3 == 1]
 
 
 def test_prefix_scan_returns_exactly_prefixed_entries():
@@ -57,27 +67,22 @@ def test_prefix_scan_returns_exactly_prefixed_entries():
     assert len(none_results) == 3
 
 
-def test_scan_range_and_scan_all():
+def test_scan_all_returns_every_entry_in_key_order():
     tree = make_tree(order=5)
-    for i in range(40):
+    for i in reversed(range(40)):
         tree.insert(encode_key((i,)), i)
-    ranged = [v for _k, v in tree.scan_range(encode_key((10,)), encode_key((20,)))]
-    assert ranged == list(range(10, 20))
-    inclusive = [v for _k, v in tree.scan_range(encode_key((10,)), encode_key((20,)), include_high=True)]
-    assert inclusive == list(range(10, 21))
     assert [v for _k, v in tree.scan_all()] == list(range(40))
 
 
-def test_delete_specific_value_and_all():
+def test_delete_one_row_and_all_rows_of_a_key():
     tree = make_tree(order=4)
     for i in range(30):
-        tree.insert(encode_key(("k",)), i)
-    removed = tree.delete(encode_key(("k",)), value=7)
-    assert removed == 1
-    assert 7 not in tree.search(encode_key(("k",)))
-    removed_all = tree.delete(encode_key(("k",)))
-    assert removed_all == 29
-    assert tree.search(encode_key(("k",))) == []
+        tree.insert(row_key(encode_key(("k",)), i), i)
+    assert tree.delete(row_key(encode_key(("k",)), 7)) == 1
+    assert 7 not in rows(tree, ("k",))
+    remaining = list(tree.scan_prefix(exact_prefix(encode_key(("k",)))))
+    assert len(tree.delete_many(remaining)) == 29
+    assert rows(tree, ("k",)) == []
     assert len(tree) == 0
 
 
@@ -91,14 +96,6 @@ def test_stats_count_node_reads_and_lookups():
     assert stats.index_lookups == 1
     assert stats.btree_node_reads >= tree.height
     assert stats.btree_entries_scanned >= 1
-
-
-def test_count_prefix():
-    tree = make_tree()
-    for i in range(10):
-        tree.insert(encode_key(("a", i)), i)
-        tree.insert(encode_key(("b", i)), i)
-    assert tree.count_prefix(encode_key(("a",))) == 10
 
 
 def test_estimated_size_with_and_without_prefix_compression():
@@ -122,8 +119,8 @@ def test_against_sorted_list_reference(pairs, order):
     """Property: search and ordered iteration agree with a sorted list."""
     tree = BPlusTree(order=order, stats=StatsCollector())
     reference: list[tuple] = []
-    for first, second in pairs:
-        key = encode_key((first, second))
+    for row_id, (first, second) in enumerate(pairs):
+        key = row_key(encode_key((first, second)), row_id)
         tree.insert(key, (first, second))
         reference.append((key, (first, second)))
     reference.sort(key=lambda kv: kv[0])
@@ -137,7 +134,7 @@ def test_against_sorted_list_reference(pairs, order):
 
 # ----------------------------------------------------------------------
 # Churn: random interleaved insert / delete / scan_prefix against a
-# sorted-dict oracle (the maintenance extension's workload shape).
+# dict oracle of row keys (the maintenance extension's workload shape).
 # ----------------------------------------------------------------------
 def _leaf_chain(tree: BPlusTree) -> list[_Leaf]:
     """The leaf linked list, reached by descending leftmost pointers."""
@@ -169,17 +166,18 @@ def _check_invariants(tree: BPlusTree, oracle: dict) -> None:
     # Height: every leaf sits at the same depth, equal to the reported
     # height (entry deletes never rebalance, but must not skew depths).
     assert _leaf_depths(tree) == {tree.height}
-    # Leaf chain: globally non-decreasing keys, every entry reachable.
+    # Leaf chain: strictly increasing keys, every entry reachable.
     chained = [key for leaf in _leaf_chain(tree) for key in leaf.keys]
-    assert chained == sorted(chained)
-    assert len(chained) == len(tree) == sum(len(vs) for vs in oracle.values())
-    # Content: key-by-key multiset equality with the oracle.
-    by_key: dict = {}
-    for key, value in tree.scan_all():
-        by_key.setdefault(key, []).append(value)
-    assert {k: sorted(vs) for k, vs in by_key.items()} == {
-        k: sorted(vs) for k, vs in oracle.items() if vs
-    }
+    assert all(a < b for a, b in zip(chained, chained[1:]))
+    assert len(chained) == len(tree) == len(oracle)
+    # Content: the oracle's ``row key -> value`` map.
+    assert dict(tree.scan_all()) == oracle
+
+
+def _rows_of(oracle: dict, components) -> list:
+    """The oracle's row keys of one logical key."""
+    prefix = exact_prefix(encode_key(components))
+    return [key for key in oracle if key.startswith(prefix)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -196,39 +194,35 @@ def test_churn_against_sorted_dict_oracle(seed, order):
     for step in range(150):
         roll = rng.random()
         first, second = rng.randrange(12), rng.randrange(4)
-        key = encode_key((first, second))
-        if roll < 0.55 or not any(oracle.values()):
-            value = (first, second, step)
-            tree.insert(key, value)
-            oracle.setdefault(key, []).append(value)
+        victims = _rows_of(oracle, (first, second))
+        if roll < 0.55 or not oracle:
+            key = row_key(encode_key((first, second)), step)
+            tree.insert(key, (first, second, step))
+            oracle[key] = (first, second, step)
         elif roll < 0.65:
-            victims = oracle.get(key, [])
-            expected = len(victims)
-            assert tree.delete(key) == expected
-            oracle[key] = []
-        elif roll < 0.75 and oracle.get(key):
-            victim = rng.choice(oracle[key])
-            assert tree.delete(key, value=victim) == 1
-            oracle[key].remove(victim)
+            # Every row of one logical key, plus one absent row.
+            absent = row_key(encode_key((first, second)), -1)
+            removed = tree.delete_many([(key,) for key in victims] + [(absent,)])
+            assert sorted(removed) == [(key,) for key in sorted(victims)]
+            for key in victims:
+                del oracle[key]
+        elif roll < 0.75 and victims:
+            victim = rng.choice(victims)
+            assert tree.delete(victim) == 1
+            assert tree.delete(victim) == 0
+            del oracle[victim]
         elif roll < 0.82:
             # A whole-head slice, as a document removal cuts its id span.
             low = encode_key((first,))
             high = encode_key((first + rng.randrange(0, 4),))
             in_range = [k for k in oracle if low <= k < high]
-            assert tree.delete_range(low, high) == sum(len(oracle[k]) for k in in_range)
+            assert tree.delete_range(low, high) == len(in_range)
             for k in in_range:
-                oracle[k] = []
+                del oracle[k]
         else:
             prefix = encode_key((first,))
-            expected = sorted(
-                v
-                for k, values in oracle.items()
-                for v in values
-                if k[: len(prefix)] == prefix
-            )
-            got = sorted(v for _k, v in tree.scan_prefix(prefix))
-            assert got == expected
-            assert tree.count_prefix(prefix) == len(expected)
+            expected = [oracle[k] for k in sorted(oracle) if k.startswith(prefix)]
+            assert [v for _k, v in tree.scan_prefix(prefix)] == expected
         _check_invariants(tree, oracle)
 
 
@@ -262,9 +256,10 @@ def test_delete_counts_in_maintenance_cost_currency():
     stats = StatsCollector()
     tree = BPlusTree(order=4, stats=stats)
     for i in range(30):
-        tree.insert(encode_key(("k", i % 5)), i)
+        tree.insert(row_key(encode_key(("k", i % 5)), i), i)
+    victims = list(tree.scan_prefix(exact_prefix(encode_key(("k", 2)))))
     stats.reset()
-    removed = tree.delete(encode_key(("k", 2)))
+    removed = len(tree.delete_many(victims))
     assert removed == 6
     cost = maintenance_cost(stats.snapshot())
     # Page-granular leaf writes at weight 10 plus per-entry delete work.
@@ -290,20 +285,21 @@ def test_delete_emptying_every_leaf_keeps_tree_usable():
     assert [v for _k, v in tree.scan_all()] == [f"new{i}" for i in range(40)]
 
 
-def test_delete_duplicates_spanning_leaves_removes_them_all():
-    """Duplicates crossing several underfull leaves are all found."""
+def test_delete_rows_spanning_leaves_removes_them_all():
+    """Rows of one key crossing several underfull leaves are all found."""
     tree = make_tree(order=4)
+    dup = encode_key(("dup",))
     for i in range(60):
-        tree.insert(encode_key(("dup",)), i)
-    tree.insert(encode_key(("zz",)), "sentinel")
+        tree.insert(row_key(dup, i), i)
+    tree.insert(row_key(encode_key(("zz",)), 0), "sentinel")
     # Punch holes first so some leaves go underfull (no rebalancing).
     for victim in range(0, 60, 3):
-        assert tree.delete(encode_key(("dup",)), value=victim) == 1
+        assert tree.delete(row_key(dup, victim)) == 1
     remaining = [i for i in range(60) if i % 3 != 0]
-    assert sorted(tree.search(encode_key(("dup",)))) == remaining
-    assert tree.delete(encode_key(("dup",))) == len(remaining)
-    assert tree.search(encode_key(("dup",))) == []
-    assert tree.search(encode_key(("zz",))) == ["sentinel"]
+    assert rows(tree, ("dup",)) == remaining
+    assert len(tree.delete_many([(row_key(dup, i),) for i in reversed(range(60))])) == len(remaining)
+    assert rows(tree, ("dup",)) == []
+    assert rows(tree, ("zz",)) == ["sentinel"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -328,27 +324,22 @@ def test_delete_then_reinsert_churn_against_dict_oracle(seed, order):
     for _wave in range(12):
         if live_batches and rng.random() < 0.45:
             batch = live_batches.pop(rng.randrange(len(live_batches)))
-            for key, value in batch:
-                assert tree.delete(key, value=value) == 1
-                oracle[key].remove(value)
+            for key, _value in batch:
+                assert tree.delete(key) == 1
+                del oracle[key]
         else:
             batch = []
             for _ in range(rng.randrange(1, 25)):
-                key = encode_key((rng.randrange(8), rng.randrange(4)))
+                key = row_key(encode_key((rng.randrange(8), rng.randrange(4))), next_id)
                 value = ("doc", next_id)
                 next_id += 1
                 tree.insert(key, value)
-                oracle.setdefault(key, []).append(value)
+                oracle[key] = value
                 batch.append((key, value))
             live_batches.append(batch)
         probe = encode_key((rng.randrange(8),))
-        expected = sorted(
-            v
-            for k, values in oracle.items()
-            for v in values
-            if k[: len(probe)] == probe
-        )
-        assert sorted(v for _k, v in tree.scan_prefix(probe)) == expected
+        expected = [oracle[k] for k in sorted(oracle) if k.startswith(probe)]
+        assert [v for _k, v in tree.scan_prefix(probe)] == expected
         _check_invariants(tree, oracle)
 
 
@@ -369,8 +360,8 @@ def test_insert_charges_page_writes_for_leaf_and_splits():
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=400))
 def test_height_stays_logarithmic(values):
     tree = BPlusTree(order=8, stats=StatsCollector())
-    for value in values:
-        tree.insert(encode_key((value,)), value)
+    for row_id, value in enumerate(values):
+        tree.insert(row_key(encode_key((value,)), row_id), value)
     # A generous logarithmic bound: order-8 tree of n entries.
     n = len(values)
     bound = 2
@@ -383,7 +374,7 @@ def test_height_stays_logarithmic(values):
 
 # ----------------------------------------------------------------------
 # Batch mutators: one finger pass must leave what the per-entry loop
-# over the same stably sorted batch leaves.
+# over the same sorted batch leaves.
 # ----------------------------------------------------------------------
 def _shape(tree: BPlusTree):
     """Leaf-for-leaf contents (emptied leaves included), height, size."""
@@ -411,15 +402,15 @@ def _range_key(first):
 
 
 def _inside_one_leaf(tree):
-    leaf = next(leaf for leaf in _leaf_chain(tree) if len(set(leaf.keys)) >= 3)
+    leaf = next(leaf for leaf in _leaf_chain(tree) if len(leaf.keys) >= 3)
     return [(leaf.keys[1], leaf.keys[-1])]
 
 
 #: ``delete_range`` cases: a function of the loaded tree giving the
 #: ``(low, high)`` bounds to apply one after another.  Tree keys are
-#: ``(k, 0 | 1)`` with 1 + k % 7 entries under each ``k`` (so every
-#: one-component bound is absent from the tree and every run of
-#: duplicates holds up to four entries).
+#: rows of ``(k, 0 | 1)`` with 1 + k % 7 rows under each ``k`` (so no
+#: logical bound is a stored key and one logical key holds up to four
+#: rows).
 RANGE_CASES = {
     "empty": lambda tree: [
         (_range_key(50), _range_key(50)),
@@ -429,7 +420,7 @@ RANGE_CASES = {
     "inside-one-leaf": _inside_one_leaf,
     "many-leaves": lambda tree: [(_range_key(40), _range_key(300))],
     "right-edge": lambda tree: [(_range_key(350), _range_key(10**6))],
-    "duplicate-runs-at-both-bounds": lambda tree: [
+    "rows-of-one-key-at-both-bounds": lambda tree: [
         (encode_key((6, 0)), encode_key((13, 1))),
         (encode_key((20, 1)), encode_key((27, 0))),
     ],
@@ -454,7 +445,7 @@ def test_delete_range_is_delete_many_over_the_range(case, order):
     in ``[low, high)``."""
     rng = random.Random(order)
     entries = [
-        (encode_key((first, copy % 2)), (first, copy))
+        (row_key(encode_key((first, copy % 2)), copy), (first, copy))
         for first in range(400)
         for copy in range(1 + first % 7)
     ]
@@ -478,7 +469,7 @@ def test_delete_range_is_delete_many_over_the_range(case, order):
     else:
         assert len(sliced) < len(entries)
     # The sliced tree stays a working tree.
-    key = encode_key((999, 0))
+    key = row_key(encode_key((999, 0)), 0)
     sliced.insert(key, "fresh")
     assert sliced.search(key) == ["fresh"]
 
@@ -496,32 +487,31 @@ def test_batch_mutators_match_the_per_entry_loop(seed, order):
     oracle: dict = {}
     next_id = 0
 
-    def random_key():  # duplicate-heavy: 18 distinct keys
-        return encode_key((rng.randrange(6), rng.randrange(3)))
-
-    def live_entries():
-        return [(key, value) for key, values in oracle.items() for value in values]
+    def random_row():  # 18 logical keys, many rows each
+        nonlocal next_id
+        next_id += 1
+        key = row_key(encode_key((rng.randrange(6), rng.randrange(3))), next_id)
+        return key, ("v", next_id)
 
     # Unsorted single-entry churn, applied identically to both trees.
     for _ in range(rng.randrange(0, 120)):
-        key = random_key()
-        if rng.random() < 0.7 or not oracle.get(key):
-            value = ("v", next_id)
-            next_id += 1
+        if rng.random() < 0.7 or not oracle:
+            key, value = random_row()
             for tree in (batched, looped):
                 tree.insert(key, value)
-            oracle.setdefault(key, []).append(value)
+            oracle[key] = value
         else:
+            victim = rng.choice(sorted(oracle))
             for tree in (batched, looped):
-                tree.delete(key)
-            oracle[key] = []
+                assert tree.delete(victim) == 1
+            del oracle[victim]
     assert _shape(batched) == _shape(looped)
 
     bounds = [encode_key((first,)) for first in range(7)] + [
         encode_key((first, second)) for first in range(7) for second in range(4)
     ]
     for _wave in range(10):
-        live = live_entries()
+        live = sorted(oracle.items())
         roll = rng.random()
         if roll < 0.15:
             # delete_range: bounds present, absent or prefix-only, and
@@ -529,39 +519,35 @@ def test_batch_mutators_match_the_per_entry_loop(seed, order):
             low, high = rng.choice(bounds), rng.choice(bounds)
             doomed = [entry for entry in _entries(batched) if low <= entry[0] < high]
             assert batched.delete_range(low, high) == len(doomed)
-            for key, value in doomed:
-                assert looped.delete(key, value=value) == 1
-                oracle[key].remove(value)
+            for key, _value in doomed:
+                assert looped.delete(key) == 1
+                del oracle[key]
         elif roll < 0.55 or not live:
-            batch = []
-            for _ in range(rng.randrange(0, 40)):
-                batch.append((random_key(), ("v", next_id), "rides along"))
-                next_id += 1
+            batch = [(*random_row(), "rides along") for _ in range(rng.randrange(0, 40))]
             batched.insert_many(batch)
             for key, value, _extra in sorted(batch, key=lambda entry: entry[0]):
                 looped.insert(key, value)
-            for key, value, _extra in batch:
-                oracle.setdefault(key, []).append(value)
+                oracle[key] = value
         else:
-            if roll < 0.65:  # empty whole leaves: every entry under one head
+            if roll < 0.65:  # empty whole leaves: every row under one head
                 head = decode_key(rng.choice(live)[0])[0]
                 batch = [entry for entry in live if decode_key(entry[0])[0] == head]
             else:
                 batch = rng.sample(live, rng.randrange(1, len(live) + 1))
             # ... plus entries that must find nothing: an absent key, a live
-            # value under another key, and a repeat of a batch entry.
-            batch.append((encode_key((99, 0)), ("v", -1)))
+            # row id under another logical key, and a repeat of a batch entry.
+            batch.append((row_key(encode_key((99, 0)), 0), ("v", -1)))
             stray_key, stray_value = rng.choice(live)
-            batch.append((encode_key((decode_key(stray_key)[0], 7)), stray_value))
+            batch.append((row_key(encode_key((decode_key(stray_key)[0], 7)), stray_value[1]), stray_value))
             batch.append(batch[0])
             rng.shuffle(batch)
             removed = batched.delete_many(batch)
             expected = []
             for entry in sorted(batch, key=lambda entry: entry[0]):
-                expected.extend([entry] * looped.delete(entry[0], value=entry[1]))
+                expected.extend([entry] * looped.delete(entry[0]))
             assert sorted(removed) == sorted(expected)
-            for key, value in removed:
-                oracle[key].remove(value)
+            for key, _value in removed:
+                del oracle[key]
         assert _shape(batched) == _shape(looped)
         assert _write_counters(batched) == _write_counters(looped)
         _check_invariants(batched, oracle)
@@ -570,7 +556,9 @@ def test_batch_mutators_match_the_per_entry_loop(seed, order):
 def test_insert_many_is_a_sorted_one_at_a_time_load():
     """The loader's guarantee: the sorted per-entry tree, charged per entry."""
     rng = random.Random(5)
-    entries = [(encode_key((rng.randrange(50), rng.randrange(3))), i) for i in range(600)]
+    logical = [encode_key((rng.randrange(50), rng.randrange(3))) for _ in range(600)]
+    entries = [(row_key(key, i), i) for i, key in enumerate(logical)]
+    rng.shuffle(entries)
     loaded = make_tree(order=8)
     loaded.insert_many(entries)
     reference = make_tree(order=8)
@@ -579,31 +567,31 @@ def test_insert_many_is_a_sorted_one_at_a_time_load():
     assert _shape(loaded) == _shape(reference)
     assert loaded.stats.snapshot() == reference.stats.snapshot()
     assert loaded.stats.btree_writes == 600
-    # Equal keys come back in batch order.
-    key = entries[0][0]
-    assert loaded.search(key) == [v for k, v in entries if k == key]
+    # The rows of one logical key come back in id order.
+    key = logical[0]
+    found = [v for _k, v in loaded.scan_prefix(exact_prefix(key))]
+    assert found == [i for i, other in enumerate(logical) if other == key]
 
 
 def test_delete_many_misses_remove_nothing_and_charge_the_probe():
     stats = StatsCollector()
     tree = BPlusTree(order=4, stats=stats)
     for i in range(30):
-        tree.insert(encode_key(("k", i % 5)), i)
+        tree.insert(row_key(encode_key(("k", i % 5)), i), i)
     before = _shape(tree)
     stats.reset()
     removed = tree.delete_many(
         [
-            (encode_key(("absent",)), 1),  # no such key
-            (encode_key(("k", 9)), 1),  # no such key, inside the key range
-            (encode_key(("k", 2)), 1),  # value 1 is held under ("k", 1)
+            (row_key(encode_key(("absent",)), 1), 1),  # no such key
+            (row_key(encode_key(("k", 9)), 1), 1),  # no such key, inside the key range
+            (row_key(encode_key(("k", 2)), 1), 1),  # row 1 is held under ("k", 1)
         ]
     )
     assert removed == []
     assert _shape(tree) == before
     assert stats.btree_deletes == 3  # one probe each, as delete() charges a miss
     assert stats.btree_page_writes == 0
-    # The same value under its own key is found, with its extra field.
-    assert tree.delete_many([(encode_key(("k", 1)), 1, "extra")]) == [
-        (encode_key(("k", 1)), 1, "extra")
-    ]
-    assert 1 not in tree.search(encode_key(("k", 1)))
+    # The same row under its own key is found, with its extra field.
+    key = row_key(encode_key(("k", 1)), 1)
+    assert tree.delete_many([(key, 1, "extra")]) == [(key, 1, "extra")]
+    assert 1 not in rows(tree, ("k", 1))

@@ -4,7 +4,9 @@ The reference is the tagged-tuple encoding keys had before they became
 bytes: ``None`` → ``(0,)``, an int → ``(1, value)``, a str →
 ``(2, value)``, a key the tuple of its components.  Python orders those
 tuples exactly as the B+-tree needs, so the byte encoding is correct
-when it orders, prefixes and splits like them.
+when it orders, prefixes and splits like them.  A row key is the
+logical tuple, the empty tuple (the terminator, below every component)
+and its tail id.
 """
 
 import pytest
@@ -12,12 +14,12 @@ from hypothesis import given, strategies as st
 
 from repro.errors import KeyEncodingError
 from repro.storage.keys import (
-    decode_component,
     decode_key,
     encode_component,
     encode_key,
+    exact_prefix,
     is_prefix,
-    key_byte_size,
+    row_key,
     split_key,
 )
 
@@ -35,6 +37,10 @@ def reference_component(value):
 
 def reference_key(components):
     return tuple(reference_component(value) for value in components)
+
+
+def reference_row_key(components, tail_id):
+    return (*reference_key(components), (), (1, tail_id))
 
 
 def sign(a, b) -> int:
@@ -107,21 +113,15 @@ def test_floats_are_rejected(value):
 @pytest.mark.parametrize(
     "key",
     [
-        b"\x03",  # unknown tag
-        b"\x01\x00\x00",  # truncated integer
-        b"\x02ab",  # unterminated string
-        b"\x02\xff\x00\x01",  # not UTF-8
+        b"\x04",  # unknown tag
+        b"\x02\x00\x00",  # truncated integer
+        b"\x03ab",  # unterminated string
+        b"\x03\xff\x00\x01",  # not UTF-8
     ],
 )
 def test_malformed_keys_are_rejected(key):
     with pytest.raises(KeyEncodingError):
         split_key(key)
-
-
-def test_decode_component_takes_exactly_one_component():
-    assert decode_component(encode_component("x")) == "x"
-    with pytest.raises(KeyEncodingError):
-        decode_component(encode_key([1, 2]))
 
 
 @given(key_pairs())
@@ -177,9 +177,29 @@ def test_encoding_preserves_prefix_grouping(a, b):
         assert is_prefix(pa, pb) or pb == pa
 
 
-def test_key_byte_size_model():
-    assert key_byte_size([None]) == 1
-    assert key_byte_size([7]) == 4
-    assert key_byte_size([1.5]) == 8
-    assert key_byte_size(["abc"]) == 4
-    assert key_byte_size(["abc", 7, None]) == 9
+tail_ids = st.integers(min_value=0, max_value=2**40)
+
+
+@given(key_pairs(), tail_ids, tail_ids)
+def test_row_key_order_is_reference_tuple_order(pair, tail_a, tail_b):
+    """Row keys order by logical key, then tail id; a key's rows sort
+    before the longer keys that extend it."""
+    a, b = pair
+    assert sign(row_key(encode_key(a), tail_a), row_key(encode_key(b), tail_b)) == sign(
+        reference_row_key(a, tail_a), reference_row_key(b, tail_b)
+    )
+
+
+@given(key_pairs(), tail_ids)
+def test_exact_prefix_holds_the_rows_of_exactly_one_logical_key(pair, tail_id):
+    a, b = pair
+    assert is_prefix(exact_prefix(encode_key(a)), row_key(encode_key(b), tail_id)) == (
+        reference_key(a) == reference_key(b)
+    )
+
+
+@given(components, tail_ids)
+def test_readers_see_a_row_keys_logical_components(values, tail_id):
+    key = row_key(encode_key(values), tail_id)
+    assert split_key(key) == reference_key(values)
+    assert decode_key(key) == tuple(values)
