@@ -44,9 +44,10 @@ from ..paths.compression import SchemaPathDictionary
 from ..paths.idlist import encoded_size_bytes, present_ids, raw_size_bytes
 from ..paths.schema_paths import LabelPath
 from ..storage.btree import BPlusTree
-from ..storage.keys import EncodedKey, encode_key, exact_prefix
+from ..storage.keys import EncodedKey, encode_component, encode_key, exact_prefix, row_key
 from ..storage.stats import GLOBAL_STATS, PAGE_READ_WEIGHT, StatsCollector
 from ..xmltree.document import Document, XmlDatabase
+from ..xmltree.nodes import NodeKind
 
 #: Per-lookup descent charge assumed for an index that cannot report a
 #: tree height (a shallow three-level tree), in weighted-cost currency.
@@ -54,6 +55,7 @@ DEFAULT_DESCENT_COST = 3 * PAGE_READ_WEIGHT
 
 #: Entry batches sort by key alone; payloads need not compare.
 _entry_key = operator.itemgetter(0)
+_NO_VALUE = encode_component(None)
 
 
 @dataclass(frozen=True)
@@ -218,36 +220,76 @@ class PathIndex(abc.ABC):
         return f"{type(self).__name__}({status})"
 
 
-class KeySuffixMemo(dict):
-    """``schema_path -> encoded key suffix`` for the life of one tree.
+class _PathNode:
+    """A :class:`PathTrie` path: its subpath and key suffix per head offset."""
 
-    Every B+-tree-backed index ends its keys with the schema path as
-    tag ids (reversed for ROOTPATHS and DATAPATHS, Section 3.2) or, under
-    Section 4.2 compression, with the whole path's dictionary id.  A
-    document repeats a few hundred distinct (sub)paths thousands of
-    times, so the encoded suffix is assembled once per path and shared
-    by every key that ends in it.
+    def __init__(self, subpaths: tuple) -> None:
+        self.labels, self.subpaths = subpaths[0] if subpaths else (), subpaths
+        self.suffixes: list = [None] * len(subpaths)
+        self.branches: dict[str, _PathNode] = {}
 
-    Tag ids and path ids are positional and never reassigned, so an
-    entry stays valid for the life of the tree it was made for: the memo
-    is made with the tree and never evicts.  Its size is bounded by the
-    schema's distinct (sub)paths, not by traffic.  Only derive reads it.
+
+class PathTrie:
+    """A tree's distinct rooted schema paths as a trie, for derive.
+
+    As in a DataGuide (Goldman & Widom), a path is reached from its
+    parent by label.  A document repeats a few hundred paths thousands
+    of times, so what depends on the path alone is made once per trie
+    node: its label tuples, shared by every payload of the tree, and
+    each subpath's key suffix — tag ids, reversed for ROOTPATHS and
+    DATAPATHS (Section 3.2), or the Section 4.2 path id, interned when a
+    stored row first needs it, so path ids keep first-seen row order.
+    Tag and path ids are never reassigned: the trie is made with the
+    tree, never evicts, and is bounded by the schema, not by traffic.
     """
 
     def __init__(self, tags, reverse: bool = True, path_dictionary: Optional[SchemaPathDictionary] = None):
-        super().__init__()
         self._tags = tags
         self._reverse = reverse
         self._path_dictionary = path_dictionary
+        self._tuples: dict[LabelPath, LabelPath] = {}
+        self._root = _PathNode(())
 
-    def __missing__(self, schema_path: LabelPath) -> EncodedKey:
+    def suffix(self, path: _PathNode, start: int) -> EncodedKey:
+        """The key suffix of ``path``'s subpath at head offset ``start``."""
+        subpath = path.subpaths[start]
         if self._path_dictionary is not None:
-            components: tuple = (self._path_dictionary.intern(schema_path),)
+            components: tuple = (self._path_dictionary.intern(subpath),)
         else:
-            labels = reversed(schema_path) if self._reverse else schema_path
-            components = self._tags.path_ids(labels)
-        suffix = self[schema_path] = encode_key(components)
+            components = self._tags.path_ids(reversed(subpath) if self._reverse else subpath)
+        suffix = path.suffixes[start] = encode_key(components)
         return suffix
+
+    def walk(self, documents: Sequence[Document], heads: bool = False):
+        """``(path, ids, tail, heads, values)`` per structural node in
+        document order: its trie node, root-to-node ids, the end every
+        key of its rows shares (a row key with no components), with
+        ``heads`` its ancestors-or-self's encoded ids, and ``{value:
+        encoded value}`` for ``None`` and then its distinct leaf values."""
+        value_kind = NodeKind.VALUE
+        intern = self._tuples.setdefault
+        for document in documents:
+            stack = [(document.root, self._root, (), ())]
+            while stack:
+                node, parent, ids, encoded = stack.pop()
+                path = parent.branches.get(node.label)
+                if path is None:
+                    labels = parent.labels + (node.label,)
+                    path = parent.branches[node.label] = _PathNode(
+                        tuple(intern(labels[start:], labels[start:]) for start in range(len(labels)))
+                    )
+                ids += (node.node_id,)
+                if heads:
+                    encoded += (encode_component(node.node_id),)
+                values, children = {None: _NO_VALUE}, []
+                for child in node.children:
+                    if child.kind is not value_kind:
+                        children.append(child)
+                    elif child.label not in values:
+                        values[child.label] = encode_component(child.label)
+                yield path, ids, row_key(b"", node.node_id), encoded, values
+                for child in reversed(children):
+                    stack.append((child, path, ids, encoded))
 
 
 class EntryBatch(NamedTuple):
@@ -288,7 +330,7 @@ class EntryBatchIndex(PathIndex):
         self.order = order
         self._tree: Optional[BPlusTree] = None
         self._path_dictionary: Optional[SchemaPathDictionary] = None
-        self._key_suffixes: Optional[KeySuffixMemo] = None
+        self._paths: Optional[PathTrie] = None
         self.entry_count = 0
         self.pruned_count = 0
         #: Entries per ``stat_key`` in first-seen order: the catalog
@@ -298,7 +340,7 @@ class EntryBatchIndex(PathIndex):
     def _build(self, db: XmlDatabase, batches: Optional[dict]) -> None:
         self._tree = BPlusTree(order=self.order, stats=self.stats, name=self.name)
         self._path_dictionary = SchemaPathDictionary() if self.schema_path_dictionary else None
-        self._key_suffixes = KeySuffixMemo(db.tags, self.reverse_schema_path, self._path_dictionary)
+        self._paths = PathTrie(db.tags, self.reverse_schema_path, self._path_dictionary)
         self.entry_count = self.pruned_count = 0
         self.stat_counts = {}
         self.apply(self._shared(db, batches, lambda: self.derive(db, db.documents)))
@@ -403,14 +445,14 @@ class EntryBatchIndex(PathIndex):
 
     def copy_for(self, db: XmlDatabase, stats: StatsCollector) -> "EntryBatchIndex":
         """This built index as another replica's over ``db`` (same tag ids):
-        the shared entries in a node-for-node copy of the tree, and copies
-        of the counters and the path dictionary."""
+        the shared entries in a node-for-node copy of the tree, copies of
+        the counters and the path dictionary, and a trie of its own."""
         assert self._tree is not None
         twin = copy.copy(self)
         twin.stats, twin.db = stats, db
         twin._tree = self._tree.copy(stats)
         twin._path_dictionary = copy.deepcopy(self._path_dictionary)
-        twin._key_suffixes = KeySuffixMemo(db.tags, self.reverse_schema_path, twin._path_dictionary)
+        twin._paths = PathTrie(db.tags, self.reverse_schema_path, twin._path_dictionary)
         twin.stat_counts = dict(self.stat_counts)
         return twin
 

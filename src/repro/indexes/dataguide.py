@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..paths.fourary import iter_rootpaths_rows
 from ..paths.schema_paths import LabelPath, PathPattern, matching_schema_paths
-from ..storage.keys import row_key
 from ..xmltree.document import XmlDatabase
 from .base import EntryBatchIndex, FamilyDescriptor, labels_to_tag_ids, rows_with_key
 
@@ -45,12 +43,10 @@ class DataGuideIndex(EntryBatchIndex):
         skeleton (``distinct_paths``) in first-seen order, and the
         refcounts that retire a path when a removal takes its last node.
         """
-        suffixes = self._key_suffixes
+        trie = self._paths
         batch = [
-            (row_key(suffixes[schema_path], id_list[-1]), id_list[-1], schema_path)
-            for _head, schema_path, _value, id_list in iter_rootpaths_rows(
-                db, include_values=False, documents=documents
-            )
+            ((path.suffixes[0] or trie.suffix(path, 0)) + tail, ids[-1], path.labels)
+            for path, ids, tail, _heads, _values in trie.walk(documents)
         ]
         return batch, 0
 

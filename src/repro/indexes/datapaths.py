@@ -24,11 +24,12 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
 from ..paths.compression import HeadIdPruner
-from ..paths.fourary import PathRow, iter_datapaths_rows, iter_rootpaths_rows
-from ..storage.keys import encode_component, encode_key, row_key
+from ..storage.keys import encode_component, encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import VIRTUAL_ROOT_ID, XmlDatabase
 from .base import EntryBatch, EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids, rows_with_key
+
+_VIRTUAL_ROOT = encode_component(VIRTUAL_ROOT_ID)
 
 
 class DataPathsIndex(EntryBatchIndex):
@@ -62,27 +63,38 @@ class DataPathsIndex(EntryBatchIndex):
     # ------------------------------------------------------------------
     # Derivation (the tree and counters are maintained by ``apply``)
     # ------------------------------------------------------------------
-    def _entry_batch(self, db: XmlDatabase, documents) -> tuple[list[tuple], int]:
-        """``documents``' rows as :meth:`_entry` entries, and how many
-        rows head pruning dropped.
+    def _entry_batch(self, db: XmlDatabase, documents, bound: bool = True) -> tuple[list[tuple], int]:
+        """``documents``' rows as ``(key, payload, stat_key)`` entries in
+        row order, and how many rows head pruning dropped.
 
-        Every (ancestor-or-self head, node) pair, plus the virtual-root
-        rows; head pruning and dictionary growth behave exactly as in a
-        full build.
+        The virtual-root rows and, when ``bound``, every (ancestor-or-self
+        head, node) pair's; ``stat_key`` is set on virtual-root rows only.
+        A node's rows share its trie path's label tuples and key suffixes
+        and its encoded ids and values.
         """
-        entry = self._entry
-        pruner = self.head_pruner
+        trie = self._paths
+        keeps = self.head_pruner.keeps_label if self.head_pruner is not None else None
         batch = []
+        append = batch.append
         pruned = 0
-        for row in iter_datapaths_rows(db, documents=documents):
-            if (
-                pruner is not None
-                and row.head_id != VIRTUAL_ROOT_ID
-                and not pruner.keeps_label(row.schema_path[0])
-            ):
-                pruned += 1
+        for path, ids, tail, heads, values in trie.walk(documents, heads=bound):
+            labels, suffixes = path.labels, path.suffixes
+            leaves = values.items()
+            suffix = (suffixes[0] or trie.suffix(path, 0)) + tail
+            for value, lead in leaves:
+                append((_VIRTUAL_ROOT + lead + suffix, (labels, ids, value, VIRTUAL_ROOT_ID), (labels[-1], value)))
+            if not bound:
+                if keeps is not None:
+                    pruned += len(leaves) * sum(not keeps(name) for name in labels)
                 continue
-            batch.append(entry(row))
+            for start, head in enumerate(heads):
+                if keeps is not None and not keeps(labels[start]):
+                    pruned += len(leaves)
+                    continue
+                suffix = (suffixes[start] or trie.suffix(path, start)) + tail
+                subpath, head_id, below = path.subpaths[start], ids[start], ids[start + 1 :]
+                for value, lead in leaves:
+                    append((head + lead + suffix, (subpath, below, value, head_id), None))
         return batch, pruned
 
     def _removal_batch(self, db: XmlDatabase, document) -> EntryBatch:
@@ -90,35 +102,13 @@ class DataPathsIndex(EntryBatchIndex):
 
         Ids are never reused, so the document's id span ``[first_id,
         end_id)`` holds every row headed inside it: one ``HeadId`` key
-        range.  Only its virtual-root rows are enumerated; each one's
+        range.  Only its virtual-root rows are derived; each one's
         schema path lists the real heads above and at its node, so the
         rows head pruning dropped are counted off those labels.
         """
-        pruner = self.head_pruner
-        batch = []
-        pruned = 0
-        for row in iter_rootpaths_rows(db, documents=(document,)):
-            batch.append(self._entry(row))
-            if pruner is not None:
-                pruned += sum(not pruner.keeps_label(label) for label in row.schema_path)
+        entries, pruned = self._entry_batch(db, (document,), bound=False)
         head_range = (encode_component(document.first_id), encode_component(document.end_id))
-        return EntryBatch(batch, removal=True, head_range=head_range, pruned=pruned)
-
-    def _entry(self, row: PathRow) -> tuple:
-        """One row's ``(key, payload, stat_key)`` entry.
-
-        The one row-to-entry mapping build, insert and removal share.
-        ``stat_key`` is set on virtual-root rows only.
-        """
-        head_id, schema_path, leaf_value, id_list = row
-        key = row_key(
-            encode_component(head_id)
-            + encode_component(leaf_value)
-            + self._key_suffixes[schema_path],
-            id_list[-1] if id_list else head_id,
-        )
-        stat_key = (schema_path[-1], leaf_value) if head_id == VIRTUAL_ROOT_ID else None
-        return (key, (schema_path, id_list, leaf_value, head_id), stat_key)
+        return EntryBatch(entries, removal=True, head_range=head_range, pruned=pruned)
 
     # ------------------------------------------------------------------
     # FreeIndex lookups

@@ -32,8 +32,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from ..errors import UnsupportedLookupError
-from ..paths.fourary import iter_rootpaths_rows
-from ..storage.keys import encode_component, encode_key, row_key
+from ..storage.keys import encode_key
 from ..storage.stats import StatsCollector
 from ..xmltree.document import XmlDatabase
 from .base import EntryBatchIndex, FamilyDescriptor, PathMatch, labels_to_tag_ids, rows_with_key
@@ -80,17 +79,16 @@ class RootPathsIndex(EntryBatchIndex):
         designators, not wrong answers, as lookups translate through the
         database dictionary, which reports released tags as unknown.
         """
-        suffixes = self._key_suffixes
+        trie = self._paths
         full = self.store_full_idlist
         batch = []
-        for _head, schema_path, leaf_value, id_list in iter_rootpaths_rows(
-            db, documents=documents
-        ):
-            key = row_key(encode_component(leaf_value) + suffixes[schema_path], id_list[-1])
-            ids = id_list if full else id_list[-1:]
-            batch.append(
-                (key, (schema_path, ids, leaf_value), (schema_path[-1], leaf_value))
-            )
+        append = batch.append
+        for path, ids, tail, _heads, values in trie.walk(documents):
+            labels = path.labels
+            suffix = (path.suffixes[0] or trie.suffix(path, 0)) + tail
+            stored = ids if full else ids[-1:]
+            for value, lead in values.items():
+                append((lead + suffix, (labels, stored, value), (labels[-1], value)))
         return batch, 0
 
     def _key_labels(self, labels: Sequence[str]) -> tuple[str, ...]:

@@ -8,8 +8,6 @@ compression of IdLists, SchemaPaths and HeadIds).
 from .compression import HeadIdPruner, SchemaPathDictionary
 from .fourary import (
     PathRow,
-    count_datapaths_rows,
-    count_rootpaths_rows,
     distinct_schema_paths,
     iter_datapaths_rows,
     iter_rootpaths_rows,
@@ -42,8 +40,6 @@ __all__ = [
     "PathRow",
     "SchemaPathDictionary",
     "compression_ratio",
-    "count_datapaths_rows",
-    "count_rootpaths_rows",
     "decode_deltas",
     "distinct_schema_paths",
     "encode_deltas",

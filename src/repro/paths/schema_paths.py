@@ -158,16 +158,23 @@ def matching_schema_paths(
     return [tuple(p) for p in schema_paths if matches(pattern, tuple(p))]
 
 
+def iter_rooted_nodes(documents) -> Iterator[tuple]:
+    """Yield ``(node, labels, ids)`` for every structural node of
+    ``documents`` in document order, with its root-to-node labels and ids."""
+    for document in documents:
+        stack: list[tuple] = [(document.root, (document.root.label,), (document.root.node_id,))]
+        while stack:
+            node, labels, ids = stack.pop()
+            yield node, labels, ids
+            for child in reversed(node.structural_children()):
+                stack.append((child, labels + (child.label,), ids + (child.node_id,)))
+
+
 def iter_rooted_label_paths(db) -> Iterator[tuple[LabelPath, tuple[int, ...]]]:
     """Yield ``(labels, ids)`` for the root-to-node path of every structural node.
 
     The virtual root is excluded from both tuples; ids are document-order
     node ids, labels are tags/attribute names.
     """
-    for document in db.documents:
-        stack: list[tuple] = [(document.root, (document.root.label,), (document.root.node_id,))]
-        while stack:
-            node, labels, ids = stack.pop()
-            yield labels, ids
-            for child in reversed(node.structural_children()):
-                stack.append((child, labels + (child.label,), ids + (child.node_id,)))
+    for _node, labels, ids in iter_rooted_nodes(db.documents):
+        yield labels, ids

@@ -237,6 +237,12 @@ BATCH_INDEXES = {
     "datapaths-pruned": lambda: DataPathsIndex(
         stats=StatsCollector(), order=6, head_pruner=HeadIdPruner({"a", "r"})
     ),
+    "datapaths-dictionary-pruned": lambda: DataPathsIndex(
+        stats=StatsCollector(),
+        order=6,
+        schema_path_dictionary=True,
+        head_pruner=HeadIdPruner({"a", "r"}),
+    ),
     "dataguide": lambda: DataGuideIndex(stats=StatsCollector(), order=4),
 }
 
@@ -312,6 +318,20 @@ def _assert_matches_reference(index, db: XmlDatabase) -> None:
     assert index.entry_count == len(index._tree)
 
 
+def _assert_path_ids(index, db: XmlDatabase, seen: dict) -> None:
+    """Section 4.2 path ids are the stored rows' distinct paths in
+    first-seen row order over the index's lifetime, and no others.
+
+    ``seen`` carries the paths of earlier steps (the dictionary never
+    shrinks); a path only a pruned head's rows spell must get no id.
+    """
+    if not getattr(index, "schema_path_dictionary", False):
+        return
+    seen.update(dict.fromkeys(payload[0] for _key, payload in _reference_entries(index, db)))
+    dictionary = index._path_dictionary
+    assert [dictionary.path_of(path_id) for path_id in range(1, len(dictionary) + 1)] == list(seen)
+
+
 def _fuzz_database(seed: int) -> XmlDatabase:
     db = XmlDatabase()
     for document in random_corpus(random.Random(seed), documents=4):
@@ -331,47 +351,97 @@ def test_build_is_a_sorted_per_entry_load_of_the_reference_entries(config, seed)
     assert _leaves(index._tree) == _leaves(reference)
     assert index._tree.height == reference.height
     assert index.stats.snapshot() == reference.stats.snapshot()
-    if getattr(index, "schema_path_dictionary", False):
-        # Section 4.2 path ids are handed out in first-seen row order.
-        dictionary = index._path_dictionary
-        first_seen = dict.fromkeys(
-            payload[0] for _key, payload in _reference_entries(index, db)
-        )
-        assert [
-            dictionary.path_of(path_id) for path_id in range(1, len(dictionary) + 1)
-        ] == list(first_seen)
+    _assert_path_ids(index, db, {})
 
 
 @pytest.mark.parametrize("config", sorted(BATCH_INDEXES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_memoised_keys_equal_the_unmemoised_mapping_through_churn(config, seed):
-    """Memo validity: through adds, a released and re-acquired tag, and a
-    rebuild on the same index object."""
+    """Trie validity: through adds, a released and re-acquired tag, and a
+    rebuild on the same index object; path ids checked at every step."""
     rng = random.Random(seed)
     db = _fuzz_database(seed)
     index = BATCH_INDEXES[config]().build(db)
+    seen: dict = {}
     _assert_matches_reference(index, db)
+    _assert_path_ids(index, db, seen)
 
     # "zonly" occurs in one document only: removing it releases the tag
     # fully (its id stays), re-adding it re-acquires the same id.
     zonly = "<r><zonly><a>v1</a></zonly><b><zonly>v2</zonly></b></r>"
     first = db.add_document(parse_string(zonly, name="z1"))
     index.update(db, first)
+    _assert_path_ids(index, db, seen)
     fresh = db.add_document(random_document(rng, "late"))
     index.update(db, fresh)
     _assert_matches_reference(index, db)
+    _assert_path_ids(index, db, seen)
 
     index.remove(db, db.remove_document("z1"))
     assert db.tags.id_of("zonly") is None
     _assert_matches_reference(index, db)
+    _assert_path_ids(index, db, seen)
 
     again = db.add_document(parse_string(zonly, name="z2"))
     assert db.tags.id_of("zonly") is not None
     index.update(db, again)
     _assert_matches_reference(index, db)
+    _assert_path_ids(index, db, seen)
 
-    # A rebuild reuses the index object; its memo starts over with it.
-    memo_before = index._key_suffixes
+    # A rebuild reuses the index object; its trie and path ids start
+    # over with it.
+    trie_before = index._paths
     index.build(db)
-    assert index._key_suffixes is not memo_before
+    assert index._paths is not trie_before
     _assert_matches_reference(index, db)
+    _assert_path_ids(index, db, {})
+
+
+@pytest.mark.parametrize(
+    "config", [name for name in sorted(BATCH_INDEXES) if not name.startswith("dataguide")]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_equal_payload_label_tuples_are_one_object_per_tree(config, seed):
+    """Every (sub)path a tree's payloads spell is one tuple object, also
+    across documents added later: derive shares its trie's copy."""
+    db = _fuzz_database(seed)
+    index = BATCH_INDEXES[config]().build(db)
+    index.update(db, db.add_document(random_document(random.Random(seed), "late")))
+    by_value: dict[tuple, set[int]] = {}
+    for _key, payload in _stored(index):
+        by_value.setdefault(payload[0], set()).add(id(payload[0]))
+    assert by_value and all(len(objects) == 1 for objects in by_value.values())
+
+
+@pytest.mark.parametrize(
+    "config", [name for name in sorted(BATCH_INDEXES) if "dictionary" in name]
+)
+def test_a_copied_index_derives_through_its_own_trie_and_dictionary(config):
+    """What a revive does (``copy_for``): the twin derives through a trie
+    of its own, so it never interns into its primary's path dictionary,
+    and after further writes its tree and dictionary equal the primary's."""
+    db, twin_db = _fuzz_database(0), _fuzz_database(0)
+    index = BATCH_INDEXES[config]().build(db)
+    twin = index.copy_for(twin_db, StatsCollector())
+    assert twin._paths is not index._paths
+    assert twin._path_dictionary is not index._path_dictionary
+
+    fresh = "<r><fresh><a>v1</a><newer><r>v2</r></newer></fresh></r>"
+    added, twin_added = (
+        database.add_document(parse_string(fresh, name="fresh")) for database in (db, twin_db)
+    )
+    before = list(index._path_dictionary._id_to_path)
+    batch = twin.derive(twin_db, (twin_added,))  # the twin derives, as a promoted primary would
+    assert batch.paths and index._path_dictionary._id_to_path == before
+    twin.apply(batch)
+    index.update(db, added)
+
+    batches: dict = {}  # then one removal, derived once and applied alike
+    for database, target in ((db, index), (twin_db, twin)):
+        target.remove(database, database.remove_document(database.documents[0].name), batches)
+    for database, target in ((db, index), (twin_db, twin)):
+        target.update(database, database.add_document(random_document(random.Random(5), "late")))
+    assert _leaves(twin._tree) == _leaves(index._tree)
+    assert twin._path_dictionary._id_to_path == index._path_dictionary._id_to_path
+    assert (twin.entry_count, twin.pruned_count) == (index.entry_count, index.pruned_count)
+    assert list(twin.stat_counts.items()) == list(index.stat_counts.items())
