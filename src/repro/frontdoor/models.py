@@ -2,27 +2,27 @@
 
 The HTTP layer speaks JSON, but nothing past the socket handler does:
 a body is validated into a :class:`QueryRequest` at the door (unknown
-fields, wrong types and missing requireds are rejected with a ``400``
-before any engine work), and every answer leaves as a
-:class:`QueryResponse`.  This is the pydantic request-model idiom
-redone on stdlib dataclasses, since the package depends on nothing
-outside the standard library — the explicit ``from_dict`` validators
-play the role of pydantic's parsing layer.
+fields, wrong types and missing requireds are a ``400`` before any
+engine work), and every answer leaves as a :class:`QueryResponse`,
+whose body splices the request's values into its answer's JSON -- for
+a landed answer, the JSON kept with its cache entry, so it never
+outlives that entry's generation, TTL or eviction.
 
-Rejections are *typed*: every fast-reject raises a
-:class:`RejectedError` subclass carrying its HTTP status (429 for
-quota, 503 for a full admission queue or a draining server), so the
-in-process client, the HTTP layer and the benchmarks all observe the
-same admission decisions.
+Rejections are *typed*: every fast-reject raises a :class:`RejectedError`
+subclass carrying its HTTP status (429 for quota, 503 for a full queue
+or a draining server), so the in-process client, the HTTP layer and the
+benchmarks all observe the same admission decisions.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..errors import ReproError
 from ..planner.evaluator import QueryResult
+from ..service.base import LandedAnswer
 
 __all__ = [
     "BadRequestError",
@@ -106,6 +106,17 @@ def _require(condition: bool, message: str) -> None:
         raise BadRequestError(message)
 
 
+def _frozen(cls, *fields, **values):
+    """A frozen dataclass of every field's value, past ``__init__``'s setattrs."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(*fields, **values)
+    return instance
+
+
+#: ``json.dumps``'s own string encoder (``ensure_ascii``, its default), and its booleans.
+_string, _FLAGS = json.encoder.encode_basestring_ascii, ("false", "true")
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """One validated query request.
@@ -134,6 +145,7 @@ class QueryRequest:
         "query_id",
         "options",
     )
+    _FIELD_SET = frozenset(FIELDS)
 
     @classmethod
     def from_dict(cls, body: object) -> "QueryRequest":
@@ -141,11 +153,16 @@ class QueryRequest:
 
         Typed rejection happens here, before any admission or engine
         work: unknown fields, missing ``xpath`` and wrong scalar types
-        all raise :class:`BadRequestError` (HTTP 400).
+        all raise :class:`BadRequestError` (HTTP 400).  One pass in field
+        order; a decoded JSON object never reaches an abstract type check.
         """
-        _require(isinstance(body, Mapping), f"request body must be a JSON object, got {type(body).__name__}")
-        unknown = sorted(set(body) - set(cls.FIELDS))
-        _require(not unknown, f"unknown request field(s) {unknown}; expected a subset of {list(cls.FIELDS)}")
+        if type(body) is not dict and not isinstance(body, Mapping):
+            raise BadRequestError(f"request body must be a JSON object, got {type(body).__name__}")
+        if not body.keys() <= cls._FIELD_SET:
+            unknown = sorted(set(body) - cls._FIELD_SET)
+            raise BadRequestError(
+                f"unknown request field(s) {unknown}; expected a subset of {list(cls.FIELDS)}"
+            )
         _require("xpath" in body, "request is missing the required 'xpath' field")
         xpath = body["xpath"]
         _require(isinstance(xpath, str) and bool(xpath.strip()), "'xpath' must be a non-empty string")
@@ -165,24 +182,16 @@ class QueryRequest:
             )
             documents = tuple(documents)
         query_id = body.get("query_id")
-        _require(
-            query_id is None or isinstance(query_id, str),
-            "'query_id' must be a string",
-        )
+        _require(query_id is None or isinstance(query_id, str), "'query_id' must be a string")
         options = body.get("options", {})
         _require(
-            isinstance(options, Mapping)
+            (type(options) is dict or isinstance(options, Mapping))
             and all(isinstance(name, str) for name in options),
             "'options' must be an object with string keys",
         )
-        return cls(
-            xpath=xpath,
-            strategy=strategy,
-            tenant=tenant,
-            use_result_cache=use_result_cache,
-            documents=documents,
-            query_id=query_id,
-            options=dict(options),
+        return _frozen(
+            cls, xpath=xpath, strategy=strategy, tenant=tenant, use_result_cache=use_result_cache,
+            documents=documents, query_id=query_id, options=dict(options),
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -192,6 +201,19 @@ class QueryRequest:
         if self.documents is not None:
             body["documents"] = list(self.documents)
         return {name: value for name, value in body.items() if value is not None}
+
+
+def _answer_json(response: "QueryResponse") -> tuple:
+    """A response's six answer fields as JSON, cut where its four request
+    fields go (sorted: ``cached``, ``cardinality``, *coalesced*, *elapsed_seconds*,
+    ``ids``, *query_id*, ``strategy``, *tenant*, ``total_cost``, ``xpath``)."""
+    head = f'{{"cached": {_FLAGS[response.cached]}, "cardinality": {len(response.ids)}, "coalesced": '
+    return (
+        (head + 'false, "elapsed_seconds": ', head + 'true, "elapsed_seconds": '),
+        f', "ids": {json.dumps(list(response.ids))}',
+        f', "strategy": {_string(response.strategy)}, "tenant": ',
+        f', "total_cost": {response.total_cost!r}, "xpath": {_string(response.xpath)}}}',
+    )
 
 
 @dataclass(frozen=True)
@@ -214,26 +236,38 @@ class QueryResponse:
     total_cost: int
     query_id: Optional[str] = None
     tenant: str = "default"
+    #: A landed entry's :func:`_answer_json`; any other response makes its own.
+    answer_json: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_result(
-        cls,
-        request: QueryRequest,
-        result: QueryResult,
-        coalesced: bool,
-        elapsed_seconds: float,
+        cls, request: QueryRequest, result: QueryResult, coalesced: bool, elapsed_seconds: float
     ) -> "QueryResponse":
-        return cls(
-            xpath=result.xpath,
-            strategy=result.strategy,
-            ids=tuple(result.ids),
-            cached=result.cached,
-            coalesced=coalesced,
-            elapsed_seconds=elapsed_seconds,
-            total_cost=result.total_cost,
-            query_id=request.query_id,
-            tenant=request.tenant,
+        return _frozen(
+            cls, xpath=result.xpath, strategy=result.strategy, ids=tuple(result.ids), cached=result.cached,
+            coalesced=coalesced, elapsed_seconds=elapsed_seconds, total_cost=result.total_cost,
+            query_id=request.query_id, tenant=request.tenant, answer_json=None,
         )
+
+    @classmethod
+    def landed(cls, request: QueryRequest, entry: LandedAnswer, elapsed_seconds: float) -> "QueryResponse":
+        """The response to a landed ``entry``, from the answer's fields and
+        JSON made on the entry's first landed hit and kept in it."""
+        answer = entry.encoded
+        if answer is None:
+            answer = entry.encoded = cls.from_result(request, entry.result, False, 0.0)
+            object.__setattr__(answer, "answer_json", _answer_json(answer))
+        return _frozen(
+            cls, answer.__dict__, elapsed_seconds=elapsed_seconds,
+            query_id=request.query_id, tenant=request.tenant,
+        )
+
+    def encode(self) -> bytes:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte (for a finite elapsed time)."""
+        heads, ids, strategy, tail = self.answer_json or _answer_json(self)
+        named = "" if self.query_id is None else ', "query_id": ' + _string(self.query_id)
+        elapsed, tenant = repr(self.elapsed_seconds), _string(self.tenant)
+        return "".join((heads[self.coalesced], elapsed, ids, named, strategy, tenant, tail)).encode()
 
     def to_dict(self) -> dict[str, object]:
         body = {

@@ -22,7 +22,8 @@ Request flow (the order is the admission pipeline of
 2. **quota** — the tenant's token bucket (fast 429, ``retry_after``);
 3. **landed?** — an answer the service already gathered for this
    question at the current generation (its ``answer_cache``) is
-   returned from the event loop: no flight, slot or worker thread;
+   returned from the event loop: no flight, slot or worker thread, and
+   a body of the entry's encoded answer with three request values;
 4. **coalesce** — identical in-flight queries (same normalized xpath,
    strategy, options, scope, cache flag *and service generation*) join
    the running flight as followers and never touch the engine;
@@ -32,7 +33,7 @@ Request flow (the order is the admission pipeline of
    door's thread pool, inside the caller's telemetry context, so the
    engine's ``query`` span lands under this request's trace.
 
-Every follower gets a *private copy* of the flight's result, so the
+Every response copies what it keeps of the flight's result, so the
 fan-out can never alias one mutable answer across clients.
 """
 
@@ -183,10 +184,7 @@ class FrontDoor:
             # keeps of it.
             landed = answers.get(key[0])
             if landed is not None:
-                response = QueryResponse.from_result(
-                    request, landed, False, elapsed_seconds=_now() - started
-                )
-                return response, "landed"
+                return QueryResponse.landed(request, landed, _now() - started), "landed"
         with self.telemetry.span("coalesce", xpath=request.xpath) as span:
             result, coalesced = await self.flights.run(
                 key if self.coalesce else None, lambda: self._execute(request)
@@ -199,9 +197,6 @@ class FrontDoor:
             self.telemetry.event(
                 "coalesced", xpath=request.xpath, tenant=request.tenant
             )
-            # Followers share the leader's QueryResult object; hand each
-            # its own copy so no client can mutate another's answer.
-            result = ServingFacade._copy_result(result, cached=result.cached)
         response = QueryResponse.from_result(
             request, result, coalesced, elapsed_seconds=_now() - started
         )
@@ -336,17 +331,22 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
-_HEADER_TOO_LARGE = {
-    "error": "header-too-large",
-    "status": 431,
-    "message": "request line and headers exceed the 64 KiB read buffer",
-}
+
+class _Unreadable(FrontDoorError):
+    """A request not readable to its end: answered, then hung up on."""
+
+    def __init__(self, status: int, code: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
 
 #: Refuse request bodies past this size (a malformed content-length
 #: must not buffer unbounded memory).
@@ -498,12 +498,10 @@ class FrontDoorServer:
                 self._idle.add(writer)
                 try:
                     parsed = await self._read_request(reader)
-                except asyncio.LimitOverrunError:
-                    # The header block outgrew the stream's buffer: say
-                    # so and hang up, the rest of it is unread.
+                except _Unreadable as refusal:
                     parsed = None
                     self._write_response(
-                        writer, *self._json(431, _HEADER_TOO_LARGE), False
+                        writer, *self._json(refusal.status, error_body(refusal)), False
                     )
                     await writer.drain()
                 finally:
@@ -542,8 +540,9 @@ class FrontDoorServer:
         """One request off the wire, or ``None`` at a clean end of stream.
 
         The request line and headers arrive in one await and are split
-        as one string; ``LimitOverrunError`` (no blank line within the
-        stream's 64 KiB buffer) is the caller's 431.
+        as one string.  :class:`_Unreadable`: a header block past the
+        stream's 64 KiB buffer (431), a bad request line or
+        ``Content-Length`` (400), a body past :data:`MAX_BODY_BYTES` (413).
         """
         try:
             block = await reader.readuntil(b"\r\n\r\n")
@@ -551,21 +550,27 @@ class FrontDoorServer:
             if error.partial:
                 raise
             return None
+        except asyncio.LimitOverrunError:
+            raise _Unreadable(
+                431, "header-too-large", "request line and headers exceed the 64 KiB read buffer"
+            ) from None
         request_line, *lines = block[:-4].decode("latin-1").split("\r\n")
         parts = request_line.split()
         if len(parts) < 2:
-            raise asyncio.IncompleteReadError(block, None)
+            raise _Unreadable(400, "bad-request", f"malformed request line {request_line[:80]!r}")
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         for line in lines:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", None)
+        declared = headers.get("content-length") or "0"
+        if not declared.isdecimal():  # 1*DIGIT, RFC 9110; int() would also take "+5" and "1_0"
+            raise _Unreadable(400, "bad-request", f"malformed Content-Length {declared[:80]!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _Unreadable(
+                413, "payload-too-large", f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
@@ -617,7 +622,7 @@ class FrontDoorServer:
             return self._fault(400, "query-error", error)
         except Exception as error:  # repro-lint: ignore[RPR005] -- answered as a typed 500 and counted by handle(); re-raising would kill the connection handler
             return self._fault(500, "internal-error", error)
-        return self._json(200, response.to_dict())
+        return (200, response.encode(), "application/json", ())
 
     @classmethod
     def _fault(cls, status: int, code: str, error: Exception):

@@ -43,7 +43,9 @@ def normalize_xpath(text: str) -> str:
     :func:`~repro.query.parser.parse_xpath` applies — so queries
     differing only in those details share one plan-cache entry.
     """
-    return text.translate(_QUOTE_NORMALISATION).strip()
+    if not text.isascii():  # the curly quotes are not ASCII, most queries are
+        text = text.translate(_QUOTE_NORMALISATION)
+    return text.strip()
 
 
 @dataclass(frozen=True)

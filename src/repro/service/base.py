@@ -117,6 +117,24 @@ def cache_report(
     return totals
 
 
+class LandedAnswer:
+    """One :attr:`ServingFacade.answer_cache` entry.
+
+    ``result`` is the gathered answer as a hit reports it
+    (``cached=True``).  ``encoded`` is what the front door derives from
+    it on the entry's first landed hit (the answer's response fields and
+    their JSON), kept here so that it shares the entry's key and so its
+    generation, its TTL and its eviction: nothing of it outlives the
+    entry.
+    """
+
+    __slots__ = ("result", "encoded")
+
+    def __init__(self, result: QueryResult) -> None:
+        self.result = result
+        self.encoded: object = None
+
+
 @dataclass
 class BatchResult:
     """The answers to one query batch plus batch-level measurements.
@@ -159,8 +177,8 @@ class ServingFacade:
     telemetry: Telemetry
     #: Literal-lifted query text -> its shape; subclasses size it.
     plan_cache: LRUCache
-    #: :meth:`answer_key` -> the whole answer of one ``execute``, as a
-    #: hit reports it (``cached=True``).  The sharded tier sizes it; a
+    #: :meth:`answer_key` -> the whole answer of one ``execute``, a
+    #: :class:`LandedAnswer`.  The sharded tier sizes it; a
     #: facade whose ``execute`` is already one cache lookup switches it
     #: off with ``LRUCache(0)``.  The front door reads it on the event
     #: loop, so nothing but the cache's own lock may guard it.

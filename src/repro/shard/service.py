@@ -78,7 +78,7 @@ from ..query.parser import parse_xpath
 from ..query.twig import TwigPattern
 from ..storage.stats import StatsCollector, diff_snapshots, maintenance_cost, sum_snapshots
 from ..xmltree.document import Document
-from ..service.base import AUTO_STRATEGY, ServingFacade, cache_report, cache_section
+from ..service.base import AUTO_STRATEGY, LandedAnswer, ServingFacade, cache_report, cache_section
 from ..service.cache import LRUCache
 from .placement import PlacementPolicy, make_placement
 from .rebalance import AutoRebalancer, RebalanceMove, RebalanceReport
@@ -590,7 +590,7 @@ class ShardedQueryService(ServingFacade):
             )
             landed = self.answer_cache.get(key) if key is not None else None
             if landed is not None:
-                result = self._copy_result(landed, cached=True)
+                result = self._copy_result(landed.result, cached=True)
             else:
                 targets = self._target_shards(documents)
                 with self.telemetry.span("scatter", shards=len(targets)):
@@ -609,7 +609,7 @@ class ShardedQueryService(ServingFacade):
                 # later reader's answer.
                 if key is not None and self.generation() == key[-1]:
                     self.answer_cache.put(
-                        key, self._copy_result(result, cached=True)
+                        key, LandedAnswer(self._copy_result(result, cached=True))
                     )
             root.annotate(
                 strategy=result.strategy,

@@ -27,11 +27,13 @@ every race in here is deterministic, never timing-based.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import re
 import threading
 import urllib.error
 import urllib.request
+from types import MappingProxyType
 
 import pytest
 
@@ -115,27 +117,42 @@ async def _until(condition, timeout: float = 10.0) -> None:
 # ----------------------------------------------------------------------
 # Request/response models
 # ----------------------------------------------------------------------
+_FIELDS = "['xpath', 'strategy', 'tenant', 'use_result_cache', 'documents', 'query_id', 'options']"
+
+#: Body -> its exact 400 message.  Checks run in field order, so a body
+#: with two faults names the first field's.
+REJECTED = [
+    ("not an object", "request body must be a JSON object, got str"),
+    ({}, "request is missing the required 'xpath' field"),
+    ({"xpath": ""}, "'xpath' must be a non-empty string"),
+    ({"xpath": 7}, "'xpath' must be a non-empty string"),
+    ({"xpath": XPATH, "bogus": 1}, f"unknown request field(s) ['bogus']; expected a subset of {_FIELDS}"),
+    ({"xpath": XPATH, "strategy": ""}, "'strategy' must be a non-empty string"),
+    ({"xpath": XPATH, "tenant": 5}, "'tenant' must be a non-empty string"),
+    ({"xpath": XPATH, "use_result_cache": "yes"}, "'use_result_cache' must be a boolean"),
+    ({"xpath": XPATH, "documents": "doc-1"}, "'documents' must be a list of document names"),
+    ({"xpath": XPATH, "documents": [1, 2]}, "'documents' must be a list of document names"),
+    ({"xpath": XPATH, "query_id": 9}, "'query_id' must be a string"),
+    ({"xpath": XPATH, "options": [1]}, "'options' must be an object with string keys"),
+    ({"xpath": XPATH, "options": {1: "x"}}, "'options' must be an object with string keys"),
+    ([XPATH], "request body must be a JSON object, got list"),
+    ({"xpath": XPATH, "documents": ""}, "'documents' must be a list of document names"),
+    ({"xpath": XPATH, "use_result_cache": 1}, "'use_result_cache' must be a boolean"),
+    ({"xpath": " \t\n "}, "'xpath' must be a non-empty string"),
+    ({"xpath": XPATH, "options": None}, "'options' must be an object with string keys"),
+    ({"xpath": XPATH, "documents": {"a": 1}}, "'documents' must be a list of document names"),
+    ({"zeta": 1, "alpha": 2}, f"unknown request field(s) ['alpha', 'zeta']; expected a subset of {_FIELDS}"),
+    ({"tenant": 5, "strategy": "", "xpath": XPATH}, "'strategy' must be a non-empty string"),
+]
+
+
 @pytest.mark.parametrize(
-    "body",
-    [
-        "not an object",
-        {},
-        {"xpath": ""},
-        {"xpath": 7},
-        {"xpath": XPATH, "bogus": 1},
-        {"xpath": XPATH, "strategy": ""},
-        {"xpath": XPATH, "tenant": 5},
-        {"xpath": XPATH, "use_result_cache": "yes"},
-        {"xpath": XPATH, "documents": "doc-1"},
-        {"xpath": XPATH, "documents": [1, 2]},
-        {"xpath": XPATH, "query_id": 9},
-        {"xpath": XPATH, "options": [1]},
-        {"xpath": XPATH, "options": {1: "x"}},
-    ],
+    "body, message", REJECTED, ids=[f"body{i}" for i in range(len(REJECTED))]
 )
-def test_request_validation_rejects(body):
+def test_request_validation_rejects(body, message):
     with pytest.raises(BadRequestError) as excinfo:
         QueryRequest.from_dict(body)
+    assert str(excinfo.value) == message
     assert excinfo.value.status == 400
     assert error_body(excinfo.value)["error"] == "bad-request"
 
@@ -154,6 +171,18 @@ def test_request_round_trips_through_dict():
     )
     assert request.documents == ("fd-0", "fd-2")
     assert QueryRequest.from_dict(request.to_dict()) == request
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        request.xpath = "/site"  # type: ignore[misc]
+
+
+def test_request_validation_accepts_any_mapping_and_sequence():
+    """Past the JSON types' fast checks, the abstract ones still admit."""
+    body = MappingProxyType(
+        {"xpath": XPATH, "documents": ("fd-0",), "options": MappingProxyType({"limit": 5})}
+    )
+    request = QueryRequest.from_dict(body)
+    assert request == QueryRequest(xpath=XPATH, documents=("fd-0",), options={"limit": 5})
+    assert type(request.options) is dict
 
 
 def test_rejection_bodies_carry_retry_after():

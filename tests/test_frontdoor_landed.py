@@ -11,11 +11,17 @@ front door returns it from the event loop.  Pinned here:
 * **what keys apart** — the cache flag, a ``documents=`` scope, the
   strategy and its options, and every write (which costs each answer
   one miss before it lands again);
+* **the body** — every response, landed, coalesced or executed, encodes
+  byte for byte as ``json.dumps(to_dict(), sort_keys=True)``, and a
+  landed entry's encoded answer lives and dies with the entry;
 * **the 500 path** — any non-``ReproError`` out of ``handle``, from a
   worker thread or from the loop-side peek, is a typed, counted 500 and
   the connection keeps serving;
-* **header limits** — a header block past the stream's 64 KiB buffer is
-  a typed 431 and a closed connection, and the server keeps serving.
+* **unreadable requests** — a header block past the stream's 64 KiB
+  buffer (431), a request line without a path or a bad
+  ``Content-Length`` (400) and a body past ``MAX_BODY_BYTES`` (413) are
+  typed JSON answers and a closed connection, and the server keeps
+  serving.
 
 Event-loop tests run under ``asyncio.run`` directly, like
 ``test_frontdoor.py``.
@@ -26,15 +32,21 @@ from __future__ import annotations
 import asyncio
 import json
 import re
+import threading
 
 import pytest
 
 from repro import FrontDoor, FrontDoorServer, QueryRequest, ShardedQueryService
 from repro.datasets import generate_xmark
 from repro.frontdoor import DrainingError, QuotaExceededError, TokenBucket
+from repro.frontdoor.server import MAX_BODY_BYTES
 
 XPATH = "/site/people/person/name"
 OTHER = "//item/name"
+#: A curly-quoted literal: non-ASCII in the echoed ``xpath``.
+CURLY = "/site/people/person[@id=“person0”]/name"
+TENANT = "ténant-☃"
+QUOTED = 'say "hi" \\ \n'
 
 
 def _documents(count: int = 4, scale: float = 0.01):
@@ -51,6 +63,21 @@ def service():
     ) as svc:
         svc.build_index("rootpaths")
         yield svc
+
+
+def _body(response) -> dict:
+    """The response's body, checked against the reference encoding."""
+    body = response.encode()
+    assert body == json.dumps(response.to_dict(), sort_keys=True).encode("utf-8")
+    return json.loads(body)
+
+
+async def _until(condition, timeout: float = 10.0) -> None:
+    for _ in range(int(timeout / 0.005)):
+        if condition():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"condition never held: {condition}")
 
 
 def _replica_reads(service) -> int:
@@ -162,33 +189,110 @@ def test_cache_flag_scope_and_options_key_apart(service):
     assert service.answer_cache.hits == 4 and len(service.answer_cache) == 4
 
 
-def test_a_write_costs_every_answer_one_miss_then_it_lands_again(service):
+def test_a_write_costs_every_answer_one_miss_then_it_lands_again():
+    """And an answer's encoding never outlives its entry: after a write,
+    and after the entry's TTL, the body carries the new answer."""
+    ttl = 0.5
+    service = ShardedQueryService.from_documents(
+        _documents(), num_shards=2, placement="round_robin", replicas=2, result_cache_ttl=ttl
+    )
+    service.build_index("rootpaths")
+
     async def main():
         with FrontDoor(service) as door:
-            for xpath in (XPATH, OTHER):
-                await door.handle(QueryRequest(xpath=xpath))
+
+            async def read_all():
+                return [await door.handle(QueryRequest(xpath=xpath)) for xpath in (XPATH, OTHER)]
+
+            await read_all()
+            before = await read_all()
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
                 None,
                 service.add_document,
                 generate_xmark(scale=0.01, seed=799, name="ld-new"),
             )
-            rounds = []
-            for _ in range(2):
-                rounds.append(
-                    [
-                        await door.handle(QueryRequest(xpath=xpath))
-                        for xpath in (XPATH, OTHER)
-                    ]
-                )
-            return rounds, door.flights.flights_started
+            rounds = [await read_all(), await read_all()]
+            await asyncio.sleep(ttl * 1.1)
+            rounds += [await read_all(), await read_all()]
+            return before, rounds, door.flights.flights_started
 
-    (missed, landed), flights = asyncio.run(main())
-    assert not any(response.cached for response in missed)
-    assert all(response.cached for response in landed)
-    for response, xpath in zip(landed, (XPATH, OTHER)):
-        assert response.ids == tuple(service.oracle(xpath))
-    assert flights == 4
+    with service:
+        before, (missed, landed, expired, relanded), flights = asyncio.run(main())
+        assert not any(response.cached for response in missed + expired)
+        assert all(response.cached for response in before + landed + relanded)
+        for round_ in (missed, landed, expired, relanded):
+            for response, xpath in zip(round_, (XPATH, OTHER)):
+                assert response.ids == tuple(service.oracle(xpath))
+                assert _body(response)["ids"] == service.oracle(xpath)
+        assert [_body(r)["ids"] for r in before] != [_body(r)["ids"] for r in landed]
+        for old, new, newer in zip(before, landed, relanded):
+            assert old.answer_json is not new.answer_json and new.answer_json is not newer.answer_json
+        assert flights == 6
+
+
+# ----------------------------------------------------------------------
+# The body
+# ----------------------------------------------------------------------
+def test_every_body_is_the_reference_encoding_byte_for_byte(service):
+    release = threading.Event()
+    execute = service.execute
+
+    def gated(*args, **kwargs):
+        assert release.wait(timeout=30), "gate never released"
+        return execute(*args, **kwargs)
+
+    async def main():
+        with FrontDoor(service) as door:
+            named = QueryRequest(xpath=CURLY, tenant=TENANT, query_id=QUOTED)
+            executed = await door.handle(named)
+            landed = await door.handle(named)
+            unnamed = await door.handle(QueryRequest(xpath=CURLY))
+            service.execute = gated  # instance attribute shadows the method
+            flight = [
+                asyncio.ensure_future(
+                    door.handle(QueryRequest(xpath=OTHER, tenant=TENANT, query_id=f"{QUOTED}{i}"))
+                )
+                for i in range(3)
+            ]
+            await _until(lambda: door.flights.coalesced_hits == 2)
+            release.set()
+            led, *followed = await asyncio.gather(*flight)
+            del service.execute
+            return executed, landed, unnamed, led, followed
+
+    executed, landed, unnamed, led, followed = asyncio.run(main())
+    assert executed.answer_json is None and not executed.cached
+    assert landed.answer_json is unnamed.answer_json is not None and landed.cached
+    assert not led.coalesced and all(response.coalesced for response in followed)
+    for response in (executed, landed, unnamed, led, *followed):
+        body = _body(response)
+        assert body["ids"] == list(response.ids) and body["tenant"] == response.tenant
+        assert body.get("query_id") == response.query_id
+    assert "query_id" not in _body(unnamed) and _body(landed)["query_id"] == QUOTED
+    assert _body(landed)["tenant"] == TENANT and _body(landed)["xpath"] == CURLY
+    assert b"\\u2603" in landed.encode() and landed.encode().isascii()
+    assert [_body(r)["query_id"] for r in followed] == [f"{QUOTED}1", f"{QUOTED}2"]
+
+
+def test_a_landed_body_over_the_socket_is_the_reference_encoding(service):
+    async def main():
+        server = FrontDoorServer(FrontDoor(service))
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        query = {"xpath": XPATH, "tenant": TENANT, "query_id": QUOTED}
+        bodies = [await _exchange_raw(reader, writer, query) for _ in range(2)]
+        writer.close()
+        await asyncio.wait_for(server.stop(), timeout=10)
+        return bodies
+
+    executed, landed = asyncio.run(main())
+    for raw in (executed, landed):
+        decoded = json.loads(raw)
+        assert json.dumps(decoded, sort_keys=True).encode("utf-8") == raw
+        assert decoded["ids"] == service.oracle(XPATH)
+        assert (decoded["tenant"], decoded["query_id"]) == (TENANT, QUOTED)
+    assert json.loads(landed)["cached"] and not json.loads(executed)["cached"]
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +310,20 @@ async def _exchange(reader, writer, method: str, path: str, body=None):
     length = int(re.search(rb"content-length: *(\d+)", head, re.I).group(1))
     raw = await reader.readexactly(length)
     return int(head.split()[1]), json.loads(raw)
+
+
+async def _exchange_raw(reader, writer, query: dict) -> bytes:
+    """One ``POST /query`` round trip; returns the body's bytes."""
+    payload = json.dumps(query).encode("utf-8")
+    writer.write(
+        f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {len(payload)}\r\n\r\n".encode("latin-1")
+        + payload
+    )
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK")
+    length = int(re.search(rb"content-length: *(\d+)", head, re.I).group(1))
+    return await reader.readexactly(length)
 
 
 @pytest.mark.parametrize("where", ["worker-thread", "loop-side-peek"])
@@ -280,8 +398,56 @@ def test_query_errors_stay_400_and_are_counted(service):
 
 
 # ----------------------------------------------------------------------
-# Header limits
+# Unreadable requests
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "head, status, reason",
+    [
+        (b"GARBAGE\r\nHost: test\r\n\r\n", 400, b"Bad Request"),
+        (b"POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, b"Bad Request"),
+        (b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, b"Bad Request"),
+        (
+            f"POST /query HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("latin-1"),
+            413,
+            b"Payload Too Large",
+        ),
+    ],
+    ids=["request-line", "length-not-a-number", "length-negative", "body-too-large"],
+)
+def test_unreadable_request_is_a_typed_answer_and_the_server_keeps_serving(
+    service, head, status, reason
+):
+    leaked: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: leaked.append(context)
+        )
+        server = FrontDoorServer(FrontDoor(service))
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(head)
+        await writer.drain()
+        refused = await asyncio.wait_for(reader.read(), timeout=10)
+        writer.close()
+        reader, writer = await asyncio.open_connection(host, port)
+        healthy = await _exchange(reader, writer, "GET", "/healthz")
+        writer.close()
+        await asyncio.wait_for(server.stop(), timeout=10)
+        return refused, healthy
+
+    refused, healthy = asyncio.run(main())
+    # read() ran to end of stream: the server hung up after answering.
+    answer_head, _, body = refused.partition(b"\r\n\r\n")
+    assert answer_head.startswith(b"HTTP/1.1 %d %s" % (status, reason))
+    assert b"Connection: close" in answer_head
+    answer = json.loads(body)
+    assert answer["status"] == status
+    assert answer["error"] == ("payload-too-large" if status == 413 else "bad-request")
+    assert healthy[0] == 200 and healthy[1]["status"] == "ok"
+    assert leaked == []
+
+
 def test_oversized_header_is_a_typed_431_and_the_server_keeps_serving(service):
     leaked: list[dict] = []
 
